@@ -1,33 +1,13 @@
 """Extreme GSVD components of large sparse pairs by restarted joint bidiagonalization."""
 
-from .bidiag import (LowerBidiagonal, SmallGsvd, UpperBidiagonal, givens,
-                     inverse_norm_estimates, jacobi_svd, small_gsvd)
-from .driver import (EPS, ConvergenceRecord, GsvdComponent, RitzSet, SolveResult,
-                     SolverConfig, check_convergence, compute_residual,
-                     cross_residual_norm, estimate_R_norm, extract_ritz, irjbd_solve,
-                     recover_component, residual_bound_pq, residual_bound_w)
-from .jbd import BreakdownError, JbdState, StateDefects, jbd_expand, jbd_init, verify_state
-from .restart import (CouplingDefectError, DeflationNeededError, SweepRotations,
-                      accumulate_sweeps, coupled_sweep_upper, implicit_qr_step_lower,
-                      multi_step_implicit_restart, thick_restart)
-from .shifts import ShiftSet, apply_adaptive_rule, select_exact_shifts
+from .driver import ConvergenceRecord, GsvdComponent, SolveResult, SolverConfig, irjbd_solve
 from .sparsemat import (MatrixMarketError, SparseMatrix, identity, read_matrix_market,
                         second_order_L, write_matrix_market)
-from .stackedls import (LsqrConfig, LsqrOutcome, StackedOperator, lsqr_solve,
-                        project_onto_range, stack_norm_estimate)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BreakdownError", "ConvergenceRecord", "CouplingDefectError", "DeflationNeededError",
-    "EPS", "GsvdComponent", "JbdState", "LowerBidiagonal", "LsqrConfig", "LsqrOutcome",
-    "MatrixMarketError", "RitzSet", "ShiftSet", "SmallGsvd", "SolveResult", "SolverConfig",
-    "SparseMatrix", "StackedOperator", "StateDefects", "SweepRotations", "UpperBidiagonal",
-    "accumulate_sweeps", "apply_adaptive_rule", "check_convergence", "compute_residual",
-    "coupled_sweep_upper", "cross_residual_norm", "estimate_R_norm", "extract_ritz",
-    "givens", "identity", "implicit_qr_step_lower", "inverse_norm_estimates", "irjbd_solve",
-    "jacobi_svd", "jbd_expand", "jbd_init", "lsqr_solve", "multi_step_implicit_restart",
-    "project_onto_range", "read_matrix_market", "recover_component", "residual_bound_pq",
-    "residual_bound_w", "second_order_L", "select_exact_shifts", "small_gsvd",
-    "stack_norm_estimate", "thick_restart", "verify_state", "write_matrix_market",
+    "ConvergenceRecord", "GsvdComponent", "MatrixMarketError", "SolveResult", "SolverConfig",
+    "SparseMatrix", "identity", "irjbd_solve", "read_matrix_market", "second_order_L",
+    "write_matrix_market", "__version__",
 ]

@@ -18,8 +18,6 @@ from math import hypot
 import numpy as np
 
 __all__ = [
-    "LowerBidiagonal",
-    "UpperBidiagonal",
     "SmallGsvd",
     "givens",
     "jacobi_svd",
@@ -28,93 +26,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
-
-
-@dataclass(frozen=True)
-class LowerBidiagonal:
-    """(k+1) x k lower bidiagonal matrix: diagonal ``alphas``, subdiagonal ``betas``."""
-
-    alphas: np.ndarray
-    betas: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=np.float64))
-        object.__setattr__(self, "betas", np.asarray(self.betas, dtype=np.float64))
-        if len(self.betas) != len(self.alphas):
-            raise ValueError("lower bidiagonal needs one subdiagonal entry per column")
-        if not (np.all(np.isfinite(self.alphas)) and np.all(np.isfinite(self.betas))):
-            raise ValueError("bidiagonal entries must be finite")
-
-    @property
-    def k(self):
-        return len(self.alphas)
-
-    def to_dense(self):
-        k = self.k
-        out = np.zeros((k + 1, k))
-        idx = np.arange(k)
-        out[idx, idx] = self.alphas
-        out[idx + 1, idx] = self.betas
-        return out
-
-    @classmethod
-    def from_dense(cls, dense, pattern_tol=0.0):
-        dense = np.asarray(dense, dtype=np.float64)
-        k = dense.shape[1]
-        if dense.shape != (k + 1, k):
-            raise ValueError("expected a (k+1) x k array")
-        idx = np.arange(k)
-        mask = np.ones_like(dense, dtype=bool)
-        mask[idx, idx] = False
-        mask[idx + 1, idx] = False
-        if np.any(np.abs(dense[mask]) > pattern_tol):
-            raise ValueError("array is not lower bidiagonal")
-        return cls(dense[idx, idx].copy(), dense[idx + 1, idx].copy())
-
-
-@dataclass(frozen=True)
-class UpperBidiagonal:
-    """k x k upper bidiagonal matrix: diagonal ``alphas``, superdiagonal ``betas``."""
-
-    alphas: np.ndarray
-    betas: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=np.float64))
-        object.__setattr__(self, "betas", np.asarray(self.betas, dtype=np.float64))
-        if len(self.betas) != max(len(self.alphas) - 1, 0):
-            raise ValueError("upper bidiagonal needs k-1 superdiagonal entries")
-        if not (np.all(np.isfinite(self.alphas)) and np.all(np.isfinite(self.betas))):
-            raise ValueError("bidiagonal entries must be finite")
-
-    @property
-    def k(self):
-        return len(self.alphas)
-
-    def to_dense(self):
-        k = self.k
-        out = np.zeros((k, k))
-        idx = np.arange(k)
-        out[idx, idx] = self.alphas
-        if k > 1:
-            out[idx[:-1], idx[:-1] + 1] = self.betas
-        return out
-
-    @classmethod
-    def from_dense(cls, dense, pattern_tol=0.0):
-        dense = np.asarray(dense, dtype=np.float64)
-        k = dense.shape[0]
-        if dense.shape != (k, k):
-            raise ValueError("expected a k x k array")
-        idx = np.arange(k)
-        mask = np.ones_like(dense, dtype=bool)
-        mask[idx, idx] = False
-        if k > 1:
-            mask[idx[:-1], idx[:-1] + 1] = False
-        if np.any(np.abs(dense[mask]) > pattern_tol):
-            raise ValueError("array is not upper bidiagonal")
-        betas = dense[idx[:-1], idx[:-1] + 1].copy() if k > 1 else np.zeros(0)
-        return cls(dense[idx, idx].copy(), betas)
+_MAX_SWEEPS = 60  # sweep cap of the one-sided Jacobi SVD
 
 
 def givens(a, b):
@@ -125,7 +37,7 @@ def givens(a, b):
     return a / r, b / r, r
 
 
-def jacobi_svd(M, max_sweeps=60):
+def jacobi_svd(M):
     """Thin SVD of a small dense matrix by one-sided Jacobi.
 
     Right rotations orthogonalize the columns to working accuracy, giving
@@ -145,7 +57,7 @@ def jacobi_svd(M, max_sweeps=60):
         return np.zeros((nrows, 0)), np.zeros(0), V
 
     sq = np.einsum("ij,ij->j", A, A)
-    for sweep in range(max_sweeps):
+    for sweep in range(_MAX_SWEEPS):
         rotated = False
         for p in range(k - 1):
             for q in range(p + 1, k):
@@ -214,8 +126,6 @@ class SmallGsvd:
 
 
 def _as_dense(factor):
-    if isinstance(factor, (LowerBidiagonal, UpperBidiagonal)):
-        return factor.to_dense()
     dense = np.asarray(factor, dtype=np.float64)
     if dense.ndim != 2:
         raise ValueError("expected a matrix")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .driver import EPS, SolverConfig, irjbd_solve
 from .sparsemat import MatrixMarketError, identity, read_matrix_market, second_order_L
+from .stackedls import LsqrConfig
 
 __all__ = ["main", "run_cli", "build_parser"]
 
@@ -85,7 +86,7 @@ def _format_report(args, A, L, l_label, result, elapsed):
     put(f"tol {args.tol:.17g}")
     put(f"maxit {args.maxit}")
     put(f"lsqr_tol {args.lsqr_tol:.17g}")
-    put(f"lsqr_maxit {args.lsqr_maxit if args.lsqr_maxit is not None else 10 * A.ncols}")
+    put(f"lsqr_maxit {LsqrConfig(maxit=args.lsqr_maxit).resolve_maxit(A.ncols)}")
     put(f"criterion {args.criterion}")
     put(f"restart_mode {args.restart_mode}")
     put(f"matrix_a {args.A} rows {A.nrows} cols {A.ncols} nnz {A.nnz}")

@@ -27,9 +27,9 @@ import numpy as np
 
 from .bidiag import inverse_norm_estimates, small_gsvd
 from .jbd import BreakdownError, jbd_expand, jbd_init
-from .restart import CouplingDefectError, DeflationNeededError, multi_step_implicit_restart, thick_restart
+from .restart import CouplingDefectError, multi_step_implicit_restart, thick_restart
 from .shifts import DEFAULT_RELGAP_TOL, apply_adaptive_rule, select_exact_shifts
-from .stackedls import LsqrConfig, StackedOperator, lsqr_solve, stack_norm_estimate
+from .stackedls import LsqrConfig, StackedOperator, lsqr_solve
 
 __all__ = [
     "EPS",
@@ -39,7 +39,6 @@ __all__ = [
     "GsvdComponent",
     "ConvergenceRecord",
     "SolveResult",
-    "estimate_R_norm",
     "residual_bound_pq",
     "residual_bound_w",
     "extract_ritz",
@@ -51,16 +50,6 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(np.float64).eps)
-
-
-def estimate_R_norm(A, L):
-    """Cheap upper bound sqrt(||A||_1 ||A||_inf + ||L||_1 ||L||_inf) on ||R||.
-
-    R is the triangular factor of the stacked matrix, whose spectral norm
-    scales the residual bounds but is unavailable without a QR
-    factorization.
-    """
-    return stack_norm_estimate(A, L)
 
 
 @dataclass
@@ -187,9 +176,6 @@ class SolveResult:
     restarts: int = 0
     lsqr_iterations: int = 0
 
-    def __iter__(self):
-        return iter((self.components, self.history, self.status))
-
 
 def residual_bound_pq(ritz_i, alpha_next, betabar_k, rnorm):
     """Residual-norm bound from the trailing left-vector entries.
@@ -213,11 +199,11 @@ def residual_bound_w(ritz_i, alpha_next, beta_next, rnorm):
     return rnorm * abs(alpha_next * beta_next / cs * ritz_i.w[-1])
 
 
-def extract_ritz(state, cfg, targeted=None):
+def extract_ritz(state, cfg):
     """Approximate GSVD data of the current state, with per-component bounds.
 
     Bounds are the tolerance-comparable relative quantities (no rnorm
-    factor).  ``targeted`` defaults to the cfg-selected extreme indices.
+    factor); the targeted indices are the cfg-selected extremes.
     """
     if not state.is_canonical:
         raise ValueError("extraction expects canonical trailing couplings; "
@@ -231,32 +217,25 @@ def extract_ritz(state, cfg, targeted=None):
     betabar = state.betabar
     beta_next = float(B[k, k - 1]) if (k >= 1 and state.n_left == k + 1) else 0.0
 
-    bounds = np.empty(k)
-    for i in range(k):
-        comp = RitzComponent(float(sg.C[i]), float(sg.S[i]), sg.W[:, i], sg.P[:, i],
-                             sg.Pbar[:, i])
-        if cfg.criterion == "pq":
-            bounds[i] = residual_bound_pq(comp, alpha_next, betabar, 1.0)
-        else:
-            bounds[i] = residual_bound_w(comp, alpha_next, beta_next, 1.0)
-
     inv_lead, inv_hat = inverse_norm_estimates(B, Bbar)
-    diag_product = inv_lead * inv_hat
-
-    if targeted is None:
-        l = min(cfg.l, k)
-        targeted = np.arange(l) if cfg.mode == "largest" else np.arange(k - l, k)
-
-    return RitzSet(
+    l = min(cfg.l, k)
+    ritz = RitzSet(
         small=sg,
-        bounds=bounds,
+        bounds=np.empty(k),
         converged=np.zeros(k, dtype=bool),
-        targeted=np.asarray(targeted, dtype=int),
-        diag_product=diag_product,
+        targeted=np.arange(l) if cfg.mode == "largest" else np.arange(k - l, k),
+        diag_product=inv_lead * inv_hat,
         reliability_warning=False,
         alpha_next=alpha_next,
         betabar=betabar,
     )
+    for i in range(k):
+        comp = ritz.component(i)
+        if cfg.criterion == "pq":
+            ritz.bounds[i] = residual_bound_pq(comp, alpha_next, betabar, 1.0)
+        else:
+            ritz.bounds[i] = residual_bound_w(comp, alpha_next, beta_next, 1.0)
+    return ritz
 
 
 def check_convergence(ritz, cfg):
@@ -329,10 +308,10 @@ def irjbd_solve(A, L, cfg):
     per cfg) until every targeted bound falls below ``cfg.tol`` or the
     restart budget runs out.  Components are recovered only on exit.
 
-    Returns a SolveResult; unpacks as (components, history, status).
+    Returns a SolveResult.
     """
     op = StackedOperator(A, L)
-    rnorm = estimate_R_norm(A, L)
+    rnorm = op.rnorm_estimate
     l = cfg.l
     mode = cfg.mode
     adj = cfg.effective_adjust()
@@ -407,7 +386,7 @@ def irjbd_solve(A, L, cfg):
             else:
                 state = thick_restart(state, ritz.small, keep, target=mode)
             jbd_expand(state, op, cfg.kmax, ls_cfg)
-        except (BreakdownError, DeflationNeededError, CouplingDefectError) as exc:
+        except (BreakdownError, CouplingDefectError) as exc:
             broken = exc
         restarts += 1
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bidiag import LowerBidiagonal, UpperBidiagonal
 from .stackedls import LsqrConfig, lsqr_solve, project_onto_range
 
 __all__ = ["JbdState", "BreakdownError", "StateDefects", "jbd_init", "jbd_expand", "verify_state"]
@@ -146,42 +145,8 @@ class JbdState:
         return (np.all(self.coupling_u[:-1] == 0.0)
                 and np.all(self.coupling_uhat[:-1] == 0.0))
 
-    def _pattern_tol(self):
-        # committed columns are true projections, so a run carries harmless
-        # off-pattern entries at the level of its relation defects
-        return 1e-10 * max(1.0, float(np.max(np.abs(self._B[: self.n_left, : self.k]),
-                                              initial=0.0)))
-
-    @property
-    def B(self):
-        """Lower bidiagonal view of the projected factor (canonical states only)."""
-        if self.n_left != self.k + 1:
-            raise ValueError("projected factor is square after left-side closure")
-        return LowerBidiagonal.from_dense(self.Bdense, pattern_tol=self._pattern_tol())
-
-    @property
-    def Bbar(self):
-        return UpperBidiagonal.from_dense(self.Bbardense, pattern_tol=self._pattern_tol())
-
-    @property
-    def Bhat(self):
-        """The companion factor with the alternating column signs folded out."""
-        signs = _sign_diagonal(self.k)
-        return UpperBidiagonal.from_dense(self.Bbardense * signs[None, :],
-                                          pattern_tol=self._pattern_tol())
-
-    def sign_diagonal(self):
-        return _sign_diagonal(self.k)
-
-    def _blank_like(self, capacity=None):
-        return JbdState(self.m, self.p, self.n, capacity or self.capacity,
-                        self.breakdown_tol)
-
-
-def _sign_diagonal(k):
-    signs = np.ones(k)
-    signs[1::2] = -1.0
-    return signs
+    def _blank_like(self):
+        return JbdState(self.m, self.p, self.n, self.capacity, self.breakdown_tol)
 
 
 def jbd_init(op, u1, ls_cfg=None, capacity=None):

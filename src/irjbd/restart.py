@@ -18,16 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bidiag import LowerBidiagonal, UpperBidiagonal, givens
+from .bidiag import givens
 from .jbd import BreakdownError
 
 __all__ = [
-    "DeflationNeededError",
     "CouplingDefectError",
-    "GivensChain",
     "SweepRotations",
-    "implicit_qr_step_lower",
-    "coupled_sweep_upper",
     "accumulate_sweeps",
     "multi_step_implicit_restart",
     "thick_restart",
@@ -37,26 +33,8 @@ _EPS = float(np.finfo(np.float64).eps)
 _ZERO_SCALE = 64.0  # rotation-residue zeroing threshold, in units of eps * ||Bbar||_F
 
 
-class DeflationNeededError(RuntimeError):
-    """The factor is reduced (an interior coupling vanished); deflate instead."""
-
-
 class CouplingDefectError(RuntimeError):
     """A to-be-annihilated entry of the coupled sweep exceeded the residue threshold."""
-
-
-@dataclass
-class GivensChain:
-    """An ordered product of plane rotations, each (plane, c, s)."""
-
-    rotations: list
-    size: int
-
-    def matrix(self):
-        out = np.eye(self.size)
-        for j, c, s in self.rotations:
-            _mix_columns(out, j, c, s)
-        return out
 
 
 @dataclass
@@ -101,7 +79,7 @@ def _mix_rows(M, i, c, s):
     M[i + 1, :] = -s * ri + c * M[i + 1, :]
 
 
-def _lower_sweep(B, lam, Gacc=None, Pacc=None, require_unreduced=False):
+def _lower_sweep(B, lam, Gacc, Pacc):
     """One shifted implicit QR sweep on a lower bidiagonal B, in place.
 
     The opening rotation is chosen to annihilate the (2,1) entry of
@@ -109,34 +87,21 @@ def _lower_sweep(B, lam, Gacc=None, Pacc=None, require_unreduced=False):
     and the remaining rotations chase the bulge back to lower bidiagonal
     form.  Returns the right-rotation parameters for reuse on the companion.
 
-    ``require_unreduced`` rejects factors with vanished couplings, for
-    callers that rely on the uniqueness argument behind the sweep.  Composed
-    exact-shift sweeps must tolerate reduced factors: deflating the shifted
-    value into the trailing block (a vanishing coupling) is precisely their
-    purpose, and decoupling is policed by the companion sweep's residue
-    checks instead.
+    Composed exact-shift sweeps must tolerate reduced factors: deflating the
+    shifted value into the trailing block (a vanishing coupling) is
+    precisely their purpose, and decoupling is policed by the companion
+    sweep's residue checks instead.
     """
     nr, k = B.shape
     if nr != k + 1:
         raise ValueError("lower sweep expects a (k+1) x k factor")
-
-    if require_unreduced:
-        reduced_tol = 16.0 * _EPS * max(1.0, float(np.linalg.norm(B)))
-        diag = np.abs(np.diagonal(B))
-        sub = np.abs(B[np.arange(1, k + 1), np.arange(k)])
-        if np.any(diag < reduced_tol) or np.any(sub < reduced_tol):
-            idx = int(np.argmin(np.minimum(diag, sub)))
-            raise DeflationNeededError(
-                f"factor is reduced near column {idx + 1}; deflate before restarting"
-            )
 
     # opening rotation from the first column of the shifted product
     a = B[0, 0] * B[0, 0] - lam * lam
     b = B[0, 0] * B[1, 0]
     c, s, _ = givens(a, b)
     _mix_rows(B, 0, c, s)
-    if Gacc is not None:
-        _mix_columns(Gacc, 0, c, s)
+    _mix_columns(Gacc, 0, c, s)
 
     right_rotations = []
     for j in range(k - 1):
@@ -146,19 +111,17 @@ def _lower_sweep(B, lam, Gacc=None, Pacc=None, require_unreduced=False):
         B[j, j] = r
         B[j, j + 1] = 0.0
         right_rotations.append((j, c, s))
-        if Pacc is not None:
-            _mix_columns(Pacc, j, c, s)
+        _mix_columns(Pacc, j, c, s)
         # annihilate the subdiagonal bulge (j+2, j) from the left
         c2, s2, r2 = givens(B[j + 1, j], B[j + 2, j])
         _mix_rows(B, j + 1, c2, s2)
         B[j + 1, j] = r2
         B[j + 2, j] = 0.0
-        if Gacc is not None:
-            _mix_columns(Gacc, j + 1, c2, s2)
+        _mix_columns(Gacc, j + 1, c2, s2)
     return right_rotations
 
 
-def _upper_sweep(Bbar, right_rotations, Gbacc=None, zero_tol=None):
+def _upper_sweep(Bbar, right_rotations, Gbacc, zero_tol):
     """Coupled sweep on the signed upper companion, reusing the right rotations.
 
     Each reused rotation is expected to annihilate the superdiagonal residue
@@ -169,8 +132,6 @@ def _upper_sweep(Bbar, right_rotations, Gbacc=None, zero_tol=None):
     k = Bbar.shape[0]
     if Bbar.shape != (k, k):
         raise ValueError("upper sweep expects a square factor")
-    if zero_tol is None:
-        zero_tol = _ZERO_SCALE * _EPS * max(1.0, float(np.linalg.norm(Bbar)))
 
     for j, c, s in right_rotations:
         _mix_columns(Bbar, j, c, s)
@@ -186,37 +147,7 @@ def _upper_sweep(Bbar, right_rotations, Gbacc=None, zero_tol=None):
         _mix_rows(Bbar, j, c2, s2)
         Bbar[j, j] = r2
         Bbar[j + 1, j] = 0.0
-        if Gbacc is not None:
-            _mix_columns(Gbacc, j, c2, s2)
-
-
-def implicit_qr_step_lower(B, lam):
-    """One shifted sweep on a lower bidiagonal factor.
-
-    Returns ``(B', G, p_chain)`` with B' = G.T B P, where G is the
-    accumulated left transform and ``p_chain`` carries the right rotations
-    for reuse on the companion factor.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("shift must lie in [0, 1]")
-    dense = B.to_dense() if isinstance(B, LowerBidiagonal) else np.array(B, dtype=np.float64)
-    k = dense.shape[1]
-    Gacc = np.eye(k + 1)
-    rights = _lower_sweep(dense, lam, Gacc, require_unreduced=True)
-    return LowerBidiagonal.from_dense(dense), Gacc, GivensChain(list(rights), k)
-
-
-def coupled_sweep_upper(Bbar, p_chain):
-    """Apply the reused right rotations to the signed upper companion.
-
-    Returns ``(Bbar', Gbar)`` with Bbar' = Gbar.T Bbar P.
-    """
-    dense = (Bbar.to_dense() if isinstance(Bbar, UpperBidiagonal)
-             else np.array(Bbar, dtype=np.float64))
-    k = dense.shape[0]
-    Gbacc = np.eye(k)
-    _upper_sweep(dense, p_chain.rotations, Gbacc)
-    return UpperBidiagonal.from_dense(dense), Gbacc
+        _mix_columns(Gbacc, j, c2, s2)
 
 
 def _offpattern_lower(B):

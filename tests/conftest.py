@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from irjbd import SparseMatrix, StackedOperator, jbd_expand, jbd_init
-from irjbd.stackedls import LsqrConfig
+from irjbd.jbd import jbd_expand, jbd_init
+from irjbd.sparsemat import SparseMatrix
+from irjbd.stackedls import LsqrConfig, StackedOperator
 
 
 def gaussian_pair(rng, m, p, n):
@@ -21,6 +22,43 @@ def expanded_state(rng, m, p, n, k, seed_vec=None):
     state = jbd_init(op, u1, LsqrConfig(), capacity=k)
     jbd_expand(state, op, k, LsqrConfig())
     return state, op, Ad, Ld
+
+
+def lower_bidiagonal_pair(alphas, betas):
+    """A (k+1) x k lower bidiagonal B scaled to ||B||_2 = 0.8, with a companion.
+
+    The companion is the upper Cholesky factor of I - B^T B.  That matrix is
+    tridiagonal, so the factor is exactly upper bidiagonal and the pair
+    satisfies the joint identity B^T B + Bbar^T Bbar = I to roundoff.
+    """
+    k = len(alphas)
+    B = np.zeros((k + 1, k))
+    idx = np.arange(k)
+    B[idx, idx] = alphas
+    B[idx + 1, idx] = betas
+    B *= 0.8 / np.linalg.norm(B, 2)
+    return B, np.linalg.cholesky(np.eye(k) - B.T @ B).T
+
+
+def bidiagonal_parts(M, upper=False, tol=None):
+    """Diagonal and off-diagonal of a lower ((k+1) x k) or upper (k x k) bidiagonal M.
+
+    Asserts that every other entry is at most ``tol`` in magnitude.  The
+    default, 1e-10 * max(1, max|M|), admits the off-pattern entries a run
+    carries at the level of its relation defects, because its committed
+    columns are true projections.
+    """
+    k = M.shape[1]
+    assert M.shape == ((k, k) if upper else (k + 1, k)), M.shape
+    idx = np.arange(k)
+    off = (idx[:-1], idx[:-1] + 1) if upper else (idx + 1, idx)
+    mask = np.ones(M.shape, dtype=bool)
+    mask[idx, idx] = False
+    mask[off] = False
+    if tol is None:
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(M), initial=0.0)))
+    assert np.all(np.abs(M[mask]) <= tol), "factor is not bidiagonal"
+    return M[idx, idx].copy(), M[off].copy()
 
 
 @pytest.fixture

@@ -17,17 +17,18 @@ import time
 import numpy as np
 import pytest
 
-from irjbd import (SolverConfig, SparseMatrix, StackedOperator, irjbd_solve, jbd_expand,
-                   jbd_init, verify_state)
-from irjbd.bidiag import LowerBidiagonal, small_gsvd
+from irjbd import SolverConfig, SparseMatrix, irjbd_solve
+from irjbd.bidiag import small_gsvd
 from irjbd.driver import (check_convergence, cross_residual_norm, extract_ritz,
                           residual_bound_pq, residual_bound_w)
+from irjbd.jbd import jbd_expand, jbd_init, verify_state
 from irjbd.oracle import dense_gsvd, dense_joint_lanczos, explicit_shifted_qr, stack_qr
-from irjbd.restart import (accumulate_sweeps, coupled_sweep_upper, implicit_qr_step_lower,
-                           multi_step_implicit_restart, thick_restart)
+from irjbd.restart import accumulate_sweeps, multi_step_implicit_restart, thick_restart
 from irjbd.shifts import apply_adaptive_rule, select_exact_shifts
 from irjbd.sparsemat import identity, read_matrix_market, second_order_L
-from irjbd.stackedls import LsqrConfig
+from irjbd.stackedls import LsqrConfig, StackedOperator
+
+from conftest import bidiagonal_parts, lower_bidiagonal_pair
 
 LS = LsqrConfig()
 
@@ -156,19 +157,20 @@ class TestAcceptance:
             state = jbd_init(op, u1, LS, capacity=k)
             jbd_expand(state, op, k, LS)
             B_ref, Bhat_ref, U, Uhat, V, Vhat = dense_joint_lanczos(Q[:m], Q[m:], u1, k)
-            worst_factor = max(worst_factor,
-                               float(np.max(np.abs(state.B.to_dense() - B_ref))),
-                               float(np.max(np.abs(state.Bhat.to_dense() - Bhat_ref))))
             # shared-start sign relation between the two dense right bases
             signs = np.array([(-1.0) ** i for i in range(k)])
+            Bhat = state.Bbardense * signs[None, :]
+            b_alphas, b_betas = bidiagonal_parts(state.Bdense)
+            hat_alphas, hat_betas = bidiagonal_parts(Bhat, upper=True)
+            worst_factor = max(worst_factor,
+                               float(np.max(np.abs(state.Bdense - B_ref))),
+                               float(np.max(np.abs(Bhat - Bhat_ref))))
             worst_relation = max(worst_relation,
                                  float(np.max(np.abs(Vhat[:, :k] - V[:, :k] * signs))))
             # coupled coefficient product identity from the computed state
-            B = state.B
-            Bhat = state.Bhat
             worst_relation = max(worst_relation,
-                                 float(np.max(np.abs(Bhat.alphas[:-1] * Bhat.betas
-                                                     - B.alphas[1:] * B.betas[:-1]))))
+                                 float(np.max(np.abs(hat_alphas[:-1] * hat_betas
+                                                     - b_alphas[1:] * b_betas[:-1]))))
         ok = worst_factor < 1e-8 and worst_relation < 1e-10
         _report("sparse process matches dense two-process factors on 20 pairs",
                 ok, f"factor err {worst_factor:.2e}, relation err {worst_relation:.2e}")
@@ -205,11 +207,10 @@ class TestAcceptance:
         for k in (3, 5, 8):
             alphas = 0.2 + rng.random(k)
             betas = 0.2 + rng.random(k)
-            B = LowerBidiagonal(alphas, betas)
-            Bd = B.to_dense()
+            B, Bbar = lower_bidiagonal_pair(alphas, betas)
             for lam in (0.0, 0.4, 0.85):
-                _, G, _ = implicit_qr_step_lower(B, lam)
-                Qr, _ = explicit_shifted_qr(Bd @ Bd.T, lam**2)
+                G = accumulate_sweeps(B, Bbar, [lam])[2].G
+                Qr, _ = explicit_shifted_qr(B @ B.T, lam**2)
                 signs = np.sign(np.diagonal(G.T @ Qr))
                 worst_a = max(worst_a, float(np.max(np.abs(G - Qr * signs[None, :]))))
 
@@ -250,14 +251,13 @@ class TestAcceptance:
             signs[1::2] = -1.0
             Bbar = Bhat * signs[None, :]
             lam = float(0.2 + 0.6 * rng.random())
-            _, _, pchain = implicit_qr_step_lower(LowerBidiagonal.from_dense(B, 1e-12),
-                                                  lam)
-            _, Gbar = coupled_sweep_upper(Bbar, pchain)
+            _, _, rot = accumulate_sweeps(B, Bbar, [lam])
             P_explicit, _ = explicit_shifted_qr(Bbar.T @ Bbar, 1.0 - lam**2)
-            psign = np.sign(np.diagonal(pchain.matrix().T @ P_explicit))
+            psign = np.sign(np.diagonal(rot.P.T @ P_explicit))
             Gbar_ref, _ = np.linalg.qr(Bbar @ (P_explicit * psign[None, :]))
-            gsign = np.sign(np.diagonal(Gbar.T @ Gbar_ref))
-            worst_d = max(worst_d, float(np.max(np.abs(Gbar - Gbar_ref * gsign[None, :]))))
+            gsign = np.sign(np.diagonal(rot.Gbar.T @ Gbar_ref))
+            worst_d = max(worst_d,
+                          float(np.max(np.abs(rot.Gbar - Gbar_ref * gsign[None, :]))))
 
         ok = worst_a < 1e-12 and worst_b < 1e-8 and worst_d < 1e-10
         _report("restart correctness (QR factor, filtered start, invariants, coupling)",

@@ -1,10 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irjbd.bidiag import (LowerBidiagonal, UpperBidiagonal, givens, inverse_norm_estimates,
-                          jacobi_svd, small_gsvd)
+from irjbd.bidiag import givens, inverse_norm_estimates, jacobi_svd, small_gsvd
 from irjbd.oracle import dense_joint_lanczos, stack_qr
 
 
@@ -42,31 +40,6 @@ class TestGivens:
         assert abs(rotated[1]) < 1e-12 * scale
 
 
-class TestContainers:
-    def test_lower_round_trip(self):
-        B = LowerBidiagonal([1.0, 2.0], [0.5, 0.25])
-        back = LowerBidiagonal.from_dense(B.to_dense())
-        np.testing.assert_array_equal(back.alphas, B.alphas)
-        np.testing.assert_array_equal(back.betas, B.betas)
-
-    def test_upper_round_trip(self):
-        B = UpperBidiagonal([1.0, 2.0, 3.0], [0.5, 0.25])
-        back = UpperBidiagonal.from_dense(B.to_dense())
-        np.testing.assert_array_equal(back.alphas, B.alphas)
-        np.testing.assert_array_equal(back.betas, B.betas)
-
-    def test_pattern_violation_rejected(self):
-        dense = np.array([[1.0, 0.7], [0.5, 2.0], [0.0, 0.25]])
-        with pytest.raises(ValueError):
-            LowerBidiagonal.from_dense(dense)
-
-    def test_shape_bookkeeping(self):
-        with pytest.raises(ValueError):
-            LowerBidiagonal([1.0, 2.0], [0.5])
-        with pytest.raises(ValueError):
-            UpperBidiagonal([1.0, 2.0], [0.5, 0.25])
-
-
 class TestJacobiSvd:
     def test_matches_lapack_values(self, rng):
         for shape in [(5, 3), (7, 7), (9, 4)]:
@@ -86,7 +59,7 @@ class TestJacobiSvd:
 
 class TestSmallGsvd:
     def test_scalar_pair(self):
-        out = small_gsvd(LowerBidiagonal([0.6], [0.0]), UpperBidiagonal([0.8], []))
+        out = small_gsvd(np.array([[0.6], [0.0]]), np.array([[0.8]]))
         np.testing.assert_allclose(out.C, [0.6])
         np.testing.assert_allclose(out.S, [0.8])
         np.testing.assert_allclose(np.abs(out.W), [[1.0]])
@@ -152,8 +125,8 @@ class TestSmallGsvd:
 
 class TestInverseNormEstimates:
     def test_identity_leading_block(self):
-        B = LowerBidiagonal([1.0, 1.0], [0.0, 0.7])
-        Bhat = UpperBidiagonal([0.5, 0.5], [0.0])
+        B = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.7]])
+        Bhat = np.array([[0.5, 0.0], [0.0, 0.5]])
         inv_lead, inv_hat = inverse_norm_estimates(B, Bhat)
         np.testing.assert_allclose(inv_lead, 1.0, atol=1e-14)
         np.testing.assert_allclose(inv_hat, 2.0, atol=1e-14)
@@ -167,8 +140,8 @@ class TestInverseNormEstimates:
         np.testing.assert_allclose(inv_hat, ref_hat, rtol=1e-12)
 
     def test_singular_block_maps_to_inf(self):
-        B = LowerBidiagonal([0.0, 1.0], [0.5, 0.5])
-        Bhat = UpperBidiagonal([1.0, 0.0], [0.0])
+        B = np.array([[0.0, 0.0], [0.5, 1.0], [0.0, 0.5]])
+        Bhat = np.array([[1.0, 0.0], [0.0, 0.0]])
         inv_lead, inv_hat = inverse_norm_estimates(B, Bhat)
         assert not np.isfinite(inv_lead) or inv_lead > 1e15
         assert not np.isfinite(inv_hat) or inv_hat > 1e15

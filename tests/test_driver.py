@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from irjbd import (EPS, GsvdComponent, SolverConfig, StackedOperator, check_convergence,
-                   compute_residual, cross_residual_norm, estimate_R_norm, extract_ritz,
-                   irjbd_solve, recover_component, residual_bound_pq, residual_bound_w)
 from irjbd.bidiag import small_gsvd
-from irjbd.driver import RitzComponent, RitzSet
+from irjbd.driver import (GsvdComponent, RitzComponent, RitzSet, SolverConfig,
+                          check_convergence, compute_residual, cross_residual_norm,
+                          extract_ritz, irjbd_solve, recover_component, residual_bound_pq,
+                          residual_bound_w)
+from irjbd.jbd import jbd_init
 from irjbd.oracle import dense_gsvd, stack_qr
 from irjbd.sparsemat import SparseMatrix, identity
-from irjbd.stackedls import LsqrConfig
+from irjbd.stackedls import LsqrConfig, StackedOperator
 
 from conftest import expanded_state, gaussian_pair
 
@@ -21,15 +22,15 @@ class TestRNormEstimate:
     def test_scalar_equality_case(self):
         A = SparseMatrix.from_dense([[3.0]])
         L = SparseMatrix.from_dense([[4.0]])
-        assert estimate_R_norm(A, L) == 5.0
+        assert StackedOperator(A, L).rnorm_estimate == 5.0
 
     def test_identity_with_zero_block(self):
-        assert estimate_R_norm(identity(2), _zero_matrix(2, 2)) == 1.0
+        assert StackedOperator(identity(2), _zero_matrix(2, 2)).rnorm_estimate == 1.0
 
     def test_upper_bounds_true_norm(self, rng):
         Ad, Ld, A, L = gaussian_pair(rng, 7, 6, 5)
         _, R = stack_qr(Ad, Ld)
-        assert estimate_R_norm(A, L) >= np.linalg.norm(R, 2) - 1e-12
+        assert StackedOperator(A, L).rnorm_estimate >= np.linalg.norm(R, 2) - 1e-12
 
 
 class TestResidualBounds:
@@ -114,7 +115,7 @@ class TestResiduals:
         comp = GsvdComponent(c=float(ref.C[0]), s=float(ref.S[0]), x=ref.X[:, 0],
                              y=ref.PA[:, 0], z=ref.PL[:, 0])
         A, L = SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld)
-        norm, rel = compute_residual(comp, A, L, estimate_R_norm(A, L))
+        norm, rel = compute_residual(comp, A, L, StackedOperator(A, L).rnorm_estimate)
         assert norm < 1e-12 and rel < 1e-12
 
     def test_first_two_blocks_vanish_on_recovered_components(self, rng):
@@ -291,7 +292,6 @@ class TestTrivialComponentHandling:
         Ad, Ld, p0 = self.rank_deficient_pair(rng)
         A, L = SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld)
         op = StackedOperator(A, L)
-        from irjbd import jbd_init
         gen = np.random.default_rng(0)
         u1 = gen.standard_normal(14)
         u1 /= np.linalg.norm(u1)

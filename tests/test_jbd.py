@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
-from irjbd import (BreakdownError, SparseMatrix, StackedOperator, jbd_expand, jbd_init,
-                   verify_state)
+from irjbd.jbd import BreakdownError, jbd_expand, jbd_init, verify_state
 from irjbd.oracle import dense_joint_lanczos, stack_qr
-from irjbd.sparsemat import identity
-from irjbd.stackedls import LsqrConfig
+from irjbd.sparsemat import SparseMatrix, identity
+from irjbd.stackedls import LsqrConfig, StackedOperator
 
-from conftest import expanded_state, gaussian_pair
+from conftest import bidiagonal_parts, expanded_state, gaussian_pair
 
 LS = LsqrConfig()
 
 
 def _zero_matrix(nrows, ncols):
     return SparseMatrix.from_coo(nrows, ncols, [], [], [])
+
+
+def _companion_unsigned(state):
+    """The companion factor with its alternating column signs folded out."""
+    return state.Bbardense * (-1.0) ** np.arange(state.k)
 
 
 class TestInit:
@@ -68,16 +72,17 @@ class TestExpand:
         # alphahat_i * betahat_i = alpha_{i+1} * beta_{i+1} for a fresh run;
         # betas[0] already holds the first subdiagonal entry beta_2
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
-        B = state.B
-        Bhat = state.Bhat
-        lhs = Bhat.alphas[:-1] * Bhat.betas
-        rhs = B.alphas[1:] * B.betas[:-1]
+        b_alphas, b_betas = bidiagonal_parts(state.Bdense)
+        hat_alphas, hat_betas = bidiagonal_parts(_companion_unsigned(state), upper=True)
+        lhs = hat_alphas[:-1] * hat_betas
+        rhs = b_alphas[1:] * b_betas[:-1]
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_fresh_run_has_positive_factors(self, rng):
         state, _, _, _ = expanded_state(rng, 16, 14, 10, 7)
-        assert np.all(state.B.alphas > 0) and np.all(state.B.betas > 0)
-        assert np.all(state.Bhat.alphas > 0) and np.all(state.Bhat.betas > 0)
+        for parts in (bidiagonal_parts(state.Bdense),
+                      bidiagonal_parts(_companion_unsigned(state), upper=True)):
+            assert all(np.all(part > 0) for part in parts)
 
     def test_matches_dense_two_process_oracle(self, rng):
         Ad, Ld, A, L = gaussian_pair(rng, 16, 14, 10)
@@ -88,8 +93,11 @@ class TestExpand:
         state = jbd_init(op, u1, LS, capacity=7)
         jbd_expand(state, op, 7, LS)
         B_ref, Bhat_ref, *_ = dense_joint_lanczos(Q[:16], Q[16:], u1, 7)
-        np.testing.assert_allclose(state.B.to_dense(), B_ref, atol=1e-8)
-        np.testing.assert_allclose(state.Bhat.to_dense(), Bhat_ref, atol=1e-8)
+        Bhat = _companion_unsigned(state)
+        bidiagonal_parts(state.Bdense)
+        bidiagonal_parts(Bhat, upper=True)
+        np.testing.assert_allclose(state.Bdense, B_ref, atol=1e-8)
+        np.testing.assert_allclose(Bhat, Bhat_ref, atol=1e-8)
 
     def test_right_basis_stays_in_range(self, rng):
         Ad, Ld, A, L = gaussian_pair(rng, 16, 14, 10)

@@ -3,96 +3,85 @@ import warnings
 import numpy as np
 import pytest
 
-from irjbd import jbd_expand, verify_state
-from irjbd.bidiag import LowerBidiagonal, small_gsvd
+from irjbd.bidiag import small_gsvd
+from irjbd.jbd import jbd_expand, jbd_init, verify_state
 from irjbd.oracle import explicit_shifted_qr, stack_qr
-from irjbd.restart import (CouplingDefectError, accumulate_sweeps, coupled_sweep_upper,
-                           implicit_qr_step_lower, multi_step_implicit_restart,
-                           thick_restart)
+from irjbd.restart import (CouplingDefectError, _lower_sweep, _upper_sweep, accumulate_sweeps,
+                           multi_step_implicit_restart, thick_restart)
 from irjbd.stackedls import LsqrConfig
 
-from conftest import expanded_state
+from conftest import bidiagonal_parts, expanded_state, lower_bidiagonal_pair
 from test_bidiag import random_joint_factors
 
 LS = LsqrConfig()
 
 
-def random_lower_bidiagonal(rng, k, scale=1.0):
-    return LowerBidiagonal(scale * (0.2 + rng.random(k)), scale * (0.2 + rng.random(k)))
+def random_lower_pair(rng, k):
+    return lower_bidiagonal_pair(0.2 + rng.random(k), 0.2 + rng.random(k))
 
 
 class TestLowerSweep:
     def test_zero_shift_similarity(self):
-        B = LowerBidiagonal([0.6, 0.8], [0.3, 0.2])
-        Bp, G, pchain = implicit_qr_step_lower(B, 0.0)
-        P = pchain.matrix()
-        lhs = Bp.to_dense().T @ Bp.to_dense()
-        rhs = P.T @ (B.to_dense().T @ B.to_dense()) @ P
+        B, Bbar = lower_bidiagonal_pair([0.6, 0.8], [0.3, 0.2])
+        Bp, _, rot = accumulate_sweeps(B, Bbar, [0.0])
+        lhs = Bp.T @ Bp
+        rhs = rot.P.T @ (B.T @ B) @ rot.P
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_transform_consistency(self, rng):
-        B = random_lower_bidiagonal(rng, 6)
+        B, Bbar = random_lower_pair(rng, 6)
         lam = 0.4
-        Bp, G, pchain = implicit_qr_step_lower(B, lam)
-        P = pchain.matrix()
-        np.testing.assert_allclose(Bp.to_dense(), G.T @ B.to_dense() @ P, atol=1e-13)
-        np.testing.assert_allclose(G.T @ G, np.eye(7), atol=1e-13)
-        np.testing.assert_allclose(P.T @ P, np.eye(6), atol=1e-13)
+        Bp, _, rot = accumulate_sweeps(B, Bbar, [lam])
+        np.testing.assert_allclose(Bp, rot.G.T @ B @ rot.P, atol=1e-13)
+        np.testing.assert_allclose(rot.G.T @ rot.G, np.eye(7), atol=1e-13)
+        np.testing.assert_allclose(rot.P.T @ rot.P, np.eye(6), atol=1e-13)
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
     def test_left_transform_matches_explicit_qr(self, rng, k):
         # accumulated G vs the Householder Q-factor of B B^T - lam^2 I,
         # equal up to a column sign diagonal
-        B = random_lower_bidiagonal(rng, k)
-        Bd = B.to_dense()
+        B, Bbar = random_lower_pair(rng, k)
         for lam in (0.0, 0.35, 0.9):
-            _, G, _ = implicit_qr_step_lower(B, lam)
-            Qr, _ = explicit_shifted_qr(Bd @ Bd.T, lam**2)
+            G = accumulate_sweeps(B, Bbar, [lam])[2].G
+            Qr, _ = explicit_shifted_qr(B @ B.T, lam**2)
             signs = np.sign(np.diagonal(G.T @ Qr))
             np.testing.assert_allclose(G, Qr * signs[None, :], atol=1e-12)
 
     def test_recombination_matches_shifted_qr_step(self, rng):
         # B' B'^T equals the R Q + shift recombination of the explicit step
-        B = random_lower_bidiagonal(rng, 5)
-        Bd = B.to_dense()
+        B, Bbar = random_lower_pair(rng, 5)
         lam = 0.5
-        Bp, G, _ = implicit_qr_step_lower(B, lam)
-        Qr, Rr = explicit_shifted_qr(Bd @ Bd.T, lam**2)
-        signs = np.sign(np.diagonal(G.T @ Qr))
+        Bp, _, rot = accumulate_sweeps(B, Bbar, [lam])
+        Qr, Rr = explicit_shifted_qr(B @ B.T, lam**2)
+        signs = np.sign(np.diagonal(rot.G.T @ Qr))
         D = np.diag(signs)
         recombined = D @ Rr @ Qr @ D + lam**2 * np.eye(6)
-        Bpd = Bp.to_dense()
-        np.testing.assert_allclose(Bpd @ Bpd.T, recombined, atol=1e-12)
+        np.testing.assert_allclose(Bp @ Bp.T, recombined, atol=1e-12)
 
     def test_k4_stays_lower_bidiagonal(self, rng):
-        B = random_lower_bidiagonal(rng, 4)
-        Bp, _, _ = implicit_qr_step_lower(B, 0.6)
-        dense = Bp.to_dense()  # from_dense would have raised on stray entries
-        idx = np.arange(4)
-        mask = np.ones_like(dense, dtype=bool)
-        mask[idx, idx] = False
-        mask[idx + 1, idx] = False
-        assert np.all(dense[mask] == 0.0)
+        B, Bbar = random_lower_pair(rng, 4)
+        Bp, _, _ = accumulate_sweeps(B, Bbar, [0.6])
+        bidiagonal_parts(Bp, tol=0.0)
 
     def test_shift_out_of_range(self, rng):
         with pytest.raises(ValueError):
-            implicit_qr_step_lower(random_lower_bidiagonal(rng, 4), 1.5)
+            accumulate_sweeps(*random_lower_pair(rng, 4), [1.5])
 
-    def test_reduced_input_directs_to_deflation(self, rng):
-        from irjbd.restart import DeflationNeededError
-        B = LowerBidiagonal([0.6, 0.0, 0.5], [0.3, 0.2, 0.4])
-        with pytest.raises(DeflationNeededError):
-            implicit_qr_step_lower(B, 0.3)
+    def test_reduced_input_sweeps_cleanly(self):
+        # composed exact-shift sweeps must tolerate a vanished coupling
+        B, Bbar = lower_bidiagonal_pair([0.6, 0.0, 0.5], [0.3, 0.2, 0.4])
+        Bp, _, rot = accumulate_sweeps(B, Bbar, [0.3])
+        assert rot.orthogonality_defect() < 1e-13
+        assert rot.band_defect() == 0.0
+        assert np.linalg.norm(Bp - rot.G.T @ B @ rot.P) < 1e-13
 
 
 class TestCoupledSweep:
     def test_joint_identity_preserved(self, rng):
         B, Bbar = random_joint_factors(rng, 14, 12, 10, 6)
         lam = 0.45
-        Bp, _, pchain = implicit_qr_step_lower(LowerBidiagonal.from_dense(B, 1e-12), lam)
-        Bbarp, _ = coupled_sweep_upper(Bbar, pchain)
-        Bpd, Bbarpd = Bp.to_dense(), Bbarp.to_dense()
-        gram = Bpd.T @ Bpd + Bbarpd.T @ Bbarpd
+        Bp, Bbarp, _ = accumulate_sweeps(B, Bbar, [lam])
+        gram = Bp.T @ Bp + Bbarp.T @ Bbarp
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
 
     def test_implicit_q_theorem_against_independent_sweep(self, rng):
@@ -102,33 +91,29 @@ class TestCoupledSweep:
         B, Bbar = random_joint_factors(rng, 14, 12, 10, 6)
         lam = 0.45
         mu2 = 1.0 - lam**2
-        _, _, pchain = implicit_qr_step_lower(LowerBidiagonal.from_dense(B, 1e-12), lam)
-        _, Gbar = coupled_sweep_upper(Bbar, pchain)
+        _, _, rot = accumulate_sweeps(B, Bbar, [lam])
 
         P_explicit, _ = explicit_shifted_qr(Bbar.T @ Bbar, mu2)
-        psign = np.sign(np.diagonal(pchain.matrix().T @ P_explicit))
+        psign = np.sign(np.diagonal(rot.P.T @ P_explicit))
         P_explicit = P_explicit * psign[None, :]
         Gbar_ref, _ = np.linalg.qr(Bbar @ P_explicit)
-        signs = np.sign(np.diagonal(Gbar.T @ Gbar_ref))
-        np.testing.assert_allclose(Gbar, Gbar_ref * signs[None, :], atol=1e-10)
+        signs = np.sign(np.diagonal(rot.Gbar.T @ Gbar_ref))
+        np.testing.assert_allclose(rot.Gbar, Gbar_ref * signs[None, :], atol=1e-10)
 
     def test_k4_shape_matches_coupled_diagram(self, rng):
         B, Bbar = random_joint_factors(rng, 10, 9, 7, 4)
-        _, _, pchain = implicit_qr_step_lower(LowerBidiagonal.from_dense(B, 1e-12), 0.3)
-        Bbarp, _ = coupled_sweep_upper(Bbar, pchain)
-        dense = Bbarp.to_dense()
-        idx = np.arange(4)
-        mask = np.ones_like(dense, dtype=bool)
-        mask[idx, idx] = False
-        mask[idx[:-1], idx[:-1] + 1] = False
-        assert np.all(dense[mask] == 0.0)
+        _, Bbarp, _ = accumulate_sweeps(B, Bbar, [0.3])
+        bidiagonal_parts(Bbarp, upper=True, tol=0.0)
 
     def test_decoupled_pair_raises_defect(self, rng):
         B, Bbar = random_joint_factors(rng, 14, 12, 10, 6)
-        _, _, pchain = implicit_qr_step_lower(LowerBidiagonal.from_dense(B, 1e-12), 0.45)
-        with pytest.raises(CouplingDefectError):
-            # a companion unrelated to B cannot share its right rotations
-            coupled_sweep_upper(np.triu(rng.standard_normal((6, 6)), 0), pchain)
+        rights = _lower_sweep(B, 0.45, np.eye(7), np.eye(6))
+        unrelated = np.triu(rng.standard_normal((6, 6)), 0)
+        # a companion unrelated to B cannot share its right rotations, even
+        # under the loosest residue threshold accumulate_sweeps admits
+        loosest = 1e-6 * max(1.0, float(np.linalg.norm(unrelated)))
+        with pytest.raises(CouplingDefectError, match="decoupled"):
+            _upper_sweep(unrelated, rights, np.eye(6), loosest)
 
 
 class TestAccumulatedSweeps:
@@ -142,9 +127,8 @@ class TestAccumulatedSweeps:
     def test_factors_exactly_bidiagonal(self, rng):
         B, Bbar = random_joint_factors(rng, 16, 14, 12, 8)
         Bp, Bbarp, _ = accumulate_sweeps(B, Bbar, [0.3, 0.6])
-        LowerBidiagonal.from_dense(Bp)       # raises on any stray entry
-        from irjbd.bidiag import UpperBidiagonal
-        UpperBidiagonal.from_dense(Bbarp)
+        bidiagonal_parts(Bp, tol=0.0)
+        bidiagonal_parts(Bbarp, upper=True, tol=0.0)
 
 
 class TestMultiStepRestart:
@@ -197,7 +181,6 @@ class TestMultiStepRestart:
         for lam in shifts:
             filtered = (QA @ QA.T - lam**2 * np.eye(16)) @ filtered
         filtered /= np.linalg.norm(filtered)
-        from irjbd import jbd_init
         fresh = jbd_init(op, filtered, LS, capacity=l)
         jbd_expand(fresh, op, l, LS)
 
