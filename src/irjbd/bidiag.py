@@ -8,12 +8,21 @@ holds; extraction therefore computes one SVD (of B) by one-sided Jacobi and
 derives the companion's singular data through W, keeping the shared-W
 structure exact by construction and making any loss of the joint identity
 observable as a defect flag.
+
+The Jacobi sweeps use the round-robin (parallel) ordering, so each round of
+disjoint column pairs is one set of array operations, and stop at the
+threshold of LAPACK ``dgesvj``: a pair is orthogonal once
+|a_p . a_q| <= sqrt(nrows) * eps * ||a_p|| ||a_q||.  Below that the computed
+dot is rounding noise and a rotation changes no stored entry, so sweeping
+on would cost time and gain nothing.  Jacobi keeps the high relative
+accuracy (Demmel & Veselic, 1992) that the dense oracle checks rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import hypot
+from functools import lru_cache
+from math import hypot, sqrt
 
 import numpy as np
 
@@ -37,67 +46,101 @@ def givens(a, b):
     return a / r, b / r, r
 
 
+@lru_cache(maxsize=16)
+def _round_robin(k):
+    """Parallel-ordering schedule of one sweep over k columns.
+
+    Returns an int array of shape (rounds, 2, k // 2): in each round, row 0
+    holds the lower index p and row 1 the upper index q of k // 2 disjoint
+    pairs, and every pair p < q occurs in exactly one round.  The circle
+    method gives k - 1 rounds for even k; odd k gets one idle slot, so k
+    rounds of (k - 1) // 2 pairs.  The cached array is read-only.
+    """
+    n = k + k % 2
+    ring = list(range(n))
+    rounds = []
+    for _ in range(n - 1):
+        rounds.append([(min(a, b), max(a, b))
+                       for a, b in zip(ring[: n // 2], ring[::-1]) if max(a, b) < k])
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    schedule = np.array(rounds, dtype=np.intp).reshape(n - 1, k // 2, 2).transpose(0, 2, 1)
+    schedule.flags.writeable = False
+    return schedule
+
+
 def jacobi_svd(M):
     """Thin SVD of a small dense matrix by one-sided Jacobi.
 
-    Right rotations orthogonalize the columns to working accuracy, giving
-    high relative accuracy on the small, well-scaled factors this solver
-    produces.  Singular values are returned in decreasing order.
+    Right rotations orthogonalize the columns, giving high relative accuracy
+    on the small, well-scaled factors this solver produces.  Each sweep runs
+    the round-robin (parallel) ordering: the pairs of a round are disjoint,
+    so their dots and rotations are computed as whole arrays.  A pair counts
+    as orthogonal once |a_p . a_q| <= sqrt(nrows) * eps * ||a_p|| ||a_q||,
+    the threshold of LAPACK ``dgesvj``: below it the computed dot is
+    rounding noise, and a rotation changes no stored entry.  Singular values
+    are returned in decreasing order; the U column of a zero singular value
+    is zero.
 
     Returns
     -------
     (U, sigma, V) with M = U @ diag(sigma) @ V.T, U of shape (nrows, k).
     """
-    A = np.array(M, dtype=np.float64)
-    nrows, k = A.shape
+    M = np.asarray(M, dtype=np.float64)
+    nrows, k = M.shape
     if nrows < k:
         raise ValueError("jacobi_svd expects nrows >= ncols")
-    V = np.eye(k)
     if k == 0:
-        return np.zeros((nrows, 0)), np.zeros(0), V
+        return np.zeros((nrows, 0)), np.zeros(0), np.eye(0)
 
-    sq = np.einsum("ij,ij->j", A, A)
+    # row j of X is column j of A followed by column j of V, so one gather
+    # and one scatter per round rotate both
+    X = np.empty((k, nrows + k))
+    X[:, :nrows] = M.T
+    X[:, nrows:] = np.eye(k)
+    A = X[:, :nrows]
+    tol = sqrt(nrows) * _EPS
+    schedule = _round_robin(k)
+
+    sq = np.einsum("ij,ij->i", A, A)
     for sweep in range(_MAX_SWEEPS):
         rotated = False
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = float(A[:, p] @ A[:, q])
-                app, aqq = sq[p], sq[q]
-                if abs(apq) <= 0.5 * _EPS * np.sqrt(app * aqq):
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                ap = A[:, p].copy()
-                A[:, p] = c * ap - s * A[:, q]
-                A[:, q] = s * ap + c * A[:, q]
-                vp = V[:, p].copy()
-                V[:, p] = c * vp - s * V[:, q]
-                V[:, q] = s * vp + c * V[:, q]
-                # closed-form Gram updates (clamped: near rank deficiency the
-                # update can round below zero); refresh with true dots every
-                # few sweeps so roundoff in the running values cannot accumulate
-                sq[p] = max(app - t * apq, 0.0)
-                sq[q] = max(aqq + t * apq, 0.0)
+        for pair in schedule:
+            Xp, Xq = X[pair]
+            apq = np.einsum("ij,ij->i", Xp[:, :nrows], Xq[:, :nrows])
+            app, aqq = sq[pair]
+            active = np.abs(apq) > tol * np.sqrt(app * aqq)
+            if not active.any():
+                continue
+            rotated = True
+            if not active.all():
+                pair = pair[:, active]
+                Xp, Xq, apq = Xp[active], Xq[active], apq[active]
+                app, aqq = app[active], aqq[active]
+            tau = (aqq - app) / (2.0 * apq)
+            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            t[tau == 0.0] = 1.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            X[pair[0]] = c[:, None] * Xp - s[:, None] * Xq
+            X[pair[1]] = s[:, None] * Xp + c[:, None] * Xq
+            # closed-form Gram updates (clamped: near rank deficiency the
+            # update can round below zero); refresh with true dots every
+            # few sweeps so roundoff in the running values cannot accumulate
+            sq[pair[0]] = np.maximum(app - t * apq, 0.0)
+            sq[pair[1]] = np.maximum(aqq + t * apq, 0.0)
         if not rotated:
             break
         if sweep % 4 == 3:
-            sq = np.einsum("ij,ij->j", A, A)
+            sq = np.einsum("ij,ij->i", A, A)
 
-    sigma = np.sqrt(np.einsum("ij,ij->j", A, A))
+    sigma = np.sqrt(np.einsum("ij,ij->i", A, A))
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
-    A = A[:, order]
-    V = V[:, order]
-    U = np.zeros_like(A)
-    for j in range(k):
-        if sigma[j] > 0.0:
-            U[:, j] = A[:, j] / sigma[j]
-    return U, sigma, V
+    X = X[order]
+    U = np.zeros((nrows, k))
+    live = sigma > 0.0
+    U[:, live] = (X[live, :nrows] / sigma[live, None]).T
+    return U, sigma, X[:, nrows:].T
 
 
 @dataclass
@@ -165,21 +208,19 @@ def small_gsvd(B, Bbar, identity_tol=1e-8, cross_check_tol=1e-8):
     P, C, W = jacobi_svd(Bd)
 
     # deterministic signs: dominant entry of each w positive
-    for j in range(k):
-        lead = int(np.argmax(np.abs(W[:, j])))
-        if W[lead, j] < 0.0:
-            W[:, j] = -W[:, j]
-            P[:, j] = -P[:, j]
+    if k:
+        flip = W[np.argmax(np.abs(W), axis=0), np.arange(k)] < 0.0
+        W[:, flip] = -W[:, flip]
+        P[:, flip] = -P[:, flip]
 
     BW = Bbard @ W
     S = np.linalg.norm(BW, axis=0)
     Pbar = np.zeros_like(BW)
-    for j in range(k):
-        if S[j] > 0.0:
-            Pbar[:, j] = BW[:, j] / S[j]
-        else:
-            flagged = True
-            notes.append(f"companion singular value {j} vanished")
+    live = S > 0.0
+    Pbar[:, live] = BW[:, live] / S[live]
+    for j in np.flatnonzero(~live):
+        flagged = True
+        notes.append(f"companion singular value {j} vanished")
 
     if k:
         cross = np.max(np.abs(S - np.sqrt(np.clip(1.0 - C**2, 0.0, None))))

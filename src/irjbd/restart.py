@@ -80,7 +80,7 @@ def _mix_rows(M, i, c, s):
 
 
 def _lower_sweep(B, lam, Gacc, Pacc):
-    """One shifted implicit QR sweep on a lower bidiagonal B, in place.
+    """One shifted implicit QR sweep on a (k+1) x k lower bidiagonal B, in place.
 
     The opening rotation is chosen to annihilate the (2,1) entry of
     B B^T - lam^2 I — only the first column of that product is ever formed —
@@ -92,9 +92,7 @@ def _lower_sweep(B, lam, Gacc, Pacc):
     precisely their purpose, and decoupling is policed by the companion
     sweep's residue checks instead.
     """
-    nr, k = B.shape
-    if nr != k + 1:
-        raise ValueError("lower sweep expects a (k+1) x k factor")
+    k = B.shape[1]
 
     # opening rotation from the first column of the shifted product
     a = B[0, 0] * B[0, 0] - lam * lam
@@ -151,14 +149,11 @@ def _upper_sweep(Bbar, right_rotations, Gbacc, zero_tol):
 
 
 def _offpattern_lower(B):
-    nr, k = B.shape
+    k = B.shape[1]
     mask = np.ones_like(B, dtype=bool)
     idx = np.arange(k)
     mask[idx, idx] = False
-    if nr == k + 1:
-        mask[idx + 1, idx] = False
-    else:
-        mask[idx[:-1] + 1, idx[:-1]] = False
+    mask[idx + 1, idx] = False
     return mask
 
 
@@ -187,13 +182,16 @@ def accumulate_sweeps(B, Bbar, shifts):
     B = np.array(B, dtype=np.float64)
     Bbar = np.array(Bbar, dtype=np.float64)
     k = B.shape[1]
+    if B.shape[0] != k + 1:
+        raise ValueError("lower sweep expects a (k+1) x k factor")
     Gacc = np.eye(k + 1)
     Pacc = np.eye(k)
     Gbacc = np.eye(k)
 
     identity_defect = float(np.max(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(k))))
     offpattern = 0.0
-    for M, mask in ((B, _offpattern_lower(B)), (Bbar, _offpattern_upper(Bbar))):
+    masked = ((B, _offpattern_lower(B)), (Bbar, _offpattern_upper(Bbar)))
+    for M, mask in masked:
         if np.any(mask):
             offpattern = max(offpattern, float(np.max(np.abs(M[mask]))))
     # the sweeps can only stay coupled to the accuracy the state brings in:
@@ -206,7 +204,7 @@ def accumulate_sweeps(B, Bbar, shifts):
             f"factor pair too degraded to restart: identity defect "
             f"{identity_defect:.3e}, off-pattern noise {offpattern:.3e}"
         )
-    for M, mask in ((B, _offpattern_lower(B)), (Bbar, _offpattern_upper(Bbar))):
+    for M, mask in masked:
         M[mask] = 0.0
 
     for step, lam in enumerate(shifts):

@@ -119,13 +119,13 @@ def lsqr_solve(op, rhs, tol, maxit):
     x = np.zeros(n)
 
     u = rhs.copy()
-    beta = float(np.linalg.norm(u))
+    beta = sqrt(u @ u)
     bnorm = beta
     if beta == 0.0:
         return LsqrOutcome(x, 0.0, 0, True)
     u /= beta
     v = op.apply_transpose(u)
-    alfa = float(np.linalg.norm(v))
+    alfa = sqrt(v @ v)
     if alfa == 0.0:
         # rhs is orthogonal to the range: x = 0 is the least-squares solution
         return LsqrOutcome(x, 1.0, 0, True)
@@ -142,13 +142,16 @@ def lsqr_solve(op, rhs, tol, maxit):
 
     while itn < maxit:
         itn += 1
-        u = op.apply(v) - alfa * u
-        beta = float(np.linalg.norm(u))
+        # in place: negation is exact, so -alfa * u + Av rounds like Av - alfa * u
+        u *= -alfa
+        u += op.apply(v)
+        beta = sqrt(u @ u)
         if beta > 0.0:
             u /= beta
             anorm = sqrt(anorm**2 + alfa**2 + beta**2)
-            v = op.apply_transpose(u) - beta * v
-            alfa = float(np.linalg.norm(v))
+            v *= -beta
+            v += op.apply_transpose(u)
+            alfa = sqrt(v @ v)
             if alfa > 0.0:
                 v /= alfa
 
@@ -162,8 +165,9 @@ def lsqr_solve(op, rhs, tol, maxit):
         phibar = sn * phibar
 
         x += (phi / rho) * w
-        w = v - (theta / rho) * w
-        xnorm = float(np.linalg.norm(x))
+        w *= -(theta / rho)
+        w += v
+        xnorm = sqrt(x @ x)
 
         rnorm = phibar
         arnorm = alfa * abs(sn * phi)

@@ -66,6 +66,10 @@ class TestLowerSweep:
     def test_shift_out_of_range(self, rng):
         with pytest.raises(ValueError):
             accumulate_sweeps(*random_lower_pair(rng, 4), [1.5])
+        # a square B is rejected before any sweep, even with no shifts
+        B, Bbar = random_lower_pair(rng, 4)
+        with pytest.raises(ValueError, match=r"\(k\+1\) x k"):
+            accumulate_sweeps(B[:4], Bbar, [])
 
     def test_reduced_input_sweeps_cleanly(self):
         # composed exact-shift sweeps must tolerate a vanished coupling
@@ -236,15 +240,19 @@ class TestThickRestart:
 
     def test_rotation_blocks_are_dense_unlike_implicit(self, rng):
         # structural contrast: implicit-restart transforms are banded while
-        # the thick-restart maps are full
+        # the maps thick restart applies to the bases are full
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
         ritz = small_gsvd(state.Bdense, state.Bbardense)
-        k = state.k
         _, _, rot = accumulate_sweeps(state.Bdense, state.Bbardense, ritz.C[-3:])
         i, j = np.indices(rot.P.shape)
         assert np.all(rot.P[i - j > 3] == 0.0)
-        left_map = np.column_stack([ritz.P[:, :4], np.zeros(k + 1)])
-        assert np.min(np.abs(ritz.W[:, :4])) > 0.0  # dense: no structural zeros
+        new = thick_restart(state, ritz, 4)
+        right_map = state.Vprime.T @ new.Vprime
+        left_map = state.U.T @ new.U
+        assert right_map.shape == (7, 4) and left_map.shape == (8, 5)
+        # dense: no structural zeros, which would show here as roundoff (~1e-16)
+        assert np.min(np.abs(right_map)) > 1e-8
+        assert np.min(np.abs(left_map)) > 1e-8
 
     def test_state_invariants_after_thick_cycle(self, rng):
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
