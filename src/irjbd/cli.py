@@ -15,7 +15,7 @@ import numpy as np
 
 from .driver import EPS, SolverConfig, irjbd_solve
 from .sparsemat import MatrixMarketError, identity, read_matrix_market, second_order_L
-from .stackedls import LsqrConfig
+from .stackedls import StackedOperator
 
 __all__ = ["main", "run_cli", "build_parser"]
 
@@ -86,7 +86,7 @@ def _format_report(args, A, L, l_label, result, elapsed):
     put(f"tol {args.tol:.17g}")
     put(f"maxit {args.maxit}")
     put(f"lsqr_tol {args.lsqr_tol:.17g}")
-    put(f"lsqr_maxit {LsqrConfig(maxit=args.lsqr_maxit).resolve_maxit(A.ncols)}")
+    put(f"lsqr_maxit {StackedOperator(A, L, maxit=args.lsqr_maxit).maxit}")
     put(f"criterion {args.criterion}")
     put(f"restart_mode {args.restart_mode}")
     put(f"matrix_a {args.A} rows {A.nrows} cols {A.ncols} nnz {A.nnz}")
@@ -94,6 +94,7 @@ def _format_report(args, A, L, l_label, result, elapsed):
     put(f"reliability_warning {int(result.reliability_warning)}")
     put(f"restarts {result.restarts}")
     put(f"lsqr_iterations_total {result.lsqr_iterations}")
+    put(f"lsqr_failures {result.lsqr_failures}")
     put(f"components {len(result.components)}")
     for i, comp in enumerate(result.components, start=1):
         put(f"component {i} c {comp.c:.17g} s {comp.s:.17g} value {comp.value:.17g} "
@@ -178,3 +179,7 @@ def run_cli(argv=None):
 
 def main():
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

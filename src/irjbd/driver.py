@@ -28,8 +28,8 @@ import numpy as np
 from .bidiag import inverse_norm_estimates, small_gsvd
 from .jbd import BreakdownError, jbd_expand, jbd_init
 from .restart import CouplingDefectError, multi_step_implicit_restart, thick_restart
-from .shifts import DEFAULT_RELGAP_TOL, apply_adaptive_rule, select_exact_shifts
-from .stackedls import LsqrConfig, StackedOperator, lsqr_solve
+from .shifts import apply_adaptive_rule, select_exact_shifts
+from .stackedls import StackedOperator, lsqr_solve
 
 __all__ = [
     "EPS",
@@ -70,7 +70,6 @@ class SolverConfig:
     seed: int = 0
     criterion: str = "pq"
     restart_mode: str = "implicit"
-    relgap_tol: float = DEFAULT_RELGAP_TOL
 
     def __post_init__(self):
         if self.target == 0:
@@ -167,6 +166,12 @@ class ConvergenceRecord:
 
 @dataclass
 class SolveResult:
+    """Outcome of a solve.
+
+    ``lsqr_iterations`` and ``lsqr_failures`` count the iterations and the
+    non-convergences of every inner solve, recovery included.
+    """
+
     components: list
     history: list
     status: str
@@ -175,6 +180,7 @@ class SolveResult:
     seed: int = 0
     restarts: int = 0
     lsqr_iterations: int = 0
+    lsqr_failures: int = 0
 
 
 def residual_bound_pq(ritz_i, alpha_next, betabar_k, rnorm):
@@ -275,18 +281,15 @@ def cross_residual_norm(comp, A, L):
     return sqrt(float(t1 @ t1) + float(t2 @ t2))
 
 
-def recover_component(state, op, ritz, index, ls_cfg=None, rnorm=None):
+def recover_component(state, op, ritz, index):
     """Recover the full quintuple for one extracted component.
 
     The right vector solves the consistent system [A; L] x = Vprime w by
     LSQR; the left vectors are basis combinations.  Residuals are computed
     from the definition, not from the bounds.
     """
-    ls_cfg = ls_cfg or LsqrConfig()
-    rnorm = rnorm if rnorm is not None else op.rnorm_estimate
     rc = ritz.component(index)
-    rhs = state.Vprime @ rc.w
-    outcome = lsqr_solve(op, rhs, ls_cfg.tol, ls_cfg.resolve_maxit(op.n))
+    outcome = lsqr_solve(op, state.Vprime @ rc.w)
     comp = GsvdComponent(
         c=rc.c,
         s=rc.s,
@@ -296,7 +299,8 @@ def recover_component(state, op, ritz, index, ls_cfg=None, rnorm=None):
         bound=float(ritz.bounds[index]),
         lsqr_converged=outcome.converged,
     )
-    comp.residual_norm, comp.relative_residual = compute_residual(comp, op.A, op.L, rnorm)
+    comp.residual_norm, comp.relative_residual = compute_residual(comp, op.A, op.L,
+                                                                  op.rnorm_estimate)
     return comp
 
 
@@ -310,14 +314,12 @@ def irjbd_solve(A, L, cfg):
 
     Returns a SolveResult.
     """
-    op = StackedOperator(A, L)
-    rnorm = op.rnorm_estimate
+    op = StackedOperator(A, L, cfg.lsqr_tol, cfg.lsqr_maxit)
     l = cfg.l
     mode = cfg.mode
     adj = cfg.effective_adjust()
     keep = l + adj
     nshifts = cfg.kmax - keep
-    ls_cfg = LsqrConfig(tol=cfg.lsqr_tol, maxit=cfg.lsqr_maxit)
 
     rng = np.random.default_rng(cfg.seed)
     u1 = rng.standard_normal(op.m)
@@ -330,11 +332,13 @@ def irjbd_solve(A, L, cfg):
     state = None
 
     try:
-        state = jbd_init(op, u1, ls_cfg, capacity=cfg.kmax)
-        jbd_expand(state, op, cfg.kmax, ls_cfg)
+        state = jbd_init(op, u1, capacity=cfg.kmax)
+        jbd_expand(state, op, cfg.kmax)
     except BreakdownError as exc:
         if state is None or state.k == 0:
-            return SolveResult([], [], "breakdown", message=str(exc), seed=cfg.seed)
+            return SolveResult([], [], "breakdown", message=_note_failures(str(exc), op),
+                               seed=cfg.seed, lsqr_iterations=op.iterations,
+                               lsqr_failures=op.failures)
         broken = exc
 
     ritz = None
@@ -355,7 +359,7 @@ def irjbd_solve(A, L, cfg):
             bounds=ritz.bounds[ritz.targeted].copy(),
             diag_product=ritz.diag_product,
             shifts_used=last_shifts.copy(),
-            lsqr_iters_total=state.lsqr_iterations,
+            lsqr_iters_total=op.iterations,
         ))
         if np.all(ritz.converged[ritz.targeted]) and len(ritz.targeted) == min(l, ritz.k):
             status = "converged"
@@ -378,14 +382,14 @@ def irjbd_solve(A, L, cfg):
             break
 
         shift_set = select_exact_shifts(ritz.small, mode, nshifts)
-        shift_set = apply_adaptive_rule(shift_set, ritz.small, mode, l, cfg.relgap_tol)
+        shift_set = apply_adaptive_rule(shift_set, ritz.small, mode, l)
         last_shifts = shift_set.lambdas
         try:
             if cfg.restart_mode == "implicit":
                 state = multi_step_implicit_restart(state, shift_set.lambdas, keep)
             else:
                 state = thick_restart(state, ritz.small, keep, target=mode)
-            jbd_expand(state, op, cfg.kmax, ls_cfg)
+            jbd_expand(state, op, cfg.kmax)
         except (BreakdownError, CouplingDefectError) as exc:
             broken = exc
         restarts += 1
@@ -395,7 +399,7 @@ def irjbd_solve(A, L, cfg):
     if ritz is not None and ritz.k:
         order = ritz.targeted if mode == "largest" else ritz.targeted[::-1]
         for idx in order:
-            comp = recover_component(ritz_state, op, ritz, int(idx), ls_cfg, rnorm)
+            comp = recover_component(ritz_state, op, ritz, int(idx))
             bound_ok = bool(ritz.converged[idx])
             comp_warning = ritz.reliability_warning or (comp.c * comp.s < 10.0 * EPS)
             comp.reliability_warning = comp_warning
@@ -422,8 +426,18 @@ def irjbd_solve(A, L, cfg):
         history=history,
         status=status,
         reliability_warning=bool(ritz.reliability_warning) if ritz is not None else False,
-        message=message,
+        message=_note_failures(message, op),
         seed=cfg.seed,
         restarts=restarts,
-        lsqr_iterations=state.lsqr_iterations if state is not None else 0,
+        lsqr_iterations=op.iterations,
+        lsqr_failures=op.failures,
     )
+
+
+def _note_failures(message, op):
+    """Append the count of non-converged inner solves, when there are any."""
+    if not op.failures:
+        return message
+    note = (f"{op.failures} inner least-squares "
+            f"{'solve' if op.failures == 1 else 'solves'} did not converge")
+    return f"{message}; {note}" if message else note

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stackedls import LsqrConfig, lsqr_solve, project_onto_range
+from .stackedls import lsqr_solve
 
 __all__ = ["JbdState", "BreakdownError", "StateDefects", "jbd_init", "jbd_expand", "verify_state"]
 
@@ -97,8 +97,6 @@ class JbdState:
         self.coupling_uhat = np.zeros(0)
         self.exhausted = False
         self.exhaustion = None  # ("left"|"right", index, coefficient) when exhausted
-        self.lsqr_iterations = 0
-        self.lsqr_failures = 0
 
     # -- views -------------------------------------------------------------
 
@@ -149,7 +147,14 @@ class JbdState:
         return JbdState(self.m, self.p, self.n, self.capacity, self.breakdown_tol)
 
 
-def jbd_init(op, u1, ls_cfg=None, capacity=None):
+def _solve_upper(op, u):
+    """Inner solve of min ||[A; L] t - (u; 0)|| over t."""
+    rhs = np.zeros(op.m + op.p)
+    rhs[: op.m] = u
+    return lsqr_solve(op, rhs)
+
+
+def jbd_init(op, u1, capacity=None):
     """Seed a joint bidiagonalization run from a unit starting vector.
 
     Projects (u1; 0) onto range([A; L]) to obtain the first right vector;
@@ -157,7 +162,6 @@ def jbd_init(op, u1, ls_cfg=None, capacity=None):
     starting vector is orthogonal to the relevant range, or the L side
     contributes nothing).
     """
-    ls_cfg = ls_cfg or LsqrConfig()
     u1 = np.asarray(u1, dtype=np.float64)
     if u1.shape != (op.m,):
         raise ValueError(f"u1 must have length {op.m}")
@@ -169,10 +173,8 @@ def jbd_init(op, u1, ls_cfg=None, capacity=None):
     state = JbdState(op.m, op.p, op.n, capacity, tol)
     state._U[:, 0] = u1
 
-    proj, outcome = project_onto_range(op, u1, ls_cfg.tol, ls_cfg.resolve_maxit(op.n))
-    state.lsqr_iterations += outcome.iterations
-    state.lsqr_failures += 0 if outcome.converged else 1
-
+    outcome = _solve_upper(op, u1)
+    proj = op.apply(outcome.solution)
     alpha1 = float(np.linalg.norm(proj))
     if alpha1 < tol:
         raise BreakdownError("alpha", 1, alpha1)
@@ -188,53 +190,56 @@ def jbd_init(op, u1, ls_cfg=None, capacity=None):
     return state
 
 
-def _expand_one(state, op, ls_cfg):
-    """One step: new left vector, new companion left vector, new right vector."""
+def _expand_one(state, op):
+    """One step: companion left vector, new left vector, new right vector.
+
+    When the new left candidate vanishes (a left-side lucky breakdown), the
+    pending right vector lies in span(U): it joins Vprime with no new
+    subdiagonal entry, the projected factor closes square and every Ritz
+    value it carries is exact.
+    """
     k = state.k
     m = state.m
     if state.n_left != k + 1:
         raise ValueError("cannot expand a state closed by left-side breakdown")
     if k + 1 > state.capacity:
         raise ValueError("state capacity exhausted; allocate a larger run")
-    U = state._U[:, : k + 1]
-    Uhat = state._Uhat[:, :k]
     vp = state.vp_next
-
-    # next left vector from the upper block of the pending right vector
-    cand, u_coefficients = _reorth_tracked(vp[:m].copy(), U, state.coupling_u)
-    beta = float(np.linalg.norm(cand))
-    if beta < state.breakdown_tol:
-        _close_left(state)
-        return
-    u_new = cand / beta
 
     # companion left vector paired with the pending right vector; the signed
     # diagonal keeps all runs on the alternating-sign convention
-    candh, uhat_coefficients = _reorth_tracked(vp[m:].copy(), Uhat, state.coupling_uhat)
+    candh, uhat_coefficients = _reorth_tracked(vp[m:].copy(), state._Uhat[:, :k],
+                                               state.coupling_uhat)
     anorm = float(np.linalg.norm(candh))
     if anorm < state.breakdown_tol:
         raise BreakdownError("alphahat", k + 1, anorm)
     abar = anorm if k % 2 == 0 else -anorm
-    uhat_new = candh / abar
+
+    # next left vector from the upper block of the pending right vector
+    cand, u_coefficients = _reorth_tracked(vp[:m].copy(), state._U[:, : k + 1],
+                                           state.coupling_u)
+    beta = float(np.linalg.norm(cand))
 
     # commit column k
     state._Vp[:, k] = vp
     state._T[:, k] = state.t_next
     state._B[: k + 1, k] = u_coefficients
-    state._B[k + 1, k] = beta
-    state._U[:, k + 1] = u_new
-    state._Uhat[:, k] = uhat_new
+    state._Uhat[:, k] = candh / abar
     state._Bbar[:k, k] = uhat_coefficients
     state._Bbar[k, k] = abar
+    state.k = k + 1
+    if beta < state.breakdown_tol:
+        state.n_left = k + 1
+        _exhaust(state, "left", k + 2, 0.0)
+        return
+    u_new = cand / beta
+    state._B[k + 1, k] = beta
+    state._U[:, k + 1] = u_new
+    state.n_left = k + 2
 
     # next right vector: three-term recurrence on the preimages, realized
     # through the operator, then reorthogonalized with preimage bookkeeping
-    rhs = np.zeros(m + state.p)
-    rhs[:m] = u_new
-    outcome = lsqr_solve(op, rhs, ls_cfg.tol, ls_cfg.resolve_maxit(op.n))
-    state.lsqr_iterations += outcome.iterations
-    state.lsqr_failures += 0 if outcome.converged else 1
-    t_cand = outcome.solution - beta * state.t_next
+    t_cand = _solve_upper(op, u_new).solution - beta * state.t_next
     cand2 = op.apply(t_cand)
     Vpk = state._Vp[:, : k + 1]
     Tk = state._T[:, : k + 1]
@@ -243,16 +248,8 @@ def _expand_one(state, op, ls_cfg):
         cand2 = cand2 - Vpk @ coef
         t_cand = t_cand - Tk @ coef
     alpha = float(np.linalg.norm(cand2))
-
-    state.k = k + 1
-    state.n_left = k + 2
     if alpha < state.breakdown_tol:
-        state.vp_next = np.zeros(m + state.p)
-        state.t_next = np.zeros(state.n)
-        state.coupling_u = np.zeros(k + 2)
-        state.coupling_uhat = np.zeros(k + 1)
-        state.exhausted = True
-        state.exhaustion = ("right", k + 2, alpha)
+        _exhaust(state, "right", k + 2, alpha)
         return
     state.vp_next = cand2 / alpha
     state.t_next = t_cand / alpha
@@ -263,43 +260,17 @@ def _expand_one(state, op, ls_cfg):
     state.coupling_uhat[-1] = -alpha * beta / abar
 
 
-def _close_left(state):
-    """Left-side lucky breakdown: absorb the pending right vector, close square.
-
-    The pending vector is exactly representable in the current left basis, so
-    it joins Vprime with no new subdiagonal entry; the projected factor ends
-    square and every Ritz value it carries is exact.
-    """
-    k = state.k
-    m = state.m
-    vp = state.vp_next
-    U = state._U[:, : k + 1]
-    Uhat = state._Uhat[:, :k]
-
-    candh, uhat_coefficients = _reorth_tracked(vp[m:].copy(), Uhat, state.coupling_uhat)
-    anorm = float(np.linalg.norm(candh))
-    if anorm < state.breakdown_tol:
-        raise BreakdownError("alphahat", k + 1, anorm)
-    abar = anorm if k % 2 == 0 else -anorm
-
-    state._Vp[:, k] = vp
-    state._T[:, k] = state.t_next
-    state._B[: k + 1, k] = U.T @ vp[:m]
-    state._Uhat[:, k] = candh / abar
-    state._Bbar[:k, k] = uhat_coefficients
-    state._Bbar[k, k] = abar
-
-    state.k = k + 1
-    state.n_left = k + 1
-    state.vp_next = np.zeros(m + state.p)
+def _exhaust(state, side, index, coefficient):
+    """End the run on an invariant subspace: no pending vector, zero couplings."""
+    state.vp_next = np.zeros(state.m + state.p)
     state.t_next = np.zeros(state.n)
-    state.coupling_u = np.zeros(k + 1)
-    state.coupling_uhat = np.zeros(k + 1)
+    state.coupling_u = np.zeros(state.n_left)
+    state.coupling_uhat = np.zeros(state.k)
     state.exhausted = True
-    state.exhaustion = ("left", k + 2, 0.0)
+    state.exhaustion = (side, index, coefficient)
 
 
-def jbd_expand(state, op, to_k, ls_cfg=None):
+def jbd_expand(state, op, to_k):
     """Grow the state to ``to_k`` columns (in place; also returned).
 
     Stops early, with ``state.exhausted`` set, when either side finds an
@@ -308,11 +279,10 @@ def jbd_expand(state, op, to_k, ls_cfg=None):
     ``BreakdownError`` because the coupled recurrence cannot continue
     through it.
     """
-    ls_cfg = ls_cfg or LsqrConfig()
     if to_k > state.capacity:
         raise ValueError(f"to_k={to_k} exceeds state capacity {state.capacity}")
     while state.k < to_k and not state.exhausted:
-        _expand_one(state, op, ls_cfg)
+        _expand_one(state, op)
     return state
 
 
@@ -343,7 +313,7 @@ def _orth_defect(basis):
     return float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
 
 
-def verify_state(state, op=None, ls_cfg=None, rng=None):
+def verify_state(state, op=None, rng=None):
     """Measure every maintained invariant of a state.
 
     With ``op`` given, additionally probes the projected recurrence
@@ -369,12 +339,10 @@ def verify_state(state, op=None, ls_cfg=None, rng=None):
     projection = None
     if op is not None and k:
         rng = rng or np.random.default_rng(0)
-        ls_cfg = ls_cfg or LsqrConfig()
         w = rng.standard_normal(state.n_left)
         w /= np.linalg.norm(w)
         uw = U @ w
-        proj, _ = project_onto_range(op, uw / np.linalg.norm(uw), ls_cfg.tol,
-                                     ls_cfg.resolve_maxit(op.n))
+        proj = op.apply(_solve_upper(op, uw / np.linalg.norm(uw)).solution)
         proj *= np.linalg.norm(uw)
         model = Vp @ (B.T @ w) + state.vp_next * float(state.coupling_u @ w)
         projection = float(np.max(np.abs(proj - model)))

@@ -276,9 +276,6 @@ def multi_step_implicit_restart(state, shifts, l):
         raise BreakdownError("alphahat", l, abar_last)
     new.coupling_uhat = np.zeros(l)
     new.coupling_uhat[-1] = -alpha * Bp[l, l - 1] / abar_last
-
-    new.lsqr_iterations = state.lsqr_iterations
-    new.lsqr_failures = state.lsqr_failures
     return new
 
 
@@ -324,7 +321,4 @@ def thick_restart(state, ritz, l, target="largest"):
     new.t_next = state.t_next.copy()
     new.coupling_u = left_map.T @ state.coupling_u
     new.coupling_uhat = ritz.Pbar[:, sel].T @ state.coupling_uhat
-
-    new.lsqr_iterations = state.lsqr_iterations
-    new.lsqr_failures = state.lsqr_failures
     return new

@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = ["ShiftSet", "select_exact_shifts", "apply_adaptive_rule"]
 
-DEFAULT_RELGAP_TOL = 1e-3
+_RELGAP_TOL = 1e-3
 
 
 @dataclass
@@ -59,12 +59,12 @@ def select_exact_shifts(ritz, target_sign, nshifts):
     return ShiftSet(np.array(lam, dtype=np.float64))
 
 
-def apply_adaptive_rule(shifts, ritz, target_sign, l_effective, relgap_tol=DEFAULT_RELGAP_TOL):
+def apply_adaptive_rule(shifts, ritz, target_sign, l_effective):
     """Replace shifts too close to the boundary wanted Ritz value.
 
     The relative gap of each shift is measured against the smallest wanted
     value (largest mode) or the largest wanted value (smallest mode); shifts
-    within ``relgap_tol`` are bad and get replaced by 0 or 1 respectively.
+    within ``_RELGAP_TOL`` are bad and get replaced by 0 or 1 respectively.
     Applying the rule twice changes nothing.
     """
     if target_sign not in ("largest", "smallest"):
@@ -84,7 +84,7 @@ def apply_adaptive_rule(shifts, ritz, target_sign, l_effective, relgap_tol=DEFAU
     flags = shifts.replaced_flags.copy()
     for i in range(len(lam)):
         relgap = abs((anchor - lam[i]) / anchor)
-        if relgap < relgap_tol:
+        if relgap < _RELGAP_TOL:
             lam[i] = replacement
             flags[i] = True
     return ShiftSet(lam, flags)

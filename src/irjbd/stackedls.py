@@ -2,9 +2,8 @@
 
 The stacked matrix is never materialized: every product is two sparse
 matvecs.  LSQR is implemented natively on the operator so that inner solves
-touch nothing but ``matvec``/``matvec_transpose``, and orthogonal projections
-onto range([A; L]) are obtained by multiplying the least-squares solution
-back through the operator.
+touch nothing but ``matvec``/``matvec_transpose``.  The operator owns the
+inner-solve controls and counts the work of every solve made through it.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from math import sqrt
 
 import numpy as np
 
-__all__ = ["StackedOperator", "LsqrConfig", "LsqrOutcome", "lsqr_solve",
-           "project_onto_range", "stack_norm_estimate"]
+__all__ = ["StackedOperator", "LsqrOutcome", "lsqr_solve", "stack_norm_estimate"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -26,18 +24,29 @@ def stack_norm_estimate(A, L):
 
 
 class StackedOperator:
-    """The operator x -> (A x; L x) for a conformable pair {A, L}."""
+    """The operator x -> (A x; L x) for a conformable pair {A, L}.
 
-    def __init__(self, A, L):
+    It also holds the inner-solve controls — ``tol`` (default 10 eps) and
+    ``maxit`` (default 10 n) — and two counters, ``iterations`` and
+    ``failures``, that every ``lsqr_solve`` through it adds to.
+    """
+
+    def __init__(self, A, L, tol=10.0 * _EPS, maxit=None):
         if A.ncols != L.ncols:
             raise ValueError(f"A has {A.ncols} columns but L has {L.ncols}")
         if A.nrows + L.nrows < A.ncols:
             raise ValueError("stacked operator must have at least as many rows as columns")
+        if tol <= 0:
+            raise ValueError("tol must be positive")
         self.A = A
         self.L = L
         self.m = A.nrows
         self.p = L.nrows
         self.n = A.ncols
+        self.tol = tol
+        self.maxit = maxit if maxit is not None else 10 * self.n
+        self.iterations = 0
+        self.failures = 0
         self._rnorm = None
 
     @property
@@ -70,17 +79,6 @@ class StackedOperator:
 
 
 @dataclass
-class LsqrConfig:
-    """Inner-solve controls: tolerance defaults to 10 eps, cap to 10 n."""
-
-    tol: float = 10.0 * _EPS
-    maxit: int | None = None
-
-    def resolve_maxit(self, n):
-        return self.maxit if self.maxit is not None else 10 * n
-
-
-@dataclass
 class LsqrOutcome:
     solution: np.ndarray
     relative_residual_estimate: float
@@ -88,35 +86,32 @@ class LsqrOutcome:
     converged: bool
 
 
-def lsqr_solve(op, rhs, tol, maxit):
+def lsqr_solve(op, rhs):
     """Minimize ||[A; L] x - rhs|| over x by the LSQR recurrence.
 
     Runs the Golub-Kahan bidiagonalization of the operator with the usual
     pair of plane rotations, stopping when either backward-error test
-    (compatible-system or least-squares) falls below ``tol``.  Non-convergence
-    within ``maxit`` is reported through the flag, never raised: ill
-    conditioning can legitimately push the iteration count past n.
+    (compatible-system or least-squares) falls below ``op.tol``, which serves
+    as both atol and btol.  Non-convergence within ``op.maxit`` is reported
+    through the flag, never raised: ill conditioning can legitimately push
+    the iteration count past n.  The iteration count and any non-convergence
+    are added to the operator's counters.
 
     Parameters
     ----------
     op : StackedOperator
     rhs : (m+p,) ndarray
-    tol : float
-        Used as both the atol and btol of the standard stopping tests.
-    maxit : int
 
     Returns
     -------
     LsqrOutcome
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (op.m + op.p,):
         raise ValueError(f"rhs must have length {op.m + op.p}, got {rhs.shape}")
 
-    n = op.n
-    x = np.zeros(n)
+    tol = op.tol
+    x = np.zeros(op.n)
 
     u = rhs.copy()
     beta = sqrt(u @ u)
@@ -140,7 +135,7 @@ def lsqr_solve(op, rhs, tol, maxit):
     itn = 0
     test1 = 1.0
 
-    while itn < maxit:
+    while itn < op.maxit:
         itn += 1
         # in place: negation is exact, so -alfa * u + Av rounds like Av - alfa * u
         u *= -alfa
@@ -178,25 +173,8 @@ def lsqr_solve(op, rhs, tol, maxit):
             converged = True
             break
 
+    # the early returns above take no iteration and converge, so only this
+    # exit moves the operator's counters
+    op.iterations += itn
+    op.failures += 0 if converged else 1
     return LsqrOutcome(x, float(test1), itn, converged)
-
-
-def project_onto_range(op, u, tol, maxit):
-    """Orthogonal projection of (u; 0) onto range([A; L]).
-
-    Solves min ||[A; L] x - (u; 0)|| and returns [A; L] x, which equals the
-    projection whenever the inner solve is accurate.
-
-    Returns
-    -------
-    (projection, LsqrOutcome)
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (op.m,):
-        raise ValueError(f"u must have length {op.m}, got {u.shape}")
-    if np.linalg.norm(u) == 0.0:
-        raise ValueError("cannot project the zero vector")
-    rhs = np.zeros(op.m + op.p)
-    rhs[: op.m] = u
-    outcome = lsqr_solve(op, rhs, tol, maxit)
-    return op.apply(outcome.solution), outcome

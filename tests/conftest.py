@@ -3,7 +3,7 @@ import pytest
 
 from irjbd.jbd import jbd_expand, jbd_init
 from irjbd.sparsemat import SparseMatrix
-from irjbd.stackedls import LsqrConfig, StackedOperator
+from irjbd.stackedls import StackedOperator
 
 
 def gaussian_pair(rng, m, p, n):
@@ -19,8 +19,8 @@ def expanded_state(rng, m, p, n, k, seed_vec=None):
     op = StackedOperator(A, L)
     u1 = seed_vec if seed_vec is not None else rng.standard_normal(m)
     u1 = u1 / np.linalg.norm(u1)
-    state = jbd_init(op, u1, LsqrConfig(), capacity=k)
-    jbd_expand(state, op, k, LsqrConfig())
+    state = jbd_init(op, u1, capacity=k)
+    jbd_expand(state, op, k)
     return state, op, Ad, Ld
 
 

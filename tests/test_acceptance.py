@@ -26,11 +26,9 @@ from irjbd.oracle import dense_gsvd, dense_joint_lanczos, explicit_shifted_qr, s
 from irjbd.restart import accumulate_sweeps, multi_step_implicit_restart, thick_restart
 from irjbd.shifts import apply_adaptive_rule, select_exact_shifts
 from irjbd.sparsemat import identity, read_matrix_market, second_order_L
-from irjbd.stackedls import LsqrConfig, StackedOperator
+from irjbd.stackedls import StackedOperator
 
 from conftest import bidiagonal_parts, lower_bidiagonal_pair
-
-LS = LsqrConfig()
 
 
 def _report(name, ok, detail=""):
@@ -154,8 +152,8 @@ class TestAcceptance:
             u1 = rng.standard_normal(m)
             u1 /= np.linalg.norm(u1)
             op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld))
-            state = jbd_init(op, u1, LS, capacity=k)
-            jbd_expand(state, op, k, LS)
+            state = jbd_init(op, u1, capacity=k)
+            jbd_expand(state, op, k)
             B_ref, Bhat_ref, U, Uhat, V, Vhat = dense_joint_lanczos(Q[:m], Q[m:], u1, k)
             # shared-start sign relation between the two dense right bases
             signs = np.array([(-1.0) ** i for i in range(k)])
@@ -184,8 +182,8 @@ class TestAcceptance:
             op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld))
             u1 = rng.standard_normal(24)
             u1 /= np.linalg.norm(u1)
-            state = jbd_init(op, u1, LS, capacity=10)
-            jbd_expand(state, op, 10, LS)
+            state = jbd_init(op, u1, capacity=10)
+            jbd_expand(state, op, 10)
             worst = max(worst, verify_state(state, op).max_defect())
             ritz = small_gsvd(state.Bdense, state.Bbardense)
             if trial % 2 == 0:
@@ -193,7 +191,7 @@ class TestAcceptance:
             else:
                 new = thick_restart(state, ritz, 6, target="largest")
             worst = max(worst, verify_state(new, op).max_defect())
-            jbd_expand(new, op, 10, LS)
+            jbd_expand(new, op, 10)
             worst = max(worst, verify_state(new, op).max_defect())
         ok = worst < 1e-9
         _report("state invariants below 1e-9 across expansion and both restarts",
@@ -224,8 +222,8 @@ class TestAcceptance:
             op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld))
             u1 = rng.standard_normal(20)
             u1 /= np.linalg.norm(u1)
-            state = jbd_init(op, u1, LS, capacity=8)
-            jbd_expand(state, op, 8, LS)
+            state = jbd_init(op, u1, capacity=8)
+            jbd_expand(state, op, 8)
             shifts = small_gsvd(state.Bdense, state.Bbardense).C[-3:]
             new = multi_step_implicit_restart(state, shifts, 5)
             expected = u1
@@ -295,8 +293,8 @@ class TestAcceptance:
             op = StackedOperator(A, L)
             u1 = np.random.default_rng(trial).standard_normal(m)
             u1 /= np.linalg.norm(u1)
-            state = jbd_init(op, u1, LS, capacity=10)
-            jbd_expand(state, op, 10, LS)
+            state = jbd_init(op, u1, capacity=10)
+            jbd_expand(state, op, 10)
             ritz = extract_ritz(state, cfg)
             beta_next = float(state.Bdense[state.k, state.k - 1])
             for i in range(ritz.k):
@@ -330,12 +328,12 @@ class TestAcceptance:
         gen = np.random.default_rng(0)
         u1 = gen.standard_normal(n)
         u1 /= np.linalg.norm(u1)
-        state = jbd_init(op, u1, LS, capacity=10)
+        state = jbd_init(op, u1, capacity=10)
         scale = float(p0 @ u1)
         angles = []
         identity_gap = 0.0
         for k in range(1, 11):
-            jbd_expand(state, op, k, LS)
+            jbd_expand(state, op, k)
             assert state.n_left == k + 1
             U = state.U
             projection = U.T @ p0

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,6 +102,18 @@ class TestRuns:
                         "--kmax", "4", "--maxit", "0", "--tol", "1e-15"])
         capsys.readouterr()
         assert code == 2
+
+
+    def test_module_entry_point_runs(self, diag_matrix_file):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "irjbd.cli", "--A", diag_matrix_file,
+                               "--L", "identity", "--kmax", "3", "--target", "1"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("irjbd report\n")
+        assert "\nlsqr_failures 0\n" in proc.stdout
 
 
 class TestErrorPaths:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import irjbd.driver
+import irjbd.jbd
 from irjbd.bidiag import small_gsvd
 from irjbd.driver import (GsvdComponent, RitzComponent, RitzSet, SolverConfig,
                           check_convergence, compute_residual, cross_residual_norm,
@@ -8,8 +10,8 @@ from irjbd.driver import (GsvdComponent, RitzComponent, RitzSet, SolverConfig,
                           residual_bound_w)
 from irjbd.jbd import jbd_init
 from irjbd.oracle import dense_gsvd, stack_qr
-from irjbd.sparsemat import SparseMatrix, identity
-from irjbd.stackedls import LsqrConfig, StackedOperator
+from irjbd.sparsemat import SparseMatrix, identity, second_order_L
+from irjbd.stackedls import StackedOperator, lsqr_solve
 
 from conftest import expanded_state, gaussian_pair
 
@@ -154,7 +156,7 @@ class TestRecovery:
         cfg = SolverConfig(target=2, kmax=7, tol=1e-8)
         ritz = check_convergence(extract_ritz(state, cfg), cfg)
         for i in range(3):
-            comp = recover_component(state, op, ritz, i, LsqrConfig())
+            comp = recover_component(state, op, ritz, i)
             np.testing.assert_allclose(np.linalg.norm(comp.y), 1.0, atol=1e-12)
             np.testing.assert_allclose(np.linalg.norm(comp.z), 1.0, atol=1e-12)
 
@@ -260,6 +262,41 @@ class TestSolverLoop:
         np.testing.assert_allclose([c.c for c in res.components],
                                    ref.C[ref.nontrivial_slice()][:2], rtol=1e-6)
 
+    def test_lsqr_counts_include_recovery(self, rng, monkeypatch):
+        # every inner solve, expansion and recovery alike, goes through the
+        # name bound in jbd or in driver; the result must count them all
+        seen = []
+
+        def counting(op, rhs):
+            out = lsqr_solve(op, rhs)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(irjbd.jbd, "lsqr_solve", counting)
+        monkeypatch.setattr(irjbd.driver, "lsqr_solve", counting)
+        _, _, A, L = gaussian_pair(rng, 24, 22, 16)
+        # a tight inner cap makes some solves fail, so both counts are exercised
+        with pytest.warns(UserWarning, match="did not converge during recovery"):
+            res = irjbd_solve(A, L, SolverConfig(target=2, kmax=8, tol=1e-10, seed=3,
+                                                 maxit=50, lsqr_maxit=12))
+        assert len(seen) > len(res.components) == 2
+        assert res.lsqr_failures > 0
+        assert res.lsqr_iterations == sum(out.iterations for out in seen)
+        assert res.lsqr_failures == sum(not out.converged for out in seen)
+        assert res.history[-1].lsqr_iters_total < res.lsqr_iterations
+
+    def test_inner_failures_named_in_message(self, rng):
+        # one LSQR iteration per solve cannot converge; the solve must still
+        # end cleanly and say why
+        A = SparseMatrix.from_dense(rng.standard_normal((60, 40)))
+        with pytest.warns(UserWarning, match="did not converge during recovery"):
+            res = irjbd_solve(A, second_order_L(40),
+                              SolverConfig(target=3, kmax=10, lsqr_maxit=1))
+        assert res.lsqr_failures > 0
+        assert res.status != "converged"
+        assert f"{res.lsqr_failures} inner least-squares solves did not converge" \
+            in res.message
+
     def test_effective_adjust_clamps_for_short_kmax(self):
         cfg = SolverConfig(target=3, kmax=4, tol=1e-8)
         assert cfg.effective_adjust() == 0
@@ -295,7 +332,7 @@ class TestTrivialComponentHandling:
         gen = np.random.default_rng(0)
         u1 = gen.standard_normal(14)
         u1 /= np.linalg.norm(u1)
-        state = jbd_init(op, u1, LsqrConfig(), capacity=10)
+        state = jbd_init(op, u1, capacity=10)
         sin_seed = np.sqrt(1.0 - (p0 @ u1) ** 2)
         U = state.U
         sin_state = np.linalg.norm(p0 - U @ (U.T @ p0))

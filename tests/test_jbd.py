@@ -4,11 +4,9 @@ import pytest
 from irjbd.jbd import BreakdownError, jbd_expand, jbd_init, verify_state
 from irjbd.oracle import dense_joint_lanczos, stack_qr
 from irjbd.sparsemat import SparseMatrix, identity
-from irjbd.stackedls import LsqrConfig, StackedOperator
+from irjbd.stackedls import StackedOperator
 
 from conftest import bidiagonal_parts, expanded_state, gaussian_pair
-
-LS = LsqrConfig()
 
 
 def _zero_matrix(nrows, ncols):
@@ -26,14 +24,14 @@ class TestInit:
         op = StackedOperator(identity(2), _zero_matrix(2, 2))
         u1 = np.array([1.0, 0.0])
         with pytest.raises(BreakdownError, match="alphahat"):
-            jbd_init(op, u1, LS, capacity=2)
+            jbd_init(op, u1, capacity=2)
 
     def test_diagonal_pair_seed(self):
         # stack is the single column (2, 1)/sqrt(5); projecting (1, 0) onto it
         # leaves a vector of norm 2/sqrt(5)
         op = StackedOperator(SparseMatrix.from_dense([[2.0]]),
                              SparseMatrix.from_dense([[1.0]]))
-        state = jbd_init(op, np.array([1.0]), LS, capacity=1)
+        state = jbd_init(op, np.array([1.0]), capacity=1)
         np.testing.assert_allclose(state.alpha_next, 2.0 / np.sqrt(5.0), atol=1e-14)
         np.testing.assert_allclose(state.vp_next,
                                    np.array([2.0, 1.0]) / np.sqrt(5.0), atol=1e-14)
@@ -44,7 +42,7 @@ class TestInit:
         op = StackedOperator(A, L)
         u1 = rng.standard_normal(8)
         u1 /= np.linalg.norm(u1)
-        state = jbd_init(op, u1, LS, capacity=4)
+        state = jbd_init(op, u1, capacity=4)
         stacked = np.concatenate([u1, np.zeros(8)])
         expected = np.linalg.norm(Q @ (Q.T @ stacked))
         np.testing.assert_allclose(state.alpha_next, expected, atol=1e-12)
@@ -52,7 +50,7 @@ class TestInit:
     def test_non_unit_start_rejected(self):
         op = StackedOperator(identity(2), identity(2))
         with pytest.raises(ValueError):
-            jbd_init(op, np.array([1.0, 1.0]), LS, capacity=2)
+            jbd_init(op, np.array([1.0, 1.0]), capacity=2)
 
 
 class TestExpand:
@@ -62,11 +60,15 @@ class TestExpand:
         # square 1x1 factor holding the exact value 3/sqrt(10)
         op = StackedOperator(SparseMatrix.from_dense(np.diag([3.0, 1.0])),
                              SparseMatrix.from_dense(np.diag([1.0, 1.0])))
-        state = jbd_init(op, np.array([1.0, 0.0]), LS, capacity=2)
-        jbd_expand(state, op, 2, LS)
+        state = jbd_init(op, np.array([1.0, 0.0]), capacity=2)
+        jbd_expand(state, op, 2)
         assert state.exhausted and state.exhaustion[0] == "left"
         assert state.k == 1 and state.n_left == 1
         np.testing.assert_allclose(state.Bdense, [[3.0 / np.sqrt(10.0)]], atol=1e-12)
+        # a closed run has no pending right vector and no couplings
+        np.testing.assert_array_equal(state.vp_next, np.zeros(4))
+        np.testing.assert_array_equal(state.coupling_u, np.zeros(state.n_left))
+        np.testing.assert_array_equal(state.coupling_uhat, np.zeros(state.k))
 
     def test_coupled_coefficient_identity(self, rng):
         # alphahat_i * betahat_i = alpha_{i+1} * beta_{i+1} for a fresh run;
@@ -90,8 +92,8 @@ class TestExpand:
         op = StackedOperator(A, L)
         u1 = rng.standard_normal(16)
         u1 /= np.linalg.norm(u1)
-        state = jbd_init(op, u1, LS, capacity=7)
-        jbd_expand(state, op, 7, LS)
+        state = jbd_init(op, u1, capacity=7)
+        jbd_expand(state, op, 7)
         B_ref, Bhat_ref, *_ = dense_joint_lanczos(Q[:16], Q[16:], u1, 7)
         Bhat = _companion_unsigned(state)
         bidiagonal_parts(state.Bdense)
@@ -105,8 +107,8 @@ class TestExpand:
         op = StackedOperator(A, L)
         u1 = rng.standard_normal(16)
         u1 /= np.linalg.norm(u1)
-        state = jbd_init(op, u1, LS, capacity=8)
-        jbd_expand(state, op, 8, LS)
+        state = jbd_init(op, u1, capacity=8)
+        jbd_expand(state, op, 8)
         Vp = state.Vprime
         deviation = np.max(np.abs(Vp - Q @ (Q.T @ Vp)))
         assert deviation < 1e-8
@@ -132,7 +134,7 @@ class TestExpand:
     def test_capacity_guard(self, rng):
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 5)
         with pytest.raises(ValueError):
-            jbd_expand(state, op, 20, LS)
+            jbd_expand(state, op, 20)
 
 
 class TestVerifyState:

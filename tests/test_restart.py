@@ -8,12 +8,9 @@ from irjbd.jbd import jbd_expand, jbd_init, verify_state
 from irjbd.oracle import explicit_shifted_qr, stack_qr
 from irjbd.restart import (CouplingDefectError, _lower_sweep, _upper_sweep, accumulate_sweeps,
                            multi_step_implicit_restart, thick_restart)
-from irjbd.stackedls import LsqrConfig
 
 from conftest import bidiagonal_parts, expanded_state, lower_bidiagonal_pair
 from test_bidiag import random_joint_factors
-
-LS = LsqrConfig()
 
 
 def random_lower_pair(rng, k):
@@ -167,7 +164,7 @@ class TestMultiStepRestart:
         shifts = small_gsvd(state.Bdense, state.Bbardense).C[-3:]
         new = multi_step_implicit_restart(state, shifts, 4)
         assert verify_state(new, op).max_defect() < 1e-9
-        jbd_expand(new, op, 7, LS)
+        jbd_expand(new, op, 7)
         assert verify_state(new, op).max_defect() < 1e-9
 
     def test_restart_equivalence_with_filtered_fresh_run(self, rng):
@@ -185,8 +182,8 @@ class TestMultiStepRestart:
         for lam in shifts:
             filtered = (QA @ QA.T - lam**2 * np.eye(16)) @ filtered
         filtered /= np.linalg.norm(filtered)
-        fresh = jbd_init(op, filtered, LS, capacity=l)
-        jbd_expand(fresh, op, l, LS)
+        fresh = jbd_init(op, filtered, capacity=l)
+        jbd_expand(fresh, op, l)
 
         # compare column spans through principal angles
         for Mn, Mf in ((new.U, fresh.U), (new.Vprime, fresh.Vprime),
@@ -226,7 +223,7 @@ class TestThickRestart:
         ritz = small_gsvd(state.Bdense, state.Bbardense)
         kept = ritz.C[:3].copy()
         new = thick_restart(state, ritz, 3, target="largest")
-        jbd_expand(new, op, 7, LS)
+        jbd_expand(new, op, 7)
         again = small_gsvd(new.Bdense, new.Bbardense)
         # the kept directions remain in the grown subspace, so the leading
         # Ritz values can only move up toward the true values
@@ -259,7 +256,7 @@ class TestThickRestart:
         ritz = small_gsvd(state.Bdense, state.Bbardense)
         new = thick_restart(state, ritz, 4, target="largest")
         assert verify_state(new, op).max_defect() < 1e-9
-        jbd_expand(new, op, 7, LS)
+        jbd_expand(new, op, 7)
         assert verify_state(new, op).max_defect() < 1e-9
 
     def test_bad_arguments(self, rng):

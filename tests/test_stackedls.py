@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from irjbd.sparsemat import SparseMatrix, identity
-from irjbd.stackedls import (LsqrConfig, StackedOperator, lsqr_solve, project_onto_range,
-                             stack_norm_estimate)
+from irjbd.stackedls import StackedOperator, lsqr_solve, stack_norm_estimate
 
 EPS = np.finfo(np.float64).eps
 
 
 def _zero_matrix(nrows, ncols):
     return SparseMatrix.from_coo(nrows, ncols, [], [], [])
+
+
+def _project(op, u):
+    """Projection of (u; 0) onto range([A; L]) through one inner solve."""
+    rhs = np.concatenate([u, np.zeros(op.p)])
+    out = lsqr_solve(op, rhs)
+    return op.apply(out.solution), out
 
 
 class TestApply:
@@ -33,43 +39,48 @@ class TestApply:
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
             StackedOperator(identity(3), identity(4))
+        with pytest.raises(ValueError):
+            StackedOperator(identity(3), identity(3), tol=0)
 
 
 class TestLsqr:
     def test_consistent_identity_block(self, rng):
-        op = StackedOperator(identity(2), _zero_matrix(2, 2))
+        op = StackedOperator(identity(2), _zero_matrix(2, 2), tol=1e-12, maxit=50)
         b = rng.standard_normal(2)
         rhs = np.concatenate([b, np.zeros(2)])
-        out = lsqr_solve(op, rhs, tol=1e-12, maxit=50)
+        out = lsqr_solve(op, rhs)
         assert out.converged
         np.testing.assert_allclose(out.solution, b, atol=1e-12)
 
     def test_rhs_orthogonal_to_range(self):
         # range([I_2; 0] padded) misses the third row entirely
         Ad = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(1, 2))
+        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(1, 2), tol=1e-12,
+                             maxit=50)
         rhs = np.array([0.0, 0.0, 1.0, 0.0])
-        out = lsqr_solve(op, rhs, tol=1e-12, maxit=50)
+        out = lsqr_solve(op, rhs)
         np.testing.assert_allclose(out.solution, np.zeros(2), atol=1e-12)
 
     def test_matches_dense_normal_equations(self, rng):
         Ad = rng.standard_normal((5, 5))
         Ld = rng.standard_normal((3, 5))
         stack = np.vstack([Ad, Ld])
-        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld))
+        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld),
+                             tol=10 * EPS, maxit=100)
         rhs = rng.standard_normal(8)
         expected = np.linalg.solve(stack.T @ stack, stack.T @ rhs)
-        out = lsqr_solve(op, rhs, tol=10 * EPS, maxit=100)
+        out = lsqr_solve(op, rhs)
         assert out.converged
         np.testing.assert_allclose(out.solution, expected, atol=1e-10)
 
     def test_normal_equation_residual_small_when_converged(self, rng):
         Ad = rng.standard_normal((6, 4))
         Ld = rng.standard_normal((5, 4))
-        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld))
-        rhs = rng.standard_normal(11)
         tol = 1e-10
-        out = lsqr_solve(op, rhs, tol=tol, maxit=200)
+        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld),
+                             tol=tol, maxit=200)
+        rhs = rng.standard_normal(11)
+        out = lsqr_solve(op, rhs)
         assert out.converged
         stack = np.vstack([Ad, Ld])
         grad = stack.T @ (rhs - stack @ out.solution)
@@ -78,32 +89,44 @@ class TestLsqr:
 
     def test_nonconvergence_reported_not_raised(self, rng):
         Ad = rng.standard_normal((6, 4))
-        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4))
+        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4), tol=1e-16,
+                             maxit=2)
         rhs = rng.standard_normal(8)
-        out = lsqr_solve(op, rhs, tol=1e-16, maxit=2)
+        out = lsqr_solve(op, rhs)
         assert not out.converged
         assert out.iterations == 2
 
     def test_iterations_capped(self, rng):
         Ad = rng.standard_normal((6, 4))
-        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4))
-        out = lsqr_solve(op, rng.standard_normal(8), tol=1e-16, maxit=7)
+        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4), tol=1e-16,
+                             maxit=7)
+        out = lsqr_solve(op, rng.standard_normal(8))
         assert out.iterations <= 7
+
+    def test_zero_rhs_needs_no_iteration(self):
+        # a zero right-hand side needs no iteration: x = 0 is exact
+        op = StackedOperator(identity(2), identity(2), tol=1e-12, maxit=10)
+        out = lsqr_solve(op, np.zeros(4))
+        np.testing.assert_array_equal(out.solution, np.zeros(2))
+        assert out.iterations == 0
+        assert out.converged
+        assert op.iterations == 0 and op.failures == 0
 
 
 class TestProjection:
     def test_full_range_upper_block(self, rng):
         # with A square invertible and L = 0, (u; 0) already lies in the range
-        op = StackedOperator(identity(4), _zero_matrix(2, 4))
+        op = StackedOperator(identity(4), _zero_matrix(2, 4), tol=1e-13, maxit=100)
         u = rng.standard_normal(4)
-        proj, out = project_onto_range(op, u, tol=1e-13, maxit=100)
+        proj, out = _project(op, u)
         assert out.converged
         np.testing.assert_allclose(proj, np.concatenate([u, np.zeros(2)]), atol=1e-12)
 
     def test_vector_outside_range_projects_to_zero(self):
         Ad = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(1, 2))
-        proj, _ = project_onto_range(op, np.array([0.0, 0.0, 1.0]), tol=1e-13, maxit=50)
+        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(1, 2), tol=1e-13,
+                             maxit=50)
+        proj, _ = _project(op, np.array([0.0, 0.0, 1.0]))
         np.testing.assert_allclose(proj, np.zeros(4), atol=1e-12)
 
     def test_matches_dense_projector(self, rng):
@@ -111,28 +134,25 @@ class TestProjection:
         Ld = rng.standard_normal((3, 5))
         stack = np.vstack([Ad, Ld])
         Q, _ = np.linalg.qr(stack)
-        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld))
+        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld),
+                             tol=10 * EPS, maxit=200)
         u = rng.standard_normal(5)
         u /= np.linalg.norm(u)
-        proj, out = project_onto_range(op, u, tol=10 * EPS, maxit=200)
+        proj, out = _project(op, u)
         expected = Q @ (Q.T @ np.concatenate([u, np.zeros(3)]))
         np.testing.assert_allclose(proj, expected, atol=1e-10)
 
     def test_idempotent_on_range_vectors(self, rng):
         Ad = rng.standard_normal((6, 4))
         Ld = rng.standard_normal((5, 4))
-        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld))
         tol = 1e-12
+        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld),
+                             tol=tol, maxit=200)
         w = op.apply(rng.standard_normal(4))
         # feed the in-range vector back through the least-squares projection
-        out = lsqr_solve(op, w, tol=tol, maxit=200)
+        out = lsqr_solve(op, w)
         again = op.apply(out.solution)
         assert np.linalg.norm(again - w) <= 10 * tol * np.linalg.norm(w) + 1e-12
-
-    def test_zero_vector_rejected(self):
-        op = StackedOperator(identity(2), identity(2))
-        with pytest.raises(ValueError):
-            project_onto_range(op, np.zeros(2), tol=1e-12, maxit=10)
 
 
 def test_stack_norm_estimate_bounds_spectral_norm(rng):
@@ -143,8 +163,17 @@ def test_stack_norm_estimate_bounds_spectral_norm(rng):
     assert est >= true - 1e-12
 
 
-def test_lsqr_config_defaults():
-    cfg = LsqrConfig()
-    assert cfg.tol == 10 * EPS
-    assert cfg.resolve_maxit(37) == 370
-    assert LsqrConfig(maxit=5).resolve_maxit(37) == 5
+def test_operator_defaults_and_counters(rng):
+    op = StackedOperator(identity(37), identity(37))
+    assert op.tol == 10 * EPS
+    assert op.maxit == 370
+    assert StackedOperator(identity(37), identity(37), maxit=5).maxit == 5
+
+    # the counters sum over every solve made through the operator
+    Ad = rng.standard_normal((6, 4))
+    op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4), tol=1e-16,
+                         maxit=2)
+    first = lsqr_solve(op, rng.standard_normal(8))
+    second = lsqr_solve(op, rng.standard_normal(8))
+    assert op.iterations == first.iterations + second.iterations == 4
+    assert op.failures == int(not first.converged) + int(not second.converged) == 2
