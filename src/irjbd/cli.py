@@ -45,7 +45,8 @@ def build_parser():
     parser.add_argument("--maxit", type=int, default=1000,
                         help="maximum number of restarts (default: 1000)")
     parser.add_argument("--lsqr-tol", type=float, default=10.0 * EPS,
-                        help="inner least-squares tolerance (default: 10*eps)")
+                        help="inner least-squares tolerance, applied to [A; L] "
+                             "equilibrated to unit column norms (default: 10*eps)")
     parser.add_argument("--lsqr-maxit", type=int, default=None,
                         help="inner least-squares iteration cap (default: 10n)")
     parser.add_argument("--seed", type=int, default=0,

@@ -25,6 +25,18 @@ class MatrixMarketError(ValueError):
     """Raised when a Matrix Market file cannot be parsed."""
 
 
+def _csr_product(out_ids, in_ids, values, vec, size):
+    """Return out with out[out_ids[k]] += values[k] * vec[in_ids[k]] over all k.
+
+    One bincount: with (out_ids, in_ids) = (row ids, column indices) it is
+    M x, swapped it is M.T y.  Each entry of out sums its terms in storage
+    order.
+    """
+    if len(values) == 0:
+        return np.zeros(size)
+    return np.bincount(out_ids, weights=values * vec[in_ids], minlength=size)
+
+
 class SparseMatrix:
     """Immutable real matrix in canonical CSR form.
 
@@ -144,10 +156,7 @@ class SparseMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
             raise ValueError(f"matvec expects a vector of length {self.ncols}, got {x.shape}")
-        if self.nnz == 0:
-            return np.zeros(self.nrows)
-        return np.bincount(self._row_ids, weights=self.values * x[self.col_indices],
-                           minlength=self.nrows)
+        return _csr_product(self._row_ids, self.col_indices, self.values, x, self.nrows)
 
     def matvec_transpose(self, y):
         """Return ``M.T @ y``."""
@@ -155,10 +164,7 @@ class SparseMatrix:
         if y.shape != (self.nrows,):
             raise ValueError(f"matvec_transpose expects a vector of length {self.nrows}, "
                              f"got {y.shape}")
-        if self.nnz == 0:
-            return np.zeros(self.ncols)
-        return np.bincount(self.col_indices, weights=self.values * y[self._row_ids],
-                           minlength=self.ncols)
+        return _csr_product(self.col_indices, self._row_ids, self.values, y, self.ncols)
 
     def norm1(self):
         """Maximum absolute column sum."""

@@ -1,9 +1,11 @@
 """Least-squares machinery on the stacked operator [A; L].
 
-The stacked matrix is never materialized: every product is two sparse
-matvecs.  LSQR is implemented natively on the operator so that inner solves
-touch nothing but ``matvec``/``matvec_transpose``.  The operator owns the
-inner-solve controls and counts the work of every solve made through it.
+The operator holds [A; L] as one set of CSR arrays, built once, so each
+product with it or its transpose is a single bincount.  LSQR is implemented
+natively on the operator and runs on [A; L] right-scaled to unit column
+norms, a preconditioner that leaves range([A; L]) unchanged.  The operator
+owns the inner-solve controls and counts the work of every solve made
+through it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
+
+from .sparsemat import _csr_product
 
 __all__ = ["StackedOperator", "LsqrOutcome", "lsqr_solve", "stack_norm_estimate"]
 
@@ -26,9 +30,12 @@ def stack_norm_estimate(A, L):
 class StackedOperator:
     """The operator x -> (A x; L x) for a conformable pair {A, L}.
 
-    It also holds the inner-solve controls — ``tol`` (default 10 eps) and
-    ``maxit`` (default 10 n) — and two counters, ``iterations`` and
-    ``failures``, that every ``lsqr_solve`` through it adds to.
+    [A; L] is stored fused: L's rows follow A's in one set of CSR arrays.
+    ``scale`` holds 1 / ||column j of [A; L]|| (1 for a zero column), the
+    right scaling under which ``lsqr_solve`` iterates.  The operator also
+    holds the inner-solve controls — ``tol`` (default 10 eps) and ``maxit``
+    (default 10 n) — and two counters, ``iterations`` and ``failures``, that
+    every ``lsqr_solve`` through it adds to.
     """
 
     def __init__(self, A, L, tol=10.0 * _EPS, maxit=None):
@@ -49,6 +56,15 @@ class StackedOperator:
         self.failures = 0
         self._rnorm = None
 
+        offsets = np.concatenate([A.row_offsets, L.row_offsets[1:] + A.nnz])
+        self._row_ids = np.repeat(np.arange(self.m + self.p, dtype=np.int64), np.diff(offsets))
+        self._col_indices = np.concatenate([A.col_indices, L.col_indices])
+        self._values = np.concatenate([A.values, L.values])
+        colnorm = np.sqrt(np.bincount(self._col_indices, weights=self._values**2,
+                                      minlength=self.n))
+        self.scale = np.ones(self.n)
+        np.divide(1.0, colnorm, out=self.scale, where=colnorm > 0.0)
+
     @property
     def rnorm_estimate(self):
         if self._rnorm is None:
@@ -64,10 +80,7 @@ class StackedOperator:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"apply expects a vector of length {self.n}, got {x.shape}")
-        out = np.empty(self.m + self.p)
-        out[: self.m] = self.A.matvec(x)
-        out[self.m:] = self.L.matvec(x)
-        return out
+        return _csr_product(self._row_ids, self._col_indices, self._values, x, self.m + self.p)
 
     def apply_transpose(self, y):
         """Return A.T y_upper + L.T y_lower for a stacked y."""
@@ -75,7 +88,7 @@ class StackedOperator:
         if y.shape != (self.m + self.p,):
             raise ValueError(f"apply_transpose expects a vector of length {self.m + self.p}, "
                              f"got {y.shape}")
-        return self.A.matvec_transpose(y[: self.m]) + self.L.matvec_transpose(y[self.m:])
+        return _csr_product(self._col_indices, self._row_ids, self._values, y, self.n)
 
 
 @dataclass
@@ -89,13 +102,16 @@ class LsqrOutcome:
 def lsqr_solve(op, rhs):
     """Minimize ||[A; L] x - rhs|| over x by the LSQR recurrence.
 
-    Runs the Golub-Kahan bidiagonalization of the operator with the usual
-    pair of plane rotations, stopping when either backward-error test
-    (compatible-system or least-squares) falls below ``op.tol``, which serves
-    as both atol and btol.  Non-convergence within ``op.maxit`` is reported
-    through the flag, never raised: ill conditioning can legitimately push
-    the iteration count past n.  The iteration count and any non-convergence
-    are added to the operator's counters.
+    Runs the Golub-Kahan bidiagonalization of the equilibrated operator
+    [A; L] D, D = diag(``op.scale``), with the usual pair of plane rotations
+    and returns x = D y for its iterate y.  The scaling changes the
+    conditioning LSQR sees, not the least-squares fit [A; L] x.  It stops
+    when either backward-error test (compatible-system or least-squares) of
+    the equilibrated system falls below ``op.tol``, which serves as both
+    atol and btol.  Non-convergence within ``op.maxit`` is reported through
+    the flag, never raised: ill conditioning can legitimately push the
+    iteration count past n.  The iteration count and any non-convergence are
+    added to the operator's counters.
 
     Parameters
     ----------
@@ -111,19 +127,20 @@ def lsqr_solve(op, rhs):
         raise ValueError(f"rhs must have length {op.m + op.p}, got {rhs.shape}")
 
     tol = op.tol
-    x = np.zeros(op.n)
+    scale = op.scale
+    y = np.zeros(op.n)
 
     u = rhs.copy()
     beta = sqrt(u @ u)
     bnorm = beta
     if beta == 0.0:
-        return LsqrOutcome(x, 0.0, 0, True)
+        return LsqrOutcome(y, 0.0, 0, True)
     u /= beta
-    v = op.apply_transpose(u)
+    v = scale * op.apply_transpose(u)
     alfa = sqrt(v @ v)
     if alfa == 0.0:
         # rhs is orthogonal to the range: x = 0 is the least-squares solution
-        return LsqrOutcome(x, 1.0, 0, True)
+        return LsqrOutcome(y, 1.0, 0, True)
     v /= alfa
     w = v.copy()
 
@@ -139,13 +156,13 @@ def lsqr_solve(op, rhs):
         itn += 1
         # in place: negation is exact, so -alfa * u + Av rounds like Av - alfa * u
         u *= -alfa
-        u += op.apply(v)
+        u += op.apply(scale * v)
         beta = sqrt(u @ u)
         if beta > 0.0:
             u /= beta
             anorm = sqrt(anorm**2 + alfa**2 + beta**2)
             v *= -beta
-            v += op.apply_transpose(u)
+            v += scale * op.apply_transpose(u)
             alfa = sqrt(v @ v)
             if alfa > 0.0:
                 v /= alfa
@@ -159,10 +176,10 @@ def lsqr_solve(op, rhs):
         phi = cs * phibar
         phibar = sn * phibar
 
-        x += (phi / rho) * w
+        y += (phi / rho) * w
         w *= -(theta / rho)
         w += v
-        xnorm = sqrt(x @ x)
+        xnorm = sqrt(y @ y)
 
         rnorm = phibar
         arnorm = alfa * abs(sn * phi)
@@ -177,4 +194,4 @@ def lsqr_solve(op, rhs):
     # exit moves the operator's counters
     op.iterations += itn
     op.failures += 0 if converged else 1
-    return LsqrOutcome(x, float(test1), itn, converged)
+    return LsqrOutcome(scale * y, float(test1), itn, converged)

@@ -262,6 +262,23 @@ class TestSolverLoop:
         np.testing.assert_allclose([c.c for c in res.components],
                                    ref.C[ref.nontrivial_slice()][:2], rtol=1e-6)
 
+    def test_badly_column_scaled_pair_matches_unscaled_oracle(self):
+        # right scaling by D leaves the generalized values unchanged, so the
+        # unscaled pair is the reference; graded columns must not stall the
+        # inner solves
+        rng = np.random.default_rng(5)
+        n = 60
+        Ad = rng.standard_normal((90, n))
+        Ld = second_order_L(n).to_dense()
+        d = 10.0 ** np.linspace(-3, 3, n)
+        res = irjbd_solve(SparseMatrix.from_dense(Ad * d), SparseMatrix.from_dense(Ld * d),
+                          SolverConfig(target=3, kmax=12, tol=1e-8, seed=1, maxit=300))
+        assert res.status == "converged"
+        assert res.lsqr_failures == 0
+        ref = dense_gsvd(Ad, Ld)
+        np.testing.assert_allclose([c.c for c in res.components],
+                                   ref.C[ref.nontrivial_slice()][:3], rtol=0, atol=1e-6)
+
     def test_lsqr_counts_include_recovery(self, rng, monkeypatch):
         # every inner solve, expansion and recovery alike, goes through the
         # name bound in jbd or in driver; the result must count them all

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from irjbd.sparsemat import SparseMatrix, identity
+from irjbd.sparsemat import SparseMatrix, identity, second_order_L
 from irjbd.stackedls import StackedOperator, lsqr_solve, stack_norm_estimate
 
 EPS = np.finfo(np.float64).eps
@@ -35,6 +37,20 @@ class TestApply:
         np.testing.assert_allclose(op.apply(x), np.vstack([Ad, Ld]) @ x, atol=1e-14)
         y = rng.standard_normal(9)
         np.testing.assert_allclose(op.apply_transpose(y), np.vstack([Ad, Ld]).T @ y, atol=1e-14)
+
+    def test_fused_product_pinned_to_the_two_blocks(self, rng):
+        # [A; L] is stored as one set of arrays; each row of the product sums
+        # its terms in the same order as A.matvec and L.matvec do
+        Ad = rng.standard_normal((30, 20)) * (rng.random((30, 20)) < 0.3)
+        A, L = SparseMatrix.from_dense(Ad), second_order_L(20)
+        op = StackedOperator(A, L)
+        x = rng.standard_normal(20)
+        np.testing.assert_array_equal(op.apply(x), np.concatenate([A.matvec(x), L.matvec(x)]))
+        # the transpose adds the L terms of a column after the A terms instead
+        # of adding two finished sums, so only the order of summation differs
+        y = rng.standard_normal(50)
+        blocks = A.matvec_transpose(y[:30]) + L.matvec_transpose(y[30:])
+        assert np.max(np.abs(op.apply_transpose(y) - blocks)) <= 4 * EPS * np.max(np.abs(blocks))
 
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
@@ -111,6 +127,50 @@ class TestLsqr:
         assert out.iterations == 0
         assert out.converged
         assert op.iterations == 0 and op.failures == 0
+
+
+class TestEquilibration:
+    def test_scale_is_inverse_column_norm(self, rng):
+        Ad = rng.standard_normal((4, 3))
+        Ld = rng.standard_normal((2, 3))
+        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld))
+        np.testing.assert_allclose(op.scale, 1.0 / np.linalg.norm(np.vstack([Ad, Ld]), axis=0),
+                                   rtol=1e-14)
+
+    def test_badly_column_scaled_stack(self, rng):
+        # columns graded over eight decades: unscaled, LSQR stalls at maxit
+        # with no correct digit; equilibrated, it converges in about n steps
+        n = 40
+        d = 10.0 ** np.linspace(-4, 4, n)
+        Ad = rng.standard_normal((60, n)) * d
+        Ld = second_order_L(n).to_dense() * d
+        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld))
+        rhs = rng.standard_normal(60 + n)
+        out = lsqr_solve(op, rhs)
+        assert out.converged
+        assert out.iterations <= 10 * n
+        expected = np.linalg.lstsq(np.vstack([Ad, Ld]), rhs, rcond=None)[0]
+        assert np.linalg.norm(out.solution - expected) <= 1e-6 * np.linalg.norm(expected)
+
+    def test_zero_column_of_the_stack(self, rng):
+        # column 1 is empty in both A and L: the stack is not regular, the
+        # column keeps scale 1 and its entry of the solution stays 0
+        Ad = rng.standard_normal((5, 3))
+        Ld = rng.standard_normal((2, 3))
+        Ad[:, 1] = 0.0
+        Ld[:, 1] = 0.0
+        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld),
+                             tol=1e-12, maxit=50)
+        assert op.scale[1] == 1.0
+        rhs = rng.standard_normal(7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lsqr_solve(op, rhs)
+        assert np.all(np.isfinite(out.solution))
+        assert out.solution[1] == 0.0
+        keep = [0, 2]
+        expected = np.linalg.lstsq(np.vstack([Ad, Ld])[:, keep], rhs, rcond=None)[0]
+        np.testing.assert_allclose(out.solution[keep], expected, atol=1e-10)
 
 
 class TestProjection:
