@@ -46,7 +46,7 @@ def build_parser():
                         help="maximum number of restarts (default: 1000)")
     parser.add_argument("--lsqr-tol", type=float, default=10.0 * EPS,
                         help="inner least-squares tolerance, applied to [A; L] "
-                             "equilibrated to unit column norms (default: 10*eps)")
+                             "right-preconditioned (default: 10*eps)")
     parser.add_argument("--lsqr-maxit", type=int, default=None,
                         help="inner least-squares iteration cap (default: 10n)")
     parser.add_argument("--seed", type=int, default=0,
@@ -87,7 +87,7 @@ def _format_report(args, A, L, l_label, result, elapsed):
     put(f"tol {args.tol:.17g}")
     put(f"maxit {args.maxit}")
     put(f"lsqr_tol {args.lsqr_tol:.17g}")
-    put(f"lsqr_maxit {StackedOperator(A, L, maxit=args.lsqr_maxit).maxit}")
+    put(f"lsqr_maxit {StackedOperator.resolve_maxit(args.lsqr_maxit, A.ncols)}")
     put(f"criterion {args.criterion}")
     put(f"restart_mode {args.restart_mode}")
     put(f"matrix_a {args.A} rows {A.nrows} cols {A.ncols} nnz {A.nnz}")

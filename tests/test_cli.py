@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irjbd.cli import run_cli
+from irjbd.cli import main, run_cli
 from irjbd.sparsemat import SparseMatrix, write_matrix_market
+from irjbd.stackedls import StackedOperator
 
 
 @pytest.fixture
@@ -103,6 +104,24 @@ class TestRuns:
         capsys.readouterr()
         assert code == 2
 
+
+    def test_one_operator_per_run(self, diag_matrix_file, monkeypatch, capsys):
+        # the report's lsqr_maxit needs no operator of its own
+        built = []
+        init = StackedOperator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StackedOperator, "__init__", counting)
+        monkeypatch.setattr(sys, "argv", ["irjbd", "--A", diag_matrix_file, "--L", "identity",
+                                          "--kmax", "5", "--target", "2"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert len(built) == 1
+        assert "\nlsqr_maxit 50\n" in capsys.readouterr().out
 
     def test_module_entry_point_runs(self, diag_matrix_file):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -3,6 +3,7 @@ import pytest
 
 import irjbd.driver
 import irjbd.jbd
+import irjbd.stackedls
 from irjbd.bidiag import small_gsvd
 from irjbd.driver import (GsvdComponent, RitzComponent, RitzSet, SolverConfig,
                           check_convergence, compute_residual, cross_residual_norm,
@@ -291,6 +292,9 @@ class TestSolverLoop:
 
         monkeypatch.setattr(irjbd.jbd, "lsqr_solve", counting)
         monkeypatch.setattr(irjbd.driver, "lsqr_solve", counting)
+        # the diagonal preconditioner: under the factored one every solve
+        # converges in one or two iterations and no cap makes it fail
+        monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
         _, _, A, L = gaussian_pair(rng, 24, 22, 16)
         # a tight inner cap makes some solves fail, so both counts are exercised
         with pytest.warns(UserWarning, match="did not converge during recovery"):
@@ -302,9 +306,11 @@ class TestSolverLoop:
         assert res.lsqr_failures == sum(not out.converged for out in seen)
         assert res.history[-1].lsqr_iters_total < res.lsqr_iterations
 
-    def test_inner_failures_named_in_message(self, rng):
+    def test_inner_failures_named_in_message(self, rng, monkeypatch):
         # one LSQR iteration per solve cannot converge; the solve must still
-        # end cleanly and say why
+        # end cleanly and say why (on the diagonal preconditioner: under the
+        # factored one a single iteration converges)
+        monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
         A = SparseMatrix.from_dense(rng.standard_normal((60, 40)))
         with pytest.warns(UserWarning, match="did not converge during recovery"):
             res = irjbd_solve(A, second_order_L(40),

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import irjbd.stackedls
 from irjbd.sparsemat import SparseMatrix, identity, second_order_L
 from irjbd.stackedls import StackedOperator, lsqr_solve, stack_norm_estimate
 
@@ -103,7 +104,9 @@ class TestLsqr:
         bound = 100 * tol * np.linalg.norm(stack, 2) * np.linalg.norm(rhs)
         assert np.linalg.norm(grad) <= bound
 
-    def test_nonconvergence_reported_not_raised(self, rng):
+    def test_nonconvergence_reported_not_raised(self, rng, monkeypatch):
+        # on the diagonal preconditioner: the factored one converges in one step
+        monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
         Ad = rng.standard_normal((6, 4))
         op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4), tol=1e-16,
                              maxit=2)
@@ -173,6 +176,138 @@ class TestEquilibration:
         np.testing.assert_allclose(out.solution[keep], expected, atol=1e-10)
 
 
+def _diagonal_twin(monkeypatch, A, L, **kw):
+    """The operator of {A, L} with the factored preconditioner switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
+        return StackedOperator(A, L, **kw)
+
+
+def _assert_on_diagonal_path(monkeypatch, A, L, rhs):
+    """Build the operator with no warning and check it solves like its twin."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = StackedOperator(A, L, tol=1e-12, maxit=200)
+        out = lsqr_solve(op, rhs)
+    twin = _diagonal_twin(monkeypatch, A, L, tol=1e-12, maxit=200)
+    ref = lsqr_solve(twin, rhs)
+    np.testing.assert_array_equal(op.scale, twin.scale)
+    np.testing.assert_array_equal(out.solution, ref.solution)
+    assert out.iterations == ref.iterations
+    return out
+
+
+class TestFactoredPreconditioner:
+    @staticmethod
+    def pair(rng, m=45, n=30):
+        Ad = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.2)
+        return SparseMatrix.from_dense(Ad), second_order_L(n)
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_matches_diagonal_path(self, rng, monkeypatch, consistent):
+        A, L = self.pair(rng)
+        op = StackedOperator(A, L)
+        twin = _diagonal_twin(monkeypatch, A, L)
+        rhs = op.apply(rng.standard_normal(30)) if consistent else rng.standard_normal(75)
+        out = lsqr_solve(op, rhs)
+        ref = lsqr_solve(twin, rhs)
+        assert out.converged and ref.converged
+        assert out.iterations <= 3 < ref.iterations
+        err = np.linalg.norm(out.solution - ref.solution)
+        assert err <= 1e-12 * np.linalg.norm(ref.solution)
+
+    def test_graded_columns_on_the_diagonal_path(self, rng, monkeypatch):
+        # the column scaling alone still carries a stack graded over eight
+        # decades, as it does for every n above the cap
+        monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
+        n = 40
+        d = 10.0 ** np.linspace(-4, 4, n)
+        Ad = rng.standard_normal((60, n)) * d
+        Ld = second_order_L(n).to_dense() * d
+        op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld))
+        rhs = rng.standard_normal(60 + n)
+        out = lsqr_solve(op, rhs)
+        assert out.converged
+        assert 3 < out.iterations <= 10 * n
+        expected = np.linalg.lstsq(np.vstack([Ad, Ld]), rhs, rcond=None)[0]
+        assert np.linalg.norm(out.solution - expected) <= 1e-6 * np.linalg.norm(expected)
+
+    def test_zero_column_falls_back(self, rng, monkeypatch):
+        Ad = rng.standard_normal((8, 5))
+        Ld = rng.standard_normal((3, 5))
+        Ad[:, 2] = 0.0
+        Ld[:, 2] = 0.0
+        _assert_on_diagonal_path(monkeypatch, SparseMatrix.from_dense(Ad),
+                                 SparseMatrix.from_dense(Ld), rng.standard_normal(11))
+
+    def test_rank_deficient_stack_falls_back(self, rng, monkeypatch):
+        # column 3 repeats column 1 in both blocks
+        Ad = rng.standard_normal((8, 5))
+        Ld = rng.standard_normal((3, 5))
+        Ad[:, 3] = Ad[:, 1]
+        Ld[:, 3] = Ld[:, 1]
+        rhs = rng.standard_normal(11)
+        out = _assert_on_diagonal_path(monkeypatch, SparseMatrix.from_dense(Ad),
+                                       SparseMatrix.from_dense(Ld), rhs)
+        stack = np.vstack([Ad, Ld])
+        fit = np.linalg.lstsq(stack, rhs, rcond=None)[0]
+        np.testing.assert_allclose(stack @ out.solution, stack @ fit, atol=1e-9)
+
+    def test_above_the_byte_cap_falls_back(self, rng, monkeypatch):
+        n = 513                      # 8 n^2 bytes is just over 2 MiB
+        assert 8 * n * n > irjbd.stackedls._FACTOR_BYTES >= 8 * 512 * 512
+        _assert_on_diagonal_path(monkeypatch, identity(n), second_order_L(n),
+                                 rng.standard_normal(2 * n))
+
+    def test_non_finite_factor_falls_back(self, rng, monkeypatch):
+        A, L = self.pair(rng)
+        monkeypatch.setattr(np.linalg, "inv", lambda a: np.full_like(a, np.inf))
+        _assert_on_diagonal_path(monkeypatch, A, L, rng.standard_normal(75))
+
+
+class TestExtremeScaling:
+    # entries near 1e160 square past the float range; the column norms, the
+    # norm estimate and the rhs norm must not overflow
+    A = SparseMatrix.from_dense([[1e160, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    rhs = np.array([1e160, 1.0, 2.0, 1.0, 1.0])
+
+    def test_norms_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = StackedOperator(self.A, identity(2))
+            tiny = StackedOperator(SparseMatrix.from_dense([[1e-170], [2e-170]]),
+                                   SparseMatrix.from_dense([[0.0]]))
+        np.testing.assert_allclose(op.scale, [1e-160, 1 / np.sqrt(3)], rtol=1e-15)
+        np.testing.assert_allclose(tiny.scale, [1e170 / np.sqrt(5)], rtol=1e-15)
+        assert np.isfinite(op.rnorm_estimate)
+        assert op.rnorm_estimate >= 1e160
+
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_huge_entry_solved(self, monkeypatch, factored):
+        # the exact solution is (1, 1), but its second entry is fixed only by
+        # entries 1e160 times smaller than ||rhs||: a normwise tolerance
+        # determines x[0] and the backward error, never x = 0
+        if not factored:
+            monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
+        op = StackedOperator(self.A, identity(2))
+        assert (op._factor is not None) == factored
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lsqr_solve(op, self.rhs)
+        assert out.converged
+        assert np.all(np.isfinite(out.solution))
+        assert abs(out.solution[0] - 1.0) <= 1e-12
+        resid = self.rhs / 1e160 - op.apply(out.solution) / 1e160
+        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(self.rhs / 1e160)
+
+    def test_non_finite_rhs_rejected(self):
+        op = StackedOperator(self.A, identity(2))
+        with pytest.raises(ValueError, match="finite"):
+            lsqr_solve(op, np.array([np.inf, 1.0, 2.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            lsqr_solve(op, np.array([np.nan, 1.0, 2.0, 1.0, 1.0]))
+
+
 class TestProjection:
     def test_full_range_upper_block(self, rng):
         # with A square invertible and L = 0, (u; 0) already lies in the range
@@ -223,7 +358,9 @@ def test_stack_norm_estimate_bounds_spectral_norm(rng):
     assert est >= true - 1e-12
 
 
-def test_operator_defaults_and_counters(rng):
+def test_operator_defaults_and_counters(rng, monkeypatch):
+    # on the diagonal preconditioner, where a cap of 2 iterations fails
+    monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
     op = StackedOperator(identity(37), identity(37))
     assert op.tol == 10 * EPS
     assert op.maxit == 370
