@@ -53,9 +53,6 @@ def build_parser():
                         help="seed for the random unit starting vector (default: 0)")
     parser.add_argument("--restart-mode", choices=("implicit", "thick"),
                         default="implicit", help="restart strategy (default: implicit)")
-    parser.add_argument("--criterion", choices=("pq", "w"), default="pq",
-                        help="stopping bound: trailing left entries (pq) or trailing "
-                             "right entry (w) (default: pq)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the report here instead of stdout")
     parser.add_argument("--history", metavar="PATH", default=None,
@@ -88,7 +85,6 @@ def _format_report(args, A, L, l_label, result, elapsed):
     put(f"maxit {args.maxit}")
     put(f"lsqr_tol {args.lsqr_tol:.17g}")
     put(f"lsqr_maxit {StackedOperator.resolve_maxit(args.lsqr_maxit, A.ncols)}")
-    put(f"criterion {args.criterion}")
     put(f"restart_mode {args.restart_mode}")
     put(f"matrix_a {args.A} rows {A.nrows} cols {A.ncols} nnz {A.nnz}")
     put(f"matrix_l {l_label} rows {L.nrows} cols {L.ncols} nnz {L.nnz}")
@@ -151,7 +147,6 @@ def run_cli(argv=None):
             lsqr_tol=args.lsqr_tol,
             lsqr_maxit=args.lsqr_maxit,
             seed=args.seed,
-            criterion=args.criterion,
             restart_mode=args.restart_mode,
         )
     except ValueError as exc:

@@ -9,19 +9,18 @@ so its norm is bounded without ever forming x, y or z:
 
     ||r|| <= ||R_est|| * | s * alpha_next * p[-1] - c * betabar * pbar[-1] |
 
-with an algebraically identical alternative driven by w[-1].  The vectors
-themselves are recovered only after the bounds have converged.  In floating
-point the bounds acquire an extra term of order
-||Blead^-1|| * ||Bhat^-1|| * eps, so the solver tracks that product and
-raises a reliability warning once it could swamp the tolerance.
+The vectors themselves are recovered only after the bounds have converged,
+and from stored columns alone: the state keeps a preimage basis T with
+[A; L] T = Vprime, so x = T w costs no inner solve.  In floating point the
+bounds acquire an extra term of order ||Blead^-1|| * ||Bhat^-1|| * eps, so
+the solver tracks that product and raises a reliability warning once it
+could swamp the tolerance.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,23 +28,22 @@ from .bidiag import inverse_norm_estimates, small_gsvd
 from .jbd import BreakdownError, jbd_expand, jbd_init
 from .restart import CouplingDefectError, multi_step_implicit_restart, thick_restart
 from .shifts import apply_adaptive_rule, select_exact_shifts
-from .stackedls import StackedOperator, lsqr_solve
+from .stackedls import StackedOperator
+# not called here; bench/test_bench.py::test_tracer_restores_every_binding reads this binding
+from .stackedls import lsqr_solve  # noqa: F401
 
 __all__ = [
     "EPS",
     "SolverConfig",
-    "RitzComponent",
     "RitzSet",
     "GsvdComponent",
     "ConvergenceRecord",
     "SolveResult",
     "residual_bound_pq",
-    "residual_bound_w",
     "extract_ritz",
     "check_convergence",
     "recover_component",
     "compute_residual",
-    "cross_residual_norm",
     "irjbd_solve",
 ]
 
@@ -68,7 +66,6 @@ class SolverConfig:
     lsqr_tol: float = 10.0 * EPS
     lsqr_maxit: int | None = None
     seed: int = 0
-    criterion: str = "pq"
     restart_mode: str = "implicit"
 
     def __post_init__(self):
@@ -84,8 +81,8 @@ class SolverConfig:
             raise ValueError("maxit must be nonnegative")
         if self.lsqr_tol <= 0:
             raise ValueError("lsqr_tol must be positive")
-        if self.criterion not in ("pq", "w"):
-            raise ValueError("criterion must be 'pq' or 'w'")
+        if self.lsqr_maxit is not None and self.lsqr_maxit < 1:
+            raise ValueError("lsqr_maxit must be at least 1")
         if self.restart_mode not in ("implicit", "thick"):
             raise ValueError("restart_mode must be 'implicit' or 'thick'")
 
@@ -102,14 +99,6 @@ class SolverConfig:
         return max(0, min(self.adjust, self.kmax - self.l - 1))
 
 
-class RitzComponent(NamedTuple):
-    c: float
-    s: float
-    w: np.ndarray
-    p: np.ndarray
-    pbar: np.ndarray
-
-
 @dataclass
 class RitzSet:
     """Extraction snapshot: values, small vectors, bounds, convergence flags."""
@@ -120,17 +109,10 @@ class RitzSet:
     targeted: np.ndarray
     diag_product: float
     reliability_warning: bool
-    alpha_next: float
-    betabar: float
 
     @property
     def k(self):
         return self.small.k
-
-    def component(self, i):
-        sg = self.small
-        return RitzComponent(float(sg.C[i]), float(sg.S[i]), sg.W[:, i], sg.P[:, i],
-                             sg.Pbar[:, i])
 
 
 @dataclass
@@ -147,7 +129,6 @@ class GsvdComponent:
     bound: float = np.nan
     converged: bool = False
     reliability_warning: bool = False
-    lsqr_converged: bool = True
 
     @property
     def value(self):
@@ -169,7 +150,9 @@ class SolveResult:
     """Outcome of a solve.
 
     ``lsqr_iterations`` and ``lsqr_failures`` count the iterations and the
-    non-convergences of every inner solve, recovery included.
+    non-convergences of every inner solve.  Only the expansion makes inner
+    solves; recovery makes none, so a run that ends at an extraction has
+    ``lsqr_iterations == history[-1].lsqr_iters_total``.
     """
 
     components: list
@@ -183,33 +166,21 @@ class SolveResult:
     lsqr_failures: int = 0
 
 
-def residual_bound_pq(ritz_i, alpha_next, betabar_k, rnorm):
-    """Residual-norm bound from the trailing left-vector entries.
+def residual_bound_pq(small, alpha_next, betabar):
+    """Residual bounds of every component of an extraction, as one array.
 
-    With rnorm = 1 this is the tolerance-comparable relative form used by
-    the stopping test.
+    |s alpha_next p[-1] - c betabar pbar[-1]| from the trailing left-vector
+    entries: the tolerance-comparable relative form used by the stopping
+    test.
     """
-    return rnorm * abs(ritz_i.s * alpha_next * ritz_i.p[-1]
-                       - ritz_i.c * betabar_k * ritz_i.pbar[-1])
-
-
-def residual_bound_w(ritz_i, alpha_next, beta_next, rnorm):
-    """Residual-norm bound from the trailing right-vector entry.
-
-    Algebraically equal to the pq form but carries a 1/(c s) prefactor, so
-    it blows up on near-trivial components.
-    """
-    cs = ritz_i.c * ritz_i.s
-    if cs == 0.0:
-        return float("inf")
-    return rnorm * abs(alpha_next * beta_next / cs * ritz_i.w[-1])
+    return np.abs(small.S * alpha_next * small.P[-1] - small.C * betabar * small.Pbar[-1])
 
 
 def extract_ritz(state, cfg):
     """Approximate GSVD data of the current state, with per-component bounds.
 
-    Bounds are the tolerance-comparable relative quantities (no rnorm
-    factor); the targeted indices are the cfg-selected extremes.
+    Bounds are the tolerance-comparable relative quantities of
+    ``residual_bound_pq``; the targeted indices are the cfg-selected extremes.
     """
     if not state.is_canonical:
         raise ValueError("extraction expects canonical trailing couplings; "
@@ -218,30 +189,16 @@ def extract_ritz(state, cfg):
     Bbar = state.Bbardense.copy()
     k = state.k
     sg = small_gsvd(B, Bbar)
-
-    alpha_next = state.alpha_next
-    betabar = state.betabar
-    beta_next = float(B[k, k - 1]) if (k >= 1 and state.n_left == k + 1) else 0.0
-
     inv_lead, inv_hat = inverse_norm_estimates(B, Bbar)
     l = min(cfg.l, k)
-    ritz = RitzSet(
+    return RitzSet(
         small=sg,
-        bounds=np.empty(k),
+        bounds=residual_bound_pq(sg, state.alpha_next, state.betabar),
         converged=np.zeros(k, dtype=bool),
         targeted=np.arange(l) if cfg.mode == "largest" else np.arange(k - l, k),
         diag_product=inv_lead * inv_hat,
         reliability_warning=False,
-        alpha_next=alpha_next,
-        betabar=betabar,
     )
-    for i in range(k):
-        comp = ritz.component(i)
-        if cfg.criterion == "pq":
-            ritz.bounds[i] = residual_bound_pq(comp, alpha_next, betabar, 1.0)
-        else:
-            ritz.bounds[i] = residual_bound_w(comp, alpha_next, beta_next, 1.0)
-    return ritz
 
 
 def check_convergence(ritz, cfg):
@@ -266,38 +223,22 @@ def compute_residual(comp, A, L, rnorm):
     return total, total / rnorm
 
 
-def cross_residual_norm(comp, A, L):
-    """Residual norm in the cross-product form used by thick-restart solvers.
-
-    Equals the norm of the third residual block whenever the first two
-    blocks vanish.
-    """
-    ay = A.matvec_transpose(comp.y)
-    lz = L.matvec_transpose(comp.z)
-    llx = L.matvec_transpose(L.matvec(comp.x))
-    aax = A.matvec_transpose(A.matvec(comp.x))
-    t1 = comp.s**2 * ay - comp.c * llx
-    t2 = comp.c**2 * lz - comp.s * aax
-    return sqrt(float(t1 @ t1) + float(t2 @ t2))
-
-
 def recover_component(state, op, ritz, index):
     """Recover the full quintuple for one extracted component.
 
-    The right vector solves the consistent system [A; L] x = Vprime w by
-    LSQR; the left vectors are basis combinations.  Residuals are computed
-    from the definition, not from the bounds.
+    Every vector combines stored columns: x = T w from the preimages T with
+    [A; L] T = Vprime, so [A; L] x = Vprime w and no inner solve is made;
+    y = U p and z = Uhat pbar.  Residuals are computed from the definition,
+    not from the bounds.
     """
-    rc = ritz.component(index)
-    outcome = lsqr_solve(op, state.Vprime @ rc.w)
+    sg = ritz.small
     comp = GsvdComponent(
-        c=rc.c,
-        s=rc.s,
-        x=outcome.solution,
-        y=state.U @ rc.p,
-        z=state.Uhat @ rc.pbar,
+        c=float(sg.C[index]),
+        s=float(sg.S[index]),
+        x=state.preimages @ sg.W[:, index],
+        y=state.U @ sg.P[:, index],
+        z=state.Uhat @ sg.Pbar[:, index],
         bound=float(ritz.bounds[index]),
-        lsqr_converged=outcome.converged,
     )
     comp.residual_norm, comp.relative_residual = compute_residual(comp, op.A, op.L,
                                                                   op.rnorm_estimate)
@@ -417,9 +358,6 @@ def irjbd_solve(A, L, cfg):
         status = "unreliable"
         message = ("bounds converged but the conditioning diagnostic says they "
                    "cannot be trusted for the smallest components")
-    if any(not c.lsqr_converged for c in components):
-        warnings.warn("inner least-squares solver did not converge during recovery",
-                      stacklevel=2)
 
     return SolveResult(
         components=components,

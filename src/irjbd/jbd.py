@@ -24,13 +24,11 @@ pins the basis to the range at the cost of one extra pair of matvecs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .stackedls import lsqr_solve
 
-__all__ = ["JbdState", "BreakdownError", "StateDefects", "jbd_init", "jbd_expand", "verify_state"]
+__all__ = ["JbdState", "BreakdownError", "jbd_init", "jbd_expand"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -96,7 +94,6 @@ class JbdState:
         self.coupling_u = np.zeros(1)
         self.coupling_uhat = np.zeros(0)
         self.exhausted = False
-        self.exhaustion = None  # ("left"|"right", index, coefficient) when exhausted
 
     # -- views -------------------------------------------------------------
 
@@ -230,7 +227,7 @@ def _expand_one(state, op):
     state.k = k + 1
     if beta < state.breakdown_tol:
         state.n_left = k + 1
-        _exhaust(state, "left", k + 2, 0.0)
+        _exhaust(state)
         return
     u_new = cand / beta
     state._B[k + 1, k] = beta
@@ -249,7 +246,7 @@ def _expand_one(state, op):
         t_cand = t_cand - Tk @ coef
     alpha = float(np.linalg.norm(cand2))
     if alpha < state.breakdown_tol:
-        _exhaust(state, "right", k + 2, alpha)
+        _exhaust(state)
         return
     state.vp_next = cand2 / alpha
     state.t_next = t_cand / alpha
@@ -260,14 +257,13 @@ def _expand_one(state, op):
     state.coupling_uhat[-1] = -alpha * beta / abar
 
 
-def _exhaust(state, side, index, coefficient):
+def _exhaust(state):
     """End the run on an invariant subspace: no pending vector, zero couplings."""
     state.vp_next = np.zeros(state.m + state.p)
     state.t_next = np.zeros(state.n)
     state.coupling_u = np.zeros(state.n_left)
     state.coupling_uhat = np.zeros(state.k)
     state.exhausted = True
-    state.exhaustion = (side, index, coefficient)
 
 
 def jbd_expand(state, op, to_k):
@@ -284,75 +280,3 @@ def jbd_expand(state, op, to_k):
     while state.k < to_k and not state.exhausted:
         _expand_one(state, op)
     return state
-
-
-@dataclass
-class StateDefects:
-    """Max-norm defects of the state invariants; never mutates the state."""
-
-    u_orthogonality: float
-    uhat_orthogonality: float
-    vprime_orthogonality: float
-    relation_upper: float
-    relation_hat: float
-    joint_identity: float
-    projection: float | None = None
-
-    def max_defect(self):
-        vals = [self.u_orthogonality, self.uhat_orthogonality, self.vprime_orthogonality,
-                self.relation_upper, self.relation_hat, self.joint_identity]
-        if self.projection is not None:
-            vals.append(self.projection)
-        return max(vals)
-
-
-def _orth_defect(basis):
-    if basis.shape[1] == 0:
-        return 0.0
-    gram = basis.T @ basis
-    return float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
-
-
-def verify_state(state, op=None, rng=None):
-    """Measure every maintained invariant of a state.
-
-    With ``op`` given, additionally probes the projected recurrence
-    QQ^T (U w; 0) = Vprime B^T w + vp_next (coupling . w) on one random unit
-    w, which costs a single inner solve.
-    """
-    k = state.k
-    m = state.m
-    U = state.U
-    Uhat = state.Uhat
-    Vp = state.Vprime
-    B = state.Bdense
-    Bbar = state.Bbardense
-
-    rel_upper = 0.0
-    rel_hat = 0.0
-    identity = 0.0
-    if k:
-        rel_upper = float(np.max(np.abs(Vp[:m] - U @ B)))
-        rel_hat = float(np.max(np.abs(Vp[m:] - Uhat @ Bbar)))
-        identity = float(np.max(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(k))))
-
-    projection = None
-    if op is not None and k:
-        rng = rng or np.random.default_rng(0)
-        w = rng.standard_normal(state.n_left)
-        w /= np.linalg.norm(w)
-        uw = U @ w
-        proj = op.apply(_solve_upper(op, uw / np.linalg.norm(uw)).solution)
-        proj *= np.linalg.norm(uw)
-        model = Vp @ (B.T @ w) + state.vp_next * float(state.coupling_u @ w)
-        projection = float(np.max(np.abs(proj - model)))
-
-    return StateDefects(
-        u_orthogonality=_orth_defect(U),
-        uhat_orthogonality=_orth_defect(Uhat),
-        vprime_orthogonality=_orth_defect(Vp),
-        relation_upper=rel_upper,
-        relation_hat=rel_hat,
-        joint_identity=identity,
-        projection=projection,
-    )

@@ -50,22 +50,6 @@ class SweepRotations:
     Gbar: np.ndarray
     nshifts: int
 
-    def orthogonality_defect(self):
-        return max(
-            float(np.max(np.abs(M.T @ M - np.eye(M.shape[1]))))
-            for M in (self.G, self.P, self.Gbar)
-        )
-
-    def band_defect(self):
-        """Largest entry below the expected lower bandwidth (should be ~0)."""
-        worst = 0.0
-        for M in (self.G, self.P, self.Gbar):
-            i, j = np.indices(M.shape)
-            below = i - j > self.nshifts
-            if np.any(below):
-                worst = max(worst, float(np.max(np.abs(M[below]))))
-        return worst
-
 
 def _mix_columns(M, j, c, s):
     cj = M[:, j].copy()

@@ -1,5 +1,7 @@
 """The public surface of ``import irjbd``: config, solve, result and matrix I/O."""
 
+from dataclasses import fields
+
 import irjbd
 
 PUBLIC = {
@@ -17,6 +19,12 @@ def test_all_is_the_documented_set():
 def test_every_public_name_resolves():
     for name in irjbd.__all__:
         assert getattr(irjbd, name) is not None, name
+
+
+def test_solver_config_has_nine_fields():
+    assert [f.name for f in fields(irjbd.SolverConfig)] == [
+        "target", "kmax", "adjust", "tol", "maxit", "lsqr_tol", "lsqr_maxit", "seed",
+        "restart_mode"]
 
 
 def test_bench_and_readme_names_are_public():

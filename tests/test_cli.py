@@ -47,10 +47,9 @@ class TestRuns:
 
     def test_smallest_mode_with_w_criterion(self, diag_matrix_file, capsys):
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "-2",
-                        "--kmax", "5", "--criterion", "w"])
+                        "--kmax", "5"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "criterion w" in out
         first = [ln for ln in out.splitlines() if ln.startswith("component 1")][0]
         value = float(first.split("value")[1].split()[0])
         np.testing.assert_allclose(value, 1.0, rtol=1e-8)
@@ -166,6 +165,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert code == 1
         assert "bad configuration" in err
+
+    @pytest.mark.parametrize("lsqr_maxit", ["0", "-3"])
+    def test_lsqr_maxit_below_one(self, diag_matrix_file, capsys, lsqr_maxit):
+        code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "1",
+                        "--kmax", "4", "--lsqr-maxit", lsqr_maxit])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "bad configuration" in captured.err and "lsqr_maxit" in captured.err
+        assert captured.out == ""
 
     def test_unknown_flag(self, diag_matrix_file, capsys):
         code = run_cli(["--A", diag_matrix_file, "--L", "identity",

@@ -4,17 +4,16 @@ import pytest
 import irjbd.driver
 import irjbd.jbd
 import irjbd.stackedls
-from irjbd.bidiag import small_gsvd
-from irjbd.driver import (GsvdComponent, RitzComponent, RitzSet, SolverConfig,
-                          check_convergence, compute_residual, cross_residual_norm,
-                          extract_ritz, irjbd_solve, recover_component, residual_bound_pq,
-                          residual_bound_w)
+from irjbd.bidiag import SmallGsvd, small_gsvd
+from irjbd.driver import (GsvdComponent, RitzSet, SolverConfig, check_convergence,
+                          compute_residual, extract_ritz, irjbd_solve, recover_component,
+                          residual_bound_pq)
 from irjbd.jbd import jbd_init
 from irjbd.oracle import dense_gsvd, stack_qr
 from irjbd.sparsemat import SparseMatrix, identity, second_order_L
 from irjbd.stackedls import StackedOperator, lsqr_solve
 
-from conftest import expanded_state, gaussian_pair
+from conftest import cross_residual_norm, expanded_state, gaussian_pair
 
 
 def _zero_matrix(nrows, ncols):
@@ -37,45 +36,40 @@ class TestRNormEstimate:
 
 
 class TestResidualBounds:
-    def _component(self, c, s, w_last, p_last, pbar_last, k=4):
-        w = np.zeros(k)
-        w[-1] = w_last
-        p = np.zeros(k + 1)
-        p[-1] = p_last
-        pbar = np.zeros(k)
-        pbar[-1] = pbar_last
-        return RitzComponent(c, s, w, p, pbar)
+    @staticmethod
+    def _small(c, s, p_last, pbar_last, k=4):
+        """Extraction data of one component whose left vectors end in p_last, pbar_last."""
+        P = np.zeros((k + 1, 1))
+        P[-1] = p_last
+        Pbar = np.zeros((k, 1))
+        Pbar[-1] = pbar_last
+        return SmallGsvd(C=np.array([c]), S=np.array([s]), W=np.zeros((k, 1)), P=P,
+                         Pbar=Pbar, identity_defect=0.0)
 
     def test_converged_limit_is_zero(self):
-        comp = self._component(0.8, 0.6, 0.5, 0.0, 0.0)
-        assert residual_bound_pq(comp, 0.3, 0.2, 2.0) == 0.0
-
-    def test_w_form_zero_when_trailing_entry_vanishes(self):
-        comp = self._component(0.8, 0.6, 0.0, 0.4, 0.3)
-        assert residual_bound_w(comp, 0.3, 0.2, 2.0) == 0.0
-
-    def test_w_form_blows_up_as_cs_shrinks(self):
-        # the 1/(c s) prefactor grows monotonically toward the trivial corner
-        vals = [residual_bound_w(self._component(c, np.sqrt(1 - c * c), 0.1, 0, 0),
-                                 0.3, 0.2, 1.0) for c in (0.9, 0.99, 0.999)]
-        assert vals[0] < vals[1] < vals[2]
+        small = self._small(0.8, 0.6, 0.0, 0.0)
+        assert residual_bound_pq(small, 0.3, 0.2).tolist() == [0.0]
 
     def test_forms_agree_on_live_factors(self, rng):
-        # the two bounds are algebraically identical on a genuine state
+        # the pq form and the w form alpha_next * beta_next / (c s) * |w[-1]|
+        # are algebraically identical on a genuine state
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
         sg = small_gsvd(state.Bdense, state.Bbardense)
         beta_next = float(state.Bdense[7, 6])
-        for i in range(sg.k):
-            comp = RitzComponent(float(sg.C[i]), float(sg.S[i]), sg.W[:, i],
-                                 sg.P[:, i], sg.Pbar[:, i])
-            pq = residual_bound_pq(comp, state.alpha_next, state.betabar, 1.0)
-            wf = residual_bound_w(comp, state.alpha_next, beta_next, 1.0)
-            assert abs(pq - wf) < 1e-12
+        pq = residual_bound_pq(sg, state.alpha_next, state.betabar)
+        wf = np.abs(state.alpha_next * beta_next / (sg.C * sg.S) * sg.W[-1])
+        assert pq.shape == (sg.k,)
+        assert np.all(np.abs(pq - wf) < 1e-12)
 
-    def test_rnorm_factor_scales_linearly(self):
-        comp = self._component(0.8, 0.6, 0.5, 0.4, 0.3)
-        one = residual_bound_pq(comp, 0.3, 0.2, 1.0)
-        assert residual_bound_pq(comp, 0.3, 0.2, 7.0) == pytest.approx(7.0 * one)
+    def test_entries_equal_the_scalar_formula(self, rng):
+        # each entry is |s alpha p[-1] - c betabar pbar[-1]| evaluated in
+        # scalar float arithmetic, bit for bit
+        state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
+        sg = small_gsvd(state.Bdense, state.Bbardense)
+        alpha, betabar = state.alpha_next, state.betabar
+        scalar = [abs(float(sg.S[i]) * alpha * sg.P[-1, i] - float(sg.C[i]) * betabar
+                      * sg.Pbar[-1, i]) for i in range(sg.k)]
+        assert residual_bound_pq(sg, alpha, betabar).tolist() == scalar
 
 
 class TestCheckConvergence:
@@ -86,8 +80,7 @@ class TestCheckConvergence:
                         identity_tol=1.0, cross_check_tol=1.0)
         return RitzSet(small=sg, bounds=np.asarray(bounds, dtype=float),
                        converged=np.zeros(k, dtype=bool), targeted=np.arange(k),
-                       diag_product=diag_product, reliability_warning=False,
-                       alpha_next=0.1, betabar=0.1)
+                       diag_product=diag_product, reliability_warning=False)
 
     def test_flags_follow_tolerance(self):
         cfg = SolverConfig(target=2, kmax=5, tol=1e-8)
@@ -160,6 +153,18 @@ class TestRecovery:
             comp = recover_component(state, op, ritz, i)
             np.testing.assert_allclose(np.linalg.norm(comp.y), 1.0, atol=1e-12)
             np.testing.assert_allclose(np.linalg.norm(comp.z), 1.0, atol=1e-12)
+
+    def test_recovery_makes_no_inner_solve(self, rng):
+        # x comes from the kept preimages: [A; L] x = Vprime w with no LSQR call
+        state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
+        cfg = SolverConfig(target=2, kmax=7, tol=1e-8)
+        ritz = check_convergence(extract_ritz(state, cfg), cfg)
+        before = (op.iterations, op.failures)
+        for i in range(ritz.k):
+            comp = recover_component(state, op, ritz, i)
+            image = state.Vprime @ ritz.small.W[:, i]
+            assert np.linalg.norm(op.apply(comp.x) - image) <= 1e-13 * np.linalg.norm(image)
+        assert (op.iterations, op.failures) == before
 
     def test_quintuples_match_dense_oracle(self, rng):
         Ad, Ld, A, L = gaussian_pair(rng, 10, 9, 6)
@@ -254,15 +259,6 @@ class TestSolverLoop:
         got = np.array([c.c for c in res.components])
         np.testing.assert_allclose(got, refC[:3], rtol=1e-10)
 
-    def test_criterion_w_converges_too(self, rng):
-        Ad, Ld, A, L = gaussian_pair(rng, 20, 18, 12)
-        res = irjbd_solve(A, L, SolverConfig(target=2, kmax=9, tol=1e-8, seed=6,
-                                             maxit=300, criterion="w"))
-        assert res.status == "converged"
-        ref = dense_gsvd(Ad, Ld)
-        np.testing.assert_allclose([c.c for c in res.components],
-                                   ref.C[ref.nontrivial_slice()][:2], rtol=1e-6)
-
     def test_badly_column_scaled_pair_matches_unscaled_oracle(self):
         # right scaling by D leaves the generalized values unchanged, so the
         # unscaled pair is the reference; graded columns must not stall the
@@ -281,8 +277,9 @@ class TestSolverLoop:
                                    ref.C[ref.nontrivial_slice()][:3], rtol=0, atol=1e-6)
 
     def test_lsqr_counts_include_recovery(self, rng, monkeypatch):
-        # every inner solve, expansion and recovery alike, goes through the
-        # name bound in jbd or in driver; the result must count them all
+        # every inner solve goes through the name bound in jbd (the driver's
+        # binding is patched too, so a solve made there would be seen); the
+        # result must count them all
         seen = []
 
         def counting(op, rhs):
@@ -297,14 +294,14 @@ class TestSolverLoop:
         monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
         _, _, A, L = gaussian_pair(rng, 24, 22, 16)
         # a tight inner cap makes some solves fail, so both counts are exercised
-        with pytest.warns(UserWarning, match="did not converge during recovery"):
-            res = irjbd_solve(A, L, SolverConfig(target=2, kmax=8, tol=1e-10, seed=3,
-                                                 maxit=50, lsqr_maxit=12))
+        res = irjbd_solve(A, L, SolverConfig(target=2, kmax=8, tol=1e-10, seed=3,
+                                             maxit=50, lsqr_maxit=12))
         assert len(seen) > len(res.components) == 2
         assert res.lsqr_failures > 0
         assert res.lsqr_iterations == sum(out.iterations for out in seen)
         assert res.lsqr_failures == sum(not out.converged for out in seen)
-        assert res.history[-1].lsqr_iters_total < res.lsqr_iterations
+        # recovery makes no inner solve, and this run ends at an extraction
+        assert res.history[-1].lsqr_iters_total == res.lsqr_iterations
 
     def test_inner_failures_named_in_message(self, rng, monkeypatch):
         # one LSQR iteration per solve cannot converge; the solve must still
@@ -312,9 +309,8 @@ class TestSolverLoop:
         # factored one a single iteration converges)
         monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
         A = SparseMatrix.from_dense(rng.standard_normal((60, 40)))
-        with pytest.warns(UserWarning, match="did not converge during recovery"):
-            res = irjbd_solve(A, second_order_L(40),
-                              SolverConfig(target=3, kmax=10, lsqr_maxit=1))
+        res = irjbd_solve(A, second_order_L(40),
+                          SolverConfig(target=3, kmax=10, lsqr_maxit=1))
         assert res.lsqr_failures > 0
         assert res.status != "converged"
         assert f"{res.lsqr_failures} inner least-squares solves did not converge" \
@@ -330,9 +326,13 @@ class TestSolverLoop:
         with pytest.raises(ValueError):
             SolverConfig(target=5, kmax=5)
         with pytest.raises(ValueError):
-            SolverConfig(target=2, kmax=6, criterion="xyz")
-        with pytest.raises(ValueError):
             SolverConfig(target=2, kmax=6, restart_mode="explicit")
+
+    @pytest.mark.parametrize("lsqr_maxit", [0, -3])
+    def test_lsqr_maxit_below_one_rejected(self, lsqr_maxit):
+        # a cap below one inner iteration used to end the solve as a "breakdown"
+        with pytest.raises(ValueError, match="lsqr_maxit"):
+            SolverConfig(target=3, kmax=10, lsqr_maxit=lsqr_maxit)
 
 
 class TestTrivialComponentHandling:

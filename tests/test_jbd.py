@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from irjbd.jbd import BreakdownError, jbd_expand, jbd_init, verify_state
+from irjbd.jbd import BreakdownError, jbd_expand, jbd_init
 from irjbd.oracle import dense_joint_lanczos, stack_qr
 from irjbd.sparsemat import SparseMatrix, identity
 from irjbd.stackedls import StackedOperator
 
-from conftest import bidiagonal_parts, expanded_state, gaussian_pair
+from conftest import bidiagonal_parts, expanded_state, gaussian_pair, verify_state
 
 
 def _zero_matrix(nrows, ncols):
@@ -62,7 +62,7 @@ class TestExpand:
                              SparseMatrix.from_dense(np.diag([1.0, 1.0])))
         state = jbd_init(op, np.array([1.0, 0.0]), capacity=2)
         jbd_expand(state, op, 2)
-        assert state.exhausted and state.exhaustion[0] == "left"
+        assert state.exhausted and state.n_left == state.k  # closed on the left
         assert state.k == 1 and state.n_left == 1
         np.testing.assert_allclose(state.Bdense, [[3.0 / np.sqrt(10.0)]], atol=1e-12)
         # a closed run has no pending right vector and no couplings
@@ -118,7 +118,7 @@ class TestExpand:
     def test_exhaustion_at_full_dimension(self, rng):
         # k cannot exceed n: the right space runs out and couplings become zero
         state, op, _, _ = expanded_state(rng, 12, 11, 6, 6)
-        assert state.exhausted and state.exhaustion[0] == "right"
+        assert state.exhausted and state.n_left == state.k + 1  # ran out on the right
         assert state.alpha_next == 0.0 and state.betabar == 0.0
 
     def test_determinism(self, rng):
