@@ -14,12 +14,13 @@ and from stored columns alone: the state keeps a preimage basis T with
 [A; L] T = Vprime, so x = T w costs no inner solve.  In floating point the
 bounds acquire an extra term of order ||Blead^-1|| * ||Bhat^-1|| * eps, so
 the solver tracks that product and raises a reliability warning once it
-could swamp the tolerance.
+could swamp the tolerance.  The bound stops the iteration, but only the
+recovered residual certifies a component.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import sqrt
 
 import numpy as np
@@ -90,10 +91,6 @@ class SolverConfig:
     def l(self):
         return abs(self.target)
 
-    @property
-    def mode(self):
-        return "largest" if self.target > 0 else "smallest"
-
     def effective_adjust(self):
         """adjust clamped so at least one shift remains available."""
         return max(0, min(self.adjust, self.kmax - self.l - 1))
@@ -101,12 +98,11 @@ class SolverConfig:
 
 @dataclass
 class RitzSet:
-    """Extraction snapshot: values, small vectors, bounds, convergence flags."""
+    """Extraction snapshot, extreme-first: values, small vectors, bounds, flags."""
 
     small: object
     bounds: np.ndarray
     converged: np.ndarray
-    targeted: np.ndarray
     diag_product: float
     reliability_warning: bool
 
@@ -177,10 +173,12 @@ def residual_bound_pq(small, alpha_next, betabar):
 
 
 def extract_ritz(state, cfg):
-    """Approximate GSVD data of the current state, with per-component bounds.
+    """Approximate GSVD data of the current state, extreme-first, with bounds.
 
-    Bounds are the tolerance-comparable relative quantities of
-    ``residual_bound_pq``; the targeted indices are the cfg-selected extremes.
+    The one place the wanted end is decided: for a negative target C, S and
+    the columns of W, P and Pbar are reversed, so the wanted components lead
+    in both modes and the shifts, the kept set and the output order need no
+    mode.  Bounds are those of ``residual_bound_pq``.
     """
     if not state.is_canonical:
         raise ValueError("extraction expects canonical trailing couplings; "
@@ -189,13 +187,14 @@ def extract_ritz(state, cfg):
     Bbar = state.Bbardense.copy()
     k = state.k
     sg = small_gsvd(B, Bbar)
+    if cfg.target < 0:
+        sg = replace(sg, C=sg.C[::-1], S=sg.S[::-1], W=sg.W[:, ::-1], P=sg.P[:, ::-1],
+                     Pbar=sg.Pbar[:, ::-1])
     inv_lead, inv_hat = inverse_norm_estimates(B, Bbar)
-    l = min(cfg.l, k)
     return RitzSet(
         small=sg,
         bounds=residual_bound_pq(sg, state.alpha_next, state.betabar),
         converged=np.zeros(k, dtype=bool),
-        targeted=np.arange(l) if cfg.mode == "largest" else np.arange(k - l, k),
         diag_product=inv_lead * inv_hat,
         reliability_warning=False,
     )
@@ -204,10 +203,10 @@ def extract_ritz(state, cfg):
 def check_convergence(ritz, cfg):
     """Flag converged components and assess bound reliability.
 
-    A component converges when its bound falls below tol.  When the
+    A component's bound converges when it falls below tol.  When the
     conditioning product is large enough that its eps-level term could
     exceed tol, the bounds may underestimate the true residuals and a
-    reliability warning is raised.
+    reliability warning is raised; it decides no label.
     """
     ritz.converged = ritz.bounds < cfg.tol
     ritz.reliability_warning = ritz.diag_product * EPS > cfg.tol
@@ -251,13 +250,14 @@ def irjbd_solve(A, L, cfg):
     Runs the joint bidiagonalization to kmax columns, then alternates
     extraction with restarts (implicit shifted sweeps or thick restart,
     per cfg) until every targeted bound falls below ``cfg.tol`` or the
-    restart budget runs out.  Components are recovered only on exit.
+    restart budget runs out.  Components are recovered only on exit, most
+    extreme first, and certified (``converged``) when the bound is below tol,
+    c * s >= 10 eps and the recovered relative residual is at most tol.
 
     Returns a SolveResult.
     """
     op = StackedOperator(A, L, cfg.lsqr_tol, cfg.lsqr_maxit)
     l = cfg.l
-    mode = cfg.mode
     adj = cfg.effective_adjust()
     keep = l + adj
     nshifts = cfg.kmax - keep
@@ -297,12 +297,12 @@ def irjbd_solve(A, L, cfg):
         ritz_state = state
         history.append(ConvergenceRecord(
             restart_index=restarts,
-            bounds=ritz.bounds[ritz.targeted].copy(),
+            bounds=ritz.bounds[:l].copy(),
             diag_product=ritz.diag_product,
             shifts_used=last_shifts.copy(),
             lsqr_iters_total=op.iterations,
         ))
-        if np.all(ritz.converged[ritz.targeted]) and len(ritz.targeted) == min(l, ritz.k):
+        if np.all(ritz.converged[:l]):
             status = "converged"
             if ritz.k < l:
                 status = "breakdown"
@@ -322,42 +322,39 @@ def irjbd_solve(A, L, cfg):
             message = f"restart budget maxit={cfg.maxit} exhausted"
             break
 
-        shift_set = select_exact_shifts(ritz.small, mode, nshifts)
-        shift_set = apply_adaptive_rule(shift_set, ritz.small, mode, l)
+        shift_set = apply_adaptive_rule(select_exact_shifts(ritz.small, nshifts), ritz.small, l)
         last_shifts = shift_set.lambdas
         try:
             if cfg.restart_mode == "implicit":
                 state = multi_step_implicit_restart(state, shift_set.lambdas, keep)
             else:
-                state = thick_restart(state, ritz.small, keep, target=mode)
+                state = thick_restart(state, ritz.small, keep)
             jbd_expand(state, op, cfg.kmax)
         except (BreakdownError, CouplingDefectError) as exc:
             broken = exc
         restarts += 1
 
     components = []
-    vetoed = False
-    if ritz is not None and ritz.k:
-        order = ritz.targeted if mode == "largest" else ritz.targeted[::-1]
-        for idx in order:
-            comp = recover_component(ritz_state, op, ritz, int(idx))
-            bound_ok = bool(ritz.converged[idx])
-            comp_warning = ritz.reliability_warning or (comp.c * comp.s < 10.0 * EPS)
-            comp.reliability_warning = comp_warning
-            if mode == "smallest" and comp_warning and bound_ok:
-                # the bound passed but its reliability guard fired: report the
-                # component as unreliable rather than converged (the recovered
-                # residual is still attached for the caller to judge)
-                comp.converged = False
-                vetoed = True
-            else:
-                comp.converged = bound_ok
-            components.append(comp)
+    uncertified = []
+    for idx in range(min(l, ritz.k) if ritz is not None else 0):
+        comp = recover_component(ritz_state, op, ritz, idx)
+        trivial = comp.c * comp.s < 10.0 * EPS
+        comp.reliability_warning = ritz.reliability_warning or trivial
+        if trivial:
+            reason = f"c*s = {comp.c * comp.s:.1e} is below 10*eps"
+        elif not comp.relative_residual <= cfg.tol:
+            reason = (f"recovered relative residual {comp.relative_residual:.1e} "
+                      f"exceeds tol {cfg.tol:.0e}")
+        else:
+            reason = ""
+        comp.converged = bool(ritz.converged[idx]) and not reason
+        if ritz.converged[idx] and reason:
+            uncertified.append(f"component {idx}: {reason}")
+        components.append(comp)
 
-    if status == "converged" and vetoed:
+    if status == "converged" and uncertified:
         status = "unreliable"
-        message = ("bounds converged but the conditioning diagnostic says they "
-                   "cannot be trusted for the smallest components")
+        message = "bounds converged but not certified: " + "; ".join(uncertified)
 
     return SolveResult(
         components=components,

@@ -48,7 +48,9 @@ class DenseGsvd:
     Components are ordered by decreasing c: infinite components (c = 1,
     s = 0) first, then the q nontrivial ones, then zero components (c = 0,
     s = 1).  ``PA.T @ A @ X`` and ``PL.T @ L @ X`` are rectangular diagonal
-    with C and S on the diagonal in this ordering.
+    with C and S on the diagonal in this ordering; when p < n, PL has no
+    column for the first n - p (infinite) components, and ``PL.T @ L @ X``
+    is [0, diag(S[n - p:])].
     """
 
     C: np.ndarray
@@ -116,22 +118,16 @@ def dense_gsvd(A, L):
             PL_cols.append(QLW[:, j] / S[j])
     PL_partial = (np.column_stack(PL_cols) if PL_cols else np.zeros((p, 0)))
     PL = _complete_orthonormal(PL_partial, p)
-    # reorder PL so column j multiplies component j: infinite components get
-    # the completion columns (their s is zero, so the slot content is free)
+    # reorder PL so column j - d multiplies component j.  L has rank at most
+    # p, so when p < n the first d = n - p components are infinite and get no
+    # column; other infinite components get the completion columns (their s
+    # is zero, so the slot content is free)
+    d = max(0, n - p)
+    live = iter(PL.T[: len(PL_cols)])
+    spare = iter(PL.T[len(PL_cols):])
     PLfull = np.zeros((p, p))
-    used = 0
-    spare = PL[:, len(PL_cols):]
-    spare_used = 0
-    for j in range(n):
-        if S[j] > _TRIVIAL_TOL:
-            PLfull[:, j] = PL[:, used]
-            used += 1
-        else:
-            PLfull[:, j] = spare[:, spare_used]
-            spare_used += 1
-    for j in range(n, p):
-        PLfull[:, j] = spare[:, spare_used]
-        spare_used += 1
+    for j in range(d, d + p):
+        PLfull[:, j - d] = next(live) if j < n and S[j] > _TRIVIAL_TOL else next(spare)
 
     X = np.linalg.solve(R, W)
 

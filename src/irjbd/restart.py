@@ -5,8 +5,8 @@ bidiagonal factor, reuses the right rotations of each sweep on the signed
 upper companion (one shift pair lambda^2 + mu^2 = 1 drives both, so the
 companion never needs its own shift), truncates every basis to the leading
 block, and reassembles the pending right vector from its two boundary
-terms.  Thick restart instead rotates the bases onto the leading (or
-trailing) Ritz directions and keeps full coupling rows.
+terms.  Thick restart instead rotates the bases onto the leading Ritz
+directions of an extreme-first extraction and keeps full coupling rows.
 
 Both paths return states that expand through the ordinary process code.
 """
@@ -48,7 +48,6 @@ class SweepRotations:
     G: np.ndarray
     P: np.ndarray
     Gbar: np.ndarray
-    nshifts: int
 
 
 def _mix_columns(M, j, c, s):
@@ -196,7 +195,7 @@ def accumulate_sweeps(B, Bbar, shifts):
             raise ValueError(f"shift {lam} outside [0, 1]")
         rights = _lower_sweep(B, float(lam), Gacc, Pacc)
         _upper_sweep(Bbar, rights, Gbacc, zero_tol=base_tol * (step + 1))
-    return B, Bbar, SweepRotations(G=Gacc, P=Pacc, Gbar=Gbacc, nshifts=len(shifts))
+    return B, Bbar, SweepRotations(G=Gacc, P=Pacc, Gbar=Gbacc)
 
 
 def multi_step_implicit_restart(state, shifts, l):
@@ -263,13 +262,14 @@ def multi_step_implicit_restart(state, shifts, l):
     return new
 
 
-def thick_restart(state, ritz, l, target="largest"):
+def thick_restart(state, ritz, l):
     """Rotate the state onto l kept Ritz directions plus the coupling rows.
 
-    Keeps the leading (largest) or trailing (smallest) l Ritz triplets of the
-    extraction, producing diagonal projected factors and full coupling rows;
-    the pending right vector is unchanged.  Unlike the banded transforms of
-    the implicit restart, the applied rotation blocks are dense.
+    Keeps the leading l Ritz triplets of the extraction, which come
+    extreme-first (the wanted end leads, whichever end that is), producing
+    diagonal projected factors and full coupling rows; the pending right
+    vector is unchanged.  Unlike the banded transforms of the implicit
+    restart, the applied rotation blocks are dense.
     """
     k = state.k
     if not 1 <= l < k:
@@ -278,10 +278,8 @@ def thick_restart(state, ritz, l, target="largest"):
         raise ValueError("cannot restart an exhausted or closed state")
     if ritz.k != k:
         raise ValueError("extraction size does not match the state")
-    if target not in ("largest", "smallest"):
-        raise ValueError("target must be 'largest' or 'smallest'")
 
-    sel = np.arange(l) if target == "largest" else np.arange(k - l, k)
+    sel = np.arange(l)
 
     # complete the left singular basis with its orthogonal complement vector
     qfull, _ = np.linalg.qr(ritz.P, mode="complete")

@@ -4,8 +4,9 @@ Unwanted Ritz values make the best shifts: filtering the starting vector
 with them strips exactly the directions the next subspace should not waste
 dimensions on.  A shift that lands too close to a *wanted* value would strip
 a wanted direction instead, so such shifts are adaptively replaced by the
-most harmless value available (0 when chasing the largest components, 1
-when chasing the smallest).
+most harmless value available: the end of [0, 1] beyond the unwanted values.
+Both functions take the Ritz values extreme-first (wanted values leading),
+so neither needs to know which end of the spectrum is wanted.
 """
 
 from __future__ import annotations
@@ -38,48 +39,37 @@ class ShiftSet:
         return len(self.lambdas)
 
 
-def select_exact_shifts(ritz, target_sign, nshifts):
-    """Pick the ``nshifts`` unwanted Ritz values as shifts.
+def select_exact_shifts(ritz, nshifts):
+    """Pick the ``nshifts`` unwanted Ritz values, the trailing ones, as shifts.
 
-    ``ritz.C`` is decreasing, so chasing the largest components shifts away
-    the trailing (small) values and chasing the smallest shifts away the
-    leading (large) ones.
+    They come nearest-first: the value next to the wanted ones leads.
     """
-    if target_sign not in ("largest", "smallest"):
-        raise ValueError("target_sign must be 'largest' or 'smallest'")
     k = ritz.k
     if nshifts > k:
         raise ValueError(f"requested {nshifts} shifts but only {k} Ritz values exist")
     if nshifts < 0:
         raise ValueError("nshifts must be nonnegative")
-    if target_sign == "largest":
-        lam = ritz.C[k - nshifts:]
-    else:
-        lam = ritz.C[:nshifts]
-    return ShiftSet(np.array(lam, dtype=np.float64))
+    return ShiftSet(np.array(ritz.C[k - nshifts:], dtype=np.float64))
 
 
-def apply_adaptive_rule(shifts, ritz, target_sign, l_effective):
+def apply_adaptive_rule(shifts, ritz, l_effective):
     """Replace shifts too close to the boundary wanted Ritz value.
 
-    The relative gap of each shift is measured against the smallest wanted
-    value (largest mode) or the largest wanted value (smallest mode); shifts
-    within ``_RELGAP_TOL`` are bad and get replaced by 0 or 1 respectively.
-    Applying the rule twice changes nothing.
+    The relative gap of each shift is measured against the last wanted value
+    ``ritz.C[l_effective - 1]``; shifts within ``_RELGAP_TOL`` are bad and get
+    replaced by the end of [0, 1] on the side of the unwanted values: 0 when
+    ``ritz.C`` decreases, 1 when it increases.  Applying the rule twice
+    changes nothing.
     """
-    if target_sign not in ("largest", "smallest"):
-        raise ValueError("target_sign must be 'largest' or 'smallest'")
     k = ritz.k
     if not 1 <= l_effective <= k:
         raise ValueError(f"l_effective must be in [1, {k}]")
+    steps = np.diff(ritz.C)
+    if not (np.all(steps <= 0.0) or np.all(steps >= 0.0)):
+        raise ValueError("Ritz values must be ordered extreme first")
 
-    if target_sign == "largest":
-        anchor = float(ritz.C[l_effective - 1])
-        replacement = 0.0
-    else:
-        anchor = float(ritz.C[k - l_effective])
-        replacement = 1.0
-
+    anchor = float(ritz.C[l_effective - 1])
+    replacement = 1.0 if ritz.C[-1] > ritz.C[0] else 0.0
     lam = shifts.lambdas.copy()
     flags = shifts.replaced_flags.copy()
     for i in range(len(lam)):

@@ -183,7 +183,6 @@ class StackedOperator:
 @dataclass
 class LsqrOutcome:
     solution: np.ndarray
-    relative_residual_estimate: float
     iterations: int
     converged: bool
 
@@ -233,13 +232,13 @@ def lsqr_solve(op, rhs):
         return outcome
     bnorm = beta
     if beta == 0.0:
-        return LsqrOutcome(y, 0.0, 0, True)
+        return LsqrOutcome(y, 0, True)
     u /= beta
     v = op._precondition_transpose(op.apply_transpose(u))
     alfa = sqrt(v @ v)
     if alfa == 0.0:
         # rhs is orthogonal to the range: x = 0 is the least-squares solution
-        return LsqrOutcome(y, 1.0, 0, True)
+        return LsqrOutcome(y, 0, True)
     v /= alfa
     w = v.copy()
 
@@ -249,7 +248,6 @@ def lsqr_solve(op, rhs):
     xnorm = 0.0
     converged = False
     itn = 0
-    test1 = 1.0
 
     while itn < op.maxit:
         itn += 1
@@ -294,4 +292,4 @@ def lsqr_solve(op, rhs):
     # operator's counters
     op.iterations += itn
     op.failures += 0 if converged else 1
-    return LsqrOutcome(op._precondition(y), float(test1), itn, converged)
+    return LsqrOutcome(op._precondition(y), itn, converged)

@@ -16,6 +16,11 @@ def gaussian_pair(rng, m, p, n):
     return Ad, Ld, SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld)
 
 
+def first_difference(n):
+    """The dense (n-1) x n first-difference matrix; its null space is the constants."""
+    return np.eye(n - 1, n, k=1) - np.eye(n - 1, n)
+
+
 def expanded_state(rng, m, p, n, k, seed_vec=None):
     """A fresh k-step run on a random Gaussian pair."""
     Ad, Ld, A, L = gaussian_pair(rng, m, p, n)
@@ -144,12 +149,15 @@ def rotation_orthogonality_defect(rot):
     )
 
 
-def rotation_band_defect(rot):
-    """Largest entry of a SweepRotations factor below its expected lower bandwidth."""
+def rotation_band_defect(rot, nshifts):
+    """Largest entry of a SweepRotations factor below its lower bandwidth.
+
+    ``nshifts`` sweeps give each factor a lower bandwidth of ``nshifts``.
+    """
     worst = 0.0
     for M in (rot.G, rot.P, rot.Gbar):
         i, j = np.indices(M.shape)
-        below = i - j > rot.nshifts
+        below = i - j > nshifts
         if np.any(below):
             worst = max(worst, float(np.max(np.abs(M[below]))))
     return worst

@@ -27,7 +27,8 @@ from irjbd.shifts import apply_adaptive_rule, select_exact_shifts
 from irjbd.sparsemat import identity, read_matrix_market, second_order_L
 from irjbd.stackedls import StackedOperator
 
-from conftest import bidiagonal_parts, cross_residual_norm, lower_bidiagonal_pair, verify_state
+from conftest import (bidiagonal_parts, cross_residual_norm, first_difference,
+                      lower_bidiagonal_pair, verify_state)
 
 
 def _report(name, ok, detail=""):
@@ -53,6 +54,35 @@ def _random_regular_pair(rng, cond_cap=1e3):
         sv = np.linalg.svd(np.vstack([Ad, Ld]), compute_uv=False)
         if sv[0] / sv[-1] <= cond_cap:
             return Ad, Ld
+
+
+def _pairs200_matrix(index, n=200):
+    """The A of trial ``index`` of the implicit-vs-thick comparison.
+
+    The first three are also the pairs of the ``pairs200`` benchmark workload
+    (pair seed 1008) before its row permutation.
+    """
+    rng = np.random.default_rng(1008)
+    for _ in range(index + 1):
+        m = n + int(rng.integers(5, 30))
+        rows = np.repeat(np.arange(m), 6)
+        cols = rng.integers(0, n, size=m * 6)
+        vals = rng.standard_normal(m * 6)
+    return SparseMatrix.from_coo(m, n, rows, cols, vals)
+
+
+def _warning_regime_matrix(sigma_min, n=24):
+    """Square A with singular values 1 .. 0.3 and a last one of ``sigma_min``.
+
+    With L = I the smallest value is about sigma_min, and the conditioning
+    diagnostic of the smallest-mode solve exceeds tol / eps.
+    """
+    rng = np.random.default_rng(1007)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sigma = np.linspace(1.0, 0.3, n)
+    sigma[-1] = sigma_min
+    return SparseMatrix.from_dense(u @ np.diag(sigma) @ v.T)
 
 
 def _subspace_containment_angle(vectors, reference_block):
@@ -188,7 +218,7 @@ class TestAcceptance:
             if trial % 2 == 0:
                 new = multi_step_implicit_restart(state, ritz.C[-4:], 6)
             else:
-                new = thick_restart(state, ritz, 6, target="largest")
+                new = thick_restart(state, ritz, 6)
             worst = max(worst, verify_state(new, op).max_defect())
             jbd_expand(new, op, 10)
             worst = max(worst, verify_state(new, op).max_defect())
@@ -367,20 +397,67 @@ class TestAcceptance:
         # engineered pair whose conditioning diagnostic must exceed tol / eps;
         # the reported bound is deliberately NOT asserted against the true
         # residual here
-        rng = np.random.default_rng(1007)
-        n = 24
-        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        sigma = np.linspace(1.0, 0.3, n)
-        sigma[-1] = 1e-9
-        Ad = u @ np.diag(sigma) @ v.T
-        A = SparseMatrix.from_dense(Ad)
-        res = irjbd_solve(A, identity(n), SolverConfig(target=-2, kmax=10, tol=1e-8,
-                                                       seed=1, maxit=200))
+        res = irjbd_solve(_warning_regime_matrix(1e-9), identity(24),
+                          SolverConfig(target=-2, kmax=10, tol=1e-8, seed=1, maxit=200))
         diag = res.history[-1].diag_product
         ok = res.reliability_warning and diag > 1e-8 / np.finfo(float).eps
         _report("conditioning warning fires when the diagnostic swamps tol",
                 ok, f"diag {diag:.2e}, status {res.status}")
+
+    def test_warning_regime_certified_by_residual(self):
+        # the diagnostic warns, but the recovered residuals are within tol, so
+        # the value near 1e-13 is certified in both restart modes
+        A = _warning_regime_matrix(1e-13)
+        details = []
+        ok = True
+        for mode in ("implicit", "thick"):
+            res = irjbd_solve(A, identity(24), SolverConfig(
+                target=-2, kmax=10, tol=1e-8, seed=1, maxit=200, restart_mode=mode))
+            worst = max(comp.relative_residual for comp in res.components)
+            ok = ok and (res.status == "converged" and res.reliability_warning
+                         and res.restarts <= 20 and len(res.components) == 2
+                         and worst <= 1e-8)
+            details.append(f"{mode}: {res.status}, {res.restarts} restarts, "
+                           f"relres {worst:.1e}")
+        _report("warning regime at sigma_min 1e-13 converges with the warning set",
+                ok, "; ".join(details))
+
+    def test_benign_smallest_pair_converged(self):
+        # the three smallest values of the first pairs200 pair; its diagnostic
+        # warns, but nothing is wrong with the recovered components
+        A = _pairs200_matrix(0)
+        L = second_order_L(200)
+        res = irjbd_solve(A, L, SolverConfig(target=-3, kmax=25, tol=1e-8, seed=2))
+        ref = dense_gsvd(A.to_dense(), L.to_dense())
+        want = ref.C[ref.nontrivial_slice()][::-1][:3]
+        got = np.array([comp.c for comp in res.components])
+        relerr = float(np.max(np.abs(got - want) / want))
+        worst = max(comp.relative_residual for comp in res.components)
+        ok = (res.status == "converged" and all(comp.converged for comp in res.components)
+              and relerr < 1e-6 and worst <= 1e-8)
+        _report("benign smallest-mode pair ends converged",
+                ok, f"status {res.status}, value rel err {relerr:.1e}, relres {worst:.1e}")
+
+    def test_infinite_component_not_certified_by_bound(self):
+        # L = first difference annihilates the constants, so {A, L} has one
+        # infinite value (c = 1, s = 0); thick restart drives its bound below
+        # tol while its recovered residual stays far above it
+        A = _pairs200_matrix(0)
+        Ld = first_difference(200)
+        res = irjbd_solve(A, SparseMatrix.from_dense(Ld), SolverConfig(
+            target=3, kmax=25, tol=1e-8, maxit=400, seed=2, restart_mode="thick"))
+        ref = dense_gsvd(A.to_dense(), Ld)
+        assert ref.q2 == 1
+        infinite, *rest = res.components
+        got = np.array([comp.c for comp in rest])
+        want = ref.C[ref.nontrivial_slice()][:2]
+        relerr = float(np.max(np.abs(got - want) / want))
+        ok = (abs(infinite.c - 1.0) < 1e-8 and not infinite.converged
+              and res.status != "converged" and all(comp.converged for comp in rest)
+              and relerr < 1e-6)
+        _report("infinite component of a first-difference L is not certified",
+                ok, f"status {res.status}, relres {infinite.relative_residual:.1e}, "
+                    f"certified value rel err {relerr:.1e}")
 
     def test_implicit_vs_thick_restart_comparison(self):
         rng = np.random.default_rng(1008)

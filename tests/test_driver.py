@@ -79,8 +79,8 @@ class TestCheckConvergence:
                         np.diag(np.sqrt(1 - np.linspace(0.9, 0.5, k) ** 2)),
                         identity_tol=1.0, cross_check_tol=1.0)
         return RitzSet(small=sg, bounds=np.asarray(bounds, dtype=float),
-                       converged=np.zeros(k, dtype=bool), targeted=np.arange(k),
-                       diag_product=diag_product, reliability_warning=False)
+                       converged=np.zeros(k, dtype=bool), diag_product=diag_product,
+                       reliability_warning=False)
 
     def test_flags_follow_tolerance(self):
         cfg = SolverConfig(target=2, kmax=5, tol=1e-8)
@@ -206,8 +206,8 @@ class TestSolverLoop:
         Ad, Ld, A, L = gaussian_pair(rng, 20, 18, 12)
         res = irjbd_solve(A, L, SolverConfig(target=-3, kmax=10, tol=1e-8, seed=3,
                                              maxit=300))
-        # deep convergence can trip the conservative reliability veto, but the
-        # values themselves must match the dense reference either way
+        # the label rests on the recovered residuals; the values themselves
+        # must match the dense reference either way
         assert res.status in ("converged", "unreliable")
         cs = [c.c for c in res.components]
         assert cs == sorted(cs)

@@ -3,7 +3,7 @@ import pytest
 
 from irjbd.oracle import dense_gsvd, dense_joint_lanczos, explicit_shifted_qr, stack_qr
 
-from conftest import gaussian_pair
+from conftest import first_difference, gaussian_pair
 
 
 class TestDenseGsvd:
@@ -53,6 +53,21 @@ class TestDenseGsvd:
         out = dense_gsvd(Ad, Ld)
         assert out.q1 == 1 and out.q2 == 1 and out.q == 2
         assert out.l1 == 6 - 3 and out.l2 == 7 - 3
+
+    def test_fewer_rows_in_l_than_columns(self, rng):
+        # L = first difference (7 x 8) annihilates the constants, so the pair
+        # has one infinite component and PL has no column for it
+        Ad = rng.standard_normal((10, 8))
+        Ld = first_difference(8)
+        out = dense_gsvd(Ad, Ld)
+        assert out.q2 == 1
+        # independent route: s^2 / c^2 are the eigenvalues of (A^T A)^-1 L^T L,
+        # the zero one belonging to the infinite component
+        mu = np.sort(np.linalg.eigvals(np.linalg.solve(Ad.T @ Ad, Ld.T @ Ld)).real)
+        np.testing.assert_allclose(out.C[out.nontrivial_slice()], 1.0 / np.sqrt(1.0 + mu[1:]),
+                                   atol=1e-10)
+        infinite = out.X[:, 0]
+        assert np.linalg.norm(Ld @ infinite) < 1e-10 * np.linalg.norm(infinite)
 
     def test_rank_deficient_stack_rejected(self):
         A = np.zeros((3, 2))
