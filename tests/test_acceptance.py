@@ -422,6 +422,29 @@ class TestAcceptance:
         _report("warning regime at sigma_min 1e-13 converges with the warning set",
                 ok, "; ".join(details))
 
+    def test_tiny_values_accurate_to_the_stored_pair(self):
+        # a certified c is accurate in absolute terms, about eps * ||[A; L]||;
+        # the reference is the stored A, whose sigma_min differs from the
+        # nominal one in the fourth digit at 1e-13
+        eps = np.finfo(float).eps
+        worst = 0.0
+        ok = True
+        for sigma_min in (1e-9, 1e-11, 1e-13):
+            A = _warning_regime_matrix(sigma_min)
+            sigma = np.linalg.svd(A.to_dense(), compute_uv=False)[::-1][:2]
+            want = sigma / np.sqrt(1.0 + sigma**2)
+            for mode in ("implicit", "thick"):
+                for seed in range(6):
+                    res = irjbd_solve(A, identity(24), SolverConfig(
+                        target=-2, kmax=10, maxit=200, seed=seed, restart_mode=mode))
+                    got = np.array([comp.c for comp in res.components])
+                    ok = ok and res.status == "converged" and got.shape == want.shape
+                    if got.shape == want.shape:
+                        worst = max(worst, float(np.max(np.abs(got - want))) / eps)
+        ok = ok and worst <= 16.0
+        _report("tiny values match the stored pair in absolute terms",
+                ok, f"worst |c - c_ref| = {worst:.2f} eps over 36 solves")
+
     def test_benign_smallest_pair_converged(self):
         # the three smallest values of the first pairs200 pair; its diagnostic
         # warns, but nothing is wrong with the recovered components

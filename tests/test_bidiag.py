@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irjbd.bidiag import givens, inverse_norm_estimates, jacobi_svd, small_gsvd
+from irjbd.bidiag import givens, inverse_norm_estimates, small_gsvd
 from irjbd.oracle import dense_joint_lanczos, stack_qr
 
 
@@ -17,17 +17,13 @@ def random_joint_factors(rng, m, p, n, k):
     return B, Bhat * signs[None, :]
 
 
-def assert_thin_svd(M):
-    """jacobi_svd(M) against LAPACK values, with reconstruction and orthogonality."""
-    U, sig, V = jacobi_svd(M)
-    ref = np.linalg.svd(M, compute_uv=False)
-    np.testing.assert_allclose(sig, ref, atol=1e-12, rtol=1e-12)
-    np.testing.assert_allclose(U @ np.diag(sig) @ V.T, M, atol=1e-12)
-    live = sig > 0.0
-    np.testing.assert_allclose(U[:, live].T @ U[:, live], np.eye(np.count_nonzero(live)),
-                               atol=1e-13)
-    np.testing.assert_allclose(V.T @ V, np.eye(M.shape[1]), atol=1e-13)
-    return U, sig, V
+def assert_matches_lapack(B, Bbar):
+    """small_gsvd(B, Bbar) against LAPACK values, with reconstruction of B."""
+    out = small_gsvd(B, Bbar)
+    np.testing.assert_allclose(out.C, np.linalg.svd(B, compute_uv=False), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(out.P @ np.diag(out.C) @ out.W.T, B, rtol=0, atol=1e-13)
+    assert not out.flagged
+    return out
 
 
 class TestGivens:
@@ -55,41 +51,31 @@ class TestGivens:
 
 
 class TestJacobiSvd:
+    """small_gsvd against LAPACK; the names predate the deleted Jacobi SVD."""
+
     def test_matches_lapack_values(self, rng):
-        for shape in [(5, 3), (7, 7), (9, 4)]:
-            _, sig, _ = assert_thin_svd(rng.standard_normal(shape))
-            assert np.all(sig > 0.0)  # so U.T @ U was checked on every column
+        for m, p, n, k in [(8, 7, 5, 1), (14, 12, 10, 6), (40, 36, 30, 25)]:
+            B, Bbar = random_joint_factors(rng, m, p, n, k)
+            assert B.shape == (k + 1, k)
+            assert_matches_lapack(B, Bbar)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 24, 25])
     @pytest.mark.parametrize("extra_rows", [0, 1])
     def test_both_round_robin_parities(self, rng, k, extra_rows):
-        # odd k runs the schedule with an idle slot, even k without
-        assert_thin_svd(rng.standard_normal((k + extra_rows, k)))
-
-    def test_joint_factor_at_solver_size(self, rng):
-        B, _ = random_joint_factors(rng, 40, 36, 30, 25)
-        assert B.shape == (26, 25)
-        assert_thin_svd(B)
-
-    def test_zero_column_gives_zero_left_vector(self):
-        M = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 0.0])  # rank 1, last column zero
-        U, sig, _ = assert_thin_svd(M)
-        assert sig[-1] == 0.0
-        assert np.all(U[:, sig == 0.0] == 0.0)
-
-    def test_relative_accuracy_on_graded_columns(self, rng):
-        # column scales from 1 down to 1e-12: each value is determined to
-        # high relative accuracy, so reordering the columns must not move it
-        M = rng.standard_normal((26, 25)) * 10.0 ** (-np.arange(25) / 2.0)
-        _, sig, V = jacobi_svd(M)
-        _, sig_perm, _ = jacobi_svd(M[:, rng.permutation(25)])
-        np.testing.assert_allclose(sig_perm, sig, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(V.T @ V, np.eye(25), atol=1e-13)
+        """small_gsvd on a square and a (k+1) x k B, for odd and even k."""
+        M = rng.standard_normal((k + extra_rows, k))
+        B = M / (1.1 * np.linalg.norm(M, 2))
+        Bbar = np.linalg.cholesky(np.eye(k) - B.T @ B).T
+        out = assert_matches_lapack(B, Bbar)
+        assert np.max(np.abs(out.C**2 + out.S**2 - 1.0)) < 1e-13
 
     def test_rank_deficient(self):
-        M = np.array([[1.0, 1.0], [1.0, 1.0]])
-        _, sig, _ = jacobi_svd(M)
-        np.testing.assert_allclose(sig, [2.0, 0.0], atol=1e-14)
+        B = np.array([[0.6, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        out = small_gsvd(B, np.diag([0.8, 1.0]))
+        np.testing.assert_allclose(out.C, [0.6, 0.0], atol=1e-15)
+        np.testing.assert_allclose(out.S, [0.8, 1.0], atol=1e-15)
+        np.testing.assert_allclose(out.P.T @ out.P, np.eye(2), atol=1e-15)
+        assert not out.flagged
 
 
 class TestSmallGsvd:

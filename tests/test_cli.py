@@ -46,6 +46,7 @@ class TestRuns:
         assert "matrix_l second-order rows 5 cols 5 nnz 13" in out
 
     def test_smallest_mode_with_w_criterion(self, diag_matrix_file, capsys):
+        """A negative target reports the smallest value of {diag(9..1), I} first."""
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "-2",
                         "--kmax", "5"])
         out = capsys.readouterr().out

@@ -277,6 +277,7 @@ class TestSolverLoop:
                                    ref.C[ref.nontrivial_slice()][:3], rtol=0, atol=1e-6)
 
     def test_lsqr_counts_include_recovery(self, rng, monkeypatch):
+        """The result counts every inner solve of the run; recovery adds none."""
         # every inner solve goes through the name bound in jbd (the driver's
         # binding is patched too, so a solve made there would be seen); the
         # result must count them all
