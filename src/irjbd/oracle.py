@@ -1,10 +1,9 @@
-"""Dense reference implementations used by the test suite.
+"""Dense reference GSVD that the tests and the benchmark check the solver against.
 
 Everything here goes through explicit dense factorizations that the sparse
-solver must never form: the QR factor of the stacked pair, the CS-style
-decomposition of its orthonormal blocks, the two explicit Lanczos
-bidiagonalization recurrences, and plain shifted QR factorizations.  All of
-it is restricted to small sizes and wired for determinism, not speed.
+solver must never form: the QR factor of the stacked pair and the CS-style
+decomposition of its orthonormal blocks.  All of it is restricted to small
+sizes and wired for determinism, not speed.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ __all__ = [
     "DenseGsvd",
     "stack_qr",
     "dense_gsvd",
-    "dense_joint_lanczos",
-    "explicit_shifted_qr",
 ]
 
 _SIZE_GUARD = 500
@@ -138,107 +135,3 @@ def dense_gsvd(A, L):
     l2 = p - (n - q2)
 
     return DenseGsvd(C=C, S=S, X=X, PA=PA, PL=PLfull, q=q, q1=q1, q2=q2, l1=l1, l2=l2)
-
-
-def dense_joint_lanczos(QA, QL, u1, k, reorth=True):
-    """Explicit lower/upper Lanczos bidiagonalizations of the Q blocks.
-
-    Runs both three-term recurrences with the shared starting right vector
-    v1 = QA.T u1 / ||.|| and full reorthogonalization, returning the factors
-    and all four bases:
-
-    Returns
-    -------
-    (B, Bhat, U, Uhat, V, Vhat) with B of shape (k+1, k) lower bidiagonal and
-    Bhat (k, k) upper bidiagonal, all recurrence coefficients positive.
-    """
-    QA = np.asarray(QA, dtype=np.float64)
-    QL = np.asarray(QL, dtype=np.float64)
-    _check_size(QA, QL)
-    m, n = QA.shape
-    u1 = np.asarray(u1, dtype=np.float64)
-
-    def orth(vec, basis, count):
-        if reorth and count:
-            for _ in range(2):
-                vec = vec - basis[:, :count] @ (basis[:, :count].T @ vec)
-        return vec
-
-    U = np.zeros((m, k + 2))
-    V = np.zeros((n, k + 1))
-    alphas = np.zeros(k + 1)
-    betas = np.zeros(k + 1)
-
-    U[:, 0] = u1 / np.linalg.norm(u1)
-    v = QA.T @ U[:, 0]
-    a = np.linalg.norm(v)
-    if a == 0:
-        raise RuntimeError("lower recurrence broke down at the start")
-    alphas[0] = a
-    V[:, 0] = v / a
-    for i in range(k):
-        u = QA @ V[:, i] - alphas[i] * U[:, i]
-        u = orth(u, U, i + 1)
-        b = np.linalg.norm(u)
-        if b == 0:
-            raise RuntimeError(f"lower recurrence broke down at step {i + 1}")
-        betas[i] = b
-        U[:, i + 1] = u / b
-        v = QA.T @ U[:, i + 1] - b * V[:, i]
-        v = orth(v, V, i + 1)
-        a = np.linalg.norm(v)
-        if a == 0:
-            raise RuntimeError(f"lower recurrence broke down at step {i + 1}")
-        alphas[i + 1] = a
-        V[:, i + 1] = v / a
-
-    B = np.zeros((k + 1, k))
-    idx = np.arange(k)
-    B[idx, idx] = alphas[:k]
-    B[idx + 1, idx] = betas[:k]
-
-    p = QL.shape[0]
-    Uhat = np.zeros((p, k + 1))
-    Vhat = np.zeros((n, k + 1))
-    hat_alphas = np.zeros(k + 1)
-    hat_betas = np.zeros(k + 1)
-
-    Vhat[:, 0] = V[:, 0]
-    w = QL @ Vhat[:, 0]
-    ha = np.linalg.norm(w)
-    if ha == 0:
-        raise RuntimeError("upper recurrence broke down at the start")
-    hat_alphas[0] = ha
-    Uhat[:, 0] = w / ha
-    for i in range(k):
-        vh = QL.T @ Uhat[:, i] - hat_alphas[i] * Vhat[:, i]
-        vh = orth(vh, Vhat, i + 1)
-        hb = np.linalg.norm(vh)
-        if hb == 0:
-            raise RuntimeError(f"upper recurrence broke down at step {i + 1}")
-        hat_betas[i] = hb
-        Vhat[:, i + 1] = vh / hb
-        w = QL @ Vhat[:, i + 1] - hb * Uhat[:, i]
-        w = orth(w, Uhat, i + 1)
-        ha = np.linalg.norm(w)
-        if ha == 0:
-            raise RuntimeError(f"upper recurrence broke down at step {i + 1}")
-        hat_alphas[i + 1] = ha
-        Uhat[:, i + 1] = w / ha
-
-    Bhat = np.zeros((k, k))
-    idx = np.arange(k)
-    Bhat[idx, idx] = hat_alphas[:k]
-    if k > 1:
-        Bhat[idx[:-1], idx[:-1] + 1] = hat_betas[: k - 1]
-
-    return B, Bhat, U[:, : k + 1], Uhat[:, :k], V[:, : k + 1], Vhat[:, : k + 1]
-
-
-def explicit_shifted_qr(M, shift):
-    """Householder QR of M - shift * I, the transparent form of one QR step."""
-    M = np.asarray(M, dtype=np.float64)
-    _check_size(M)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    return np.linalg.qr(M - shift * np.eye(M.shape[0]))

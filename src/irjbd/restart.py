@@ -5,7 +5,9 @@ bidiagonal factor, reuses the right rotations of each sweep on the signed
 upper companion (one shift pair lambda^2 + mu^2 = 1 drives both, so the
 companion never needs its own shift), truncates every basis to the leading
 block, and reassembles the pending right vector from its two boundary
-terms.  Thick restart instead rotates the bases onto the leading Ritz
+terms.  The sweeps chase one bulge per factor on scalars and fold each
+sweep's rotation chains into the transforms as one Hessenberg product
+apiece.  Thick restart instead rotates the bases onto the leading Ritz
 directions of an extreme-first extraction and keeps full coupling rows.
 
 Both paths return states that expand through the ordinary process code.
@@ -50,104 +52,114 @@ class SweepRotations:
     Gbar: np.ndarray
 
 
-def _mix_columns(M, j, c, s):
-    cj = M[:, j].copy()
-    M[:, j] = c * cj + s * M[:, j + 1]
-    M[:, j + 1] = -s * cj + c * M[:, j + 1]
+def _chain_products(c, s):
+    """Products R_0 R_1 ... R_{n-2} of plane-rotation chains on (j, j+1), batched.
 
-
-def _mix_rows(M, i, c, s):
-    ri = M[i, :].copy()
-    M[i, :] = c * ri + s * M[i + 1, :]
-    M[i + 1, :] = -s * ri + c * M[i + 1, :]
-
-
-def _lower_sweep(B, lam, Gacc, Pacc):
-    """One shifted implicit QR sweep on a (k+1) x k lower bidiagonal B, in place.
-
-    The opening rotation is chosen to annihilate the (2,1) entry of
-    B B^T - lam^2 I — only the first column of that product is ever formed —
-    and the remaining rotations chase the bulge back to lower bidiagonal
-    form.  Returns the right-rotation parameters for reuse on the companion.
-
-    Composed exact-shift sweeps must tolerate reduced factors: deflating the
-    shifted value into the trailing block (a vanishing coupling) is
-    precisely their purpose, and decoupling is policed by the companion
-    sweep's residue checks instead.
+    ``c`` and ``s`` hold one chain per leading index.  R_j mixes columns j
+    and j+1 of whatever it multiplies from the right, with the block
+    [[c_j, -s_j], [s_j, c_j]].  Each product is upper Hessenberg with s on
+    the subdiagonal, and entry (i, j) on or above the diagonal is
+    c_{i-1} c_j prod_{i <= l < j} (-s_l), taking c_{-1} = c_{n-1} = 1; one
+    cumprod over a triangle of -s builds it in O(n^2) numpy work.
     """
-    k = B.shape[1]
+    n = c.shape[-1] + 1
+    one = np.ones(c.shape[:-1] + (1,))
+    runs = np.cumprod(np.where(np.tri(n, dtype=bool), 1.0,
+                               np.concatenate((one, -s), axis=-1)[..., None, :]), axis=-1)
+    H = np.triu(runs * np.concatenate((one, c), axis=-1)[..., :, None]
+                * np.concatenate((c, one), axis=-1)[..., None, :])
+    idx = np.arange(n - 1)
+    H[..., idx + 1, idx] = s
+    return H
 
-    # opening rotation from the first column of the shifted product
-    a = B[0, 0] * B[0, 0] - lam * lam
-    b = B[0, 0] * B[1, 0]
-    c, s, _ = givens(a, b)
-    _mix_rows(B, 0, c, s)
-    _mix_columns(Gacc, 0, c, s)
 
-    right_rotations = []
+def _sweep(d, e, f, g, lam, zero_tol):
+    """One coupled shifted sweep on the bidiagonal entries, in place.
+
+    ``d``/``e`` are the diagonal and subdiagonal of the (k+1) x k lower
+    factor B, ``f``/``g`` the diagonal and superdiagonal of the upper
+    companion, all Python floats; the chase carries a single bulge per
+    factor, as LAPACK's dbdsqr does.  The opening rotation annihilates the
+    (2,1) entry of B B^T - lam^2 I — only the first column of that product
+    is ever formed — and the remaining rotations chase the bulge back to
+    lower bidiagonal form.  Composed exact-shift sweeps must tolerate
+    reduced factors: deflating the shifted value into the trailing block (a
+    vanishing coupling) is precisely their purpose, and decoupling is
+    policed by the companion's residue checks instead.
+
+    The companion reuses the right rotations of B.  Each is expected to
+    annihilate the superdiagonal residue left by the previous left rotation;
+    a residue within ``zero_tol`` is dropped, keeping the companion exactly
+    upper bidiagonal, and a larger one is reported as a coupling defect.
+
+    Returns the (c, s) chains of the left rotations on B, the right
+    rotations and the left rotations on the companion, in application order.
+    """
+    k = len(d)
+    c, s, _ = givens(d[0] * d[0] - lam * lam, d[0] * e[0])
+    d[0], e[0] = c * d[0] + s * e[0], -s * d[0] + c * e[0]
+    if k > 1:
+        bulge, d[1] = s * d[1], c * d[1]
+    left, right = [(c, s)], []
     for j in range(k - 1):
         # annihilate the superdiagonal bulge (j, j+1) from the right
-        c, s, r = givens(B[j, j], B[j, j + 1])
-        _mix_columns(B, j, c, s)
-        B[j, j] = r
-        B[j, j + 1] = 0.0
-        right_rotations.append((j, c, s))
-        _mix_columns(Pacc, j, c, s)
+        c, s, d[j] = givens(d[j], bulge)
+        e[j], d[j + 1] = c * e[j] + s * d[j + 1], -s * e[j] + c * d[j + 1]
+        bulge, e[j + 1] = s * e[j + 1], c * e[j + 1]
+        right.append((c, s))
         # annihilate the subdiagonal bulge (j+2, j) from the left
-        c2, s2, r2 = givens(B[j + 1, j], B[j + 2, j])
-        _mix_rows(B, j + 1, c2, s2)
-        B[j + 1, j] = r2
-        B[j + 2, j] = 0.0
-        _mix_columns(Gacc, j + 1, c2, s2)
-    return right_rotations
+        c, s, e[j] = givens(e[j], bulge)
+        d[j + 1], e[j + 1] = c * d[j + 1] + s * e[j + 1], -s * d[j + 1] + c * e[j + 1]
+        if j + 2 < k:
+            bulge, d[j + 2] = s * d[j + 2], c * d[j + 2]
+        left.append((c, s))
 
-
-def _upper_sweep(Bbar, right_rotations, Gbacc, zero_tol):
-    """Coupled sweep on the signed upper companion, reusing the right rotations.
-
-    Each reused rotation is expected to annihilate the superdiagonal residue
-    left by the previous left rotation; residues are zeroed in storage when
-    within ``zero_tol`` and reported as a coupling defect otherwise, keeping
-    the stored factor exactly upper bidiagonal.
-    """
-    k = Bbar.shape[0]
-    if Bbar.shape != (k, k):
-        raise ValueError("upper sweep expects a square factor")
-
-    for j, c, s in right_rotations:
-        _mix_columns(Bbar, j, c, s)
+    upper = []
+    for j, (c, s) in enumerate(right):
         if j >= 1:
-            residue = abs(Bbar[j - 1, j + 1])
-            if residue > zero_tol:
+            g[j - 1], residue = c * g[j - 1] + s * bulge, -s * g[j - 1] + c * bulge
+            if abs(residue) > zero_tol:
                 raise CouplingDefectError(
-                    f"entry ({j - 1}, {j + 1}) = {residue:.3e} exceeds the zeroing "
+                    f"entry ({j - 1}, {j + 1}) = {abs(residue):.3e} exceeds the zeroing "
                     f"threshold {zero_tol:.3e}; lower/upper sweeps have decoupled"
                 )
-            Bbar[j - 1, j + 1] = 0.0
-        c2, s2, r2 = givens(Bbar[j, j], Bbar[j + 1, j])
-        _mix_rows(Bbar, j, c2, s2)
-        Bbar[j, j] = r2
-        Bbar[j + 1, j] = 0.0
-        _mix_columns(Gbacc, j, c2, s2)
+        f[j], g[j] = c * f[j] + s * g[j], -s * f[j] + c * g[j]
+        bulge, f[j + 1] = s * f[j + 1], c * f[j + 1]
+        c, s, f[j] = givens(f[j], bulge)
+        g[j], f[j + 1] = c * g[j] + s * f[j + 1], -s * g[j] + c * f[j + 1]
+        if j + 2 < k:
+            bulge, g[j + 1] = s * g[j + 1], c * g[j + 1]
+        upper.append((c, s))
+    return left, right, upper
 
 
-def _offpattern_lower(B):
-    k = B.shape[1]
-    mask = np.ones_like(B, dtype=bool)
-    idx = np.arange(k)
-    mask[idx, idx] = False
-    mask[idx + 1, idx] = False
-    return mask
+def _sweeps(B, Bbar, shifts, base_tol):
+    """Run one coupled sweep per shift on the bidiagonal entries of the pair.
 
-
-def _offpattern_upper(Bbar):
-    k = Bbar.shape[0]
-    mask = np.ones_like(Bbar, dtype=bool)
-    idx = np.arange(k)
-    mask[idx, idx] = False
-    if k > 1:
-        mask[idx[:-1], idx[:-1] + 1] = False
-    return mask
+    Only the diagonal and the one off-diagonal of each factor are read;
+    everything else counts as zero.  Each sweep's three rotation chains are
+    multiplied into the accumulated transforms as one upper-Hessenberg
+    product apiece, and the returned factors are exactly bidiagonal in
+    storage.
+    """
+    d, e = B.diagonal().tolist(), B.diagonal(-1).tolist()
+    f, g = Bbar.diagonal().tolist(), Bbar.diagonal(1).tolist()
+    k = len(d)
+    # G, P and Gbar stacked, P and Gbar padded to k + 1 by a unit corner: an
+    # identity rotation closes their k - 1 chains, so one batched product
+    # per sweep updates all three
+    acc = np.stack([np.eye(k + 1)] * 3)
+    for step, lam in enumerate(shifts):
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"shift {lam} outside [0, 1]")
+        left, right, upper = _sweep(d, e, f, g, float(lam), base_tol * (step + 1))
+        chains = np.array([left, right + [(1.0, 0.0)], upper + [(1.0, 0.0)]])
+        acc = acc @ _chain_products(chains[..., 0], chains[..., 1])
+    Bp = np.zeros((k + 1, k))
+    np.fill_diagonal(Bp, d)
+    np.fill_diagonal(Bp[1:], e)
+    rot = SweepRotations(G=acc[0], P=acc[1, :k, :k], Gbar=acc[2, :k, :k])
+    return Bp, np.diag(f) + np.diag(g, 1), rot
 
 
 def accumulate_sweeps(B, Bbar, shifts):
@@ -159,24 +171,20 @@ def accumulate_sweeps(B, Bbar, shifts):
     residue-zeroing threshold scales with the identity defect the pair
     brings in, and grows with each composed sweep (every sweep's explicit
     zeroing perturbs the identity the next sweep relies on).  Off-pattern
-    noise carried in by the input factors is zeroed under the same
+    noise carried in by the input factors is dropped under the same
     threshold discipline.
     """
-    B = np.array(B, dtype=np.float64)
-    Bbar = np.array(Bbar, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    Bbar = np.asarray(Bbar, dtype=np.float64)
     k = B.shape[1]
     if B.shape[0] != k + 1:
         raise ValueError("lower sweep expects a (k+1) x k factor")
-    Gacc = np.eye(k + 1)
-    Pacc = np.eye(k)
-    Gbacc = np.eye(k)
+    if Bbar.shape != (k, k):
+        raise ValueError("upper sweep expects a square k x k factor")
 
     identity_defect = float(np.max(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(k))))
-    offpattern = 0.0
-    masked = ((B, _offpattern_lower(B)), (Bbar, _offpattern_upper(Bbar)))
-    for M, mask in masked:
-        if np.any(mask):
-            offpattern = max(offpattern, float(np.max(np.abs(M[mask]))))
+    offpattern = max(float(np.max(np.abs(M))) for M in (
+        np.triu(B, 1), np.tril(B, -2), np.tril(Bbar, -1), np.triu(Bbar, 2)))
     # the sweeps can only stay coupled to the accuracy the state brings in:
     # its joint-identity defect and the off-pattern noise left by the inner
     # least-squares solves both cap the achievable residue level
@@ -187,15 +195,7 @@ def accumulate_sweeps(B, Bbar, shifts):
             f"factor pair too degraded to restart: identity defect "
             f"{identity_defect:.3e}, off-pattern noise {offpattern:.3e}"
         )
-    for M, mask in masked:
-        M[mask] = 0.0
-
-    for step, lam in enumerate(shifts):
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"shift {lam} outside [0, 1]")
-        rights = _lower_sweep(B, float(lam), Gacc, Pacc)
-        _upper_sweep(Bbar, rights, Gbacc, zero_tol=base_tol * (step + 1))
-    return B, Bbar, SweepRotations(G=Gacc, P=Pacc, Gbar=Gbacc)
+    return _sweeps(B, Bbar, shifts, base_tol)
 
 
 def multi_step_implicit_restart(state, shifts, l):

@@ -4,7 +4,9 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from irjbd.bidiag import givens
 from irjbd.jbd import _solve_upper, jbd_expand, jbd_init
+from irjbd.restart import CouplingDefectError, SweepRotations
 from irjbd.sparsemat import SparseMatrix
 from irjbd.stackedls import StackedOperator
 
@@ -19,6 +21,108 @@ def gaussian_pair(rng, m, p, n):
 def first_difference(n):
     """The dense (n-1) x n first-difference matrix; its null space is the constants."""
     return np.eye(n - 1, n, k=1) - np.eye(n - 1, n)
+
+
+def dense_joint_lanczos(QA, QL, u1, k, reorth=True):
+    """Explicit lower/upper Lanczos bidiagonalizations of the Q blocks.
+
+    Runs both three-term recurrences with the shared starting right vector
+    v1 = QA.T u1 / ||.|| and full reorthogonalization, returning the factors
+    and all four bases:
+
+    Returns
+    -------
+    (B, Bhat, U, Uhat, V, Vhat) with B of shape (k+1, k) lower bidiagonal and
+    Bhat (k, k) upper bidiagonal, all recurrence coefficients positive.
+    """
+    QA = np.asarray(QA, dtype=np.float64)
+    QL = np.asarray(QL, dtype=np.float64)
+    m, n = QA.shape
+    u1 = np.asarray(u1, dtype=np.float64)
+
+    def orth(vec, basis, count):
+        if reorth and count:
+            for _ in range(2):
+                vec = vec - basis[:, :count] @ (basis[:, :count].T @ vec)
+        return vec
+
+    U = np.zeros((m, k + 2))
+    V = np.zeros((n, k + 1))
+    alphas = np.zeros(k + 1)
+    betas = np.zeros(k + 1)
+
+    U[:, 0] = u1 / np.linalg.norm(u1)
+    v = QA.T @ U[:, 0]
+    a = np.linalg.norm(v)
+    if a == 0:
+        raise RuntimeError("lower recurrence broke down at the start")
+    alphas[0] = a
+    V[:, 0] = v / a
+    for i in range(k):
+        u = QA @ V[:, i] - alphas[i] * U[:, i]
+        u = orth(u, U, i + 1)
+        b = np.linalg.norm(u)
+        if b == 0:
+            raise RuntimeError(f"lower recurrence broke down at step {i + 1}")
+        betas[i] = b
+        U[:, i + 1] = u / b
+        v = QA.T @ U[:, i + 1] - b * V[:, i]
+        v = orth(v, V, i + 1)
+        a = np.linalg.norm(v)
+        if a == 0:
+            raise RuntimeError(f"lower recurrence broke down at step {i + 1}")
+        alphas[i + 1] = a
+        V[:, i + 1] = v / a
+
+    B = np.zeros((k + 1, k))
+    idx = np.arange(k)
+    B[idx, idx] = alphas[:k]
+    B[idx + 1, idx] = betas[:k]
+
+    p = QL.shape[0]
+    Uhat = np.zeros((p, k + 1))
+    Vhat = np.zeros((n, k + 1))
+    hat_alphas = np.zeros(k + 1)
+    hat_betas = np.zeros(k + 1)
+
+    Vhat[:, 0] = V[:, 0]
+    w = QL @ Vhat[:, 0]
+    ha = np.linalg.norm(w)
+    if ha == 0:
+        raise RuntimeError("upper recurrence broke down at the start")
+    hat_alphas[0] = ha
+    Uhat[:, 0] = w / ha
+    for i in range(k):
+        vh = QL.T @ Uhat[:, i] - hat_alphas[i] * Vhat[:, i]
+        vh = orth(vh, Vhat, i + 1)
+        hb = np.linalg.norm(vh)
+        if hb == 0:
+            raise RuntimeError(f"upper recurrence broke down at step {i + 1}")
+        hat_betas[i] = hb
+        Vhat[:, i + 1] = vh / hb
+        w = QL @ Vhat[:, i + 1] - hb * Uhat[:, i]
+        w = orth(w, Uhat, i + 1)
+        ha = np.linalg.norm(w)
+        if ha == 0:
+            raise RuntimeError(f"upper recurrence broke down at step {i + 1}")
+        hat_alphas[i + 1] = ha
+        Uhat[:, i + 1] = w / ha
+
+    Bhat = np.zeros((k, k))
+    idx = np.arange(k)
+    Bhat[idx, idx] = hat_alphas[:k]
+    if k > 1:
+        Bhat[idx[:-1], idx[:-1] + 1] = hat_betas[: k - 1]
+
+    return B, Bhat, U[:, : k + 1], Uhat[:, :k], V[:, : k + 1], Vhat[:, : k + 1]
+
+
+def explicit_shifted_qr(M, shift):
+    """Householder QR of M - shift * I, the transparent form of one QR step."""
+    M = np.asarray(M, dtype=np.float64)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError("expected a square matrix")
+    return np.linalg.qr(M - shift * np.eye(M.shape[0]))
 
 
 def expanded_state(rng, m, p, n, k, seed_vec=None):
@@ -161,6 +265,98 @@ def rotation_band_defect(rot, nshifts):
         if np.any(below):
             worst = max(worst, float(np.max(np.abs(M[below]))))
     return worst
+
+
+def _mix_columns(M, j, c, s):
+    cj = M[:, j].copy()
+    M[:, j] = c * cj + s * M[:, j + 1]
+    M[:, j + 1] = -s * cj + c * M[:, j + 1]
+
+
+def _mix_rows(M, i, c, s):
+    ri = M[i, :].copy()
+    M[i, :] = c * ri + s * M[i + 1, :]
+    M[i + 1, :] = -s * ri + c * M[i + 1, :]
+
+
+def _reference_lower_sweep(B, lam, Gacc, Pacc):
+    """One shifted sweep on a dense (k+1) x k lower bidiagonal B, in place."""
+    k = B.shape[1]
+    c, s, _ = givens(B[0, 0] * B[0, 0] - lam * lam, B[0, 0] * B[1, 0])
+    _mix_rows(B, 0, c, s)
+    _mix_columns(Gacc, 0, c, s)
+    right_rotations = []
+    for j in range(k - 1):
+        c, s, r = givens(B[j, j], B[j, j + 1])
+        _mix_columns(B, j, c, s)
+        B[j, j] = r
+        B[j, j + 1] = 0.0
+        right_rotations.append((j, c, s))
+        _mix_columns(Pacc, j, c, s)
+        c2, s2, r2 = givens(B[j + 1, j], B[j + 2, j])
+        _mix_rows(B, j + 1, c2, s2)
+        B[j + 1, j] = r2
+        B[j + 2, j] = 0.0
+        _mix_columns(Gacc, j + 1, c2, s2)
+    return right_rotations
+
+
+def _reference_upper_sweep(Bbar, right_rotations, Gbacc, zero_tol):
+    """The coupled sweep on a dense upper companion, reusing the right rotations."""
+    for j, c, s in right_rotations:
+        _mix_columns(Bbar, j, c, s)
+        if j >= 1:
+            residue = abs(Bbar[j - 1, j + 1])
+            if residue > zero_tol:
+                raise CouplingDefectError(
+                    f"entry ({j - 1}, {j + 1}) = {residue:.3e} exceeds the zeroing "
+                    f"threshold {zero_tol:.3e}; lower/upper sweeps have decoupled"
+                )
+            Bbar[j - 1, j + 1] = 0.0
+        c2, s2, r2 = givens(Bbar[j, j], Bbar[j + 1, j])
+        _mix_rows(Bbar, j, c2, s2)
+        Bbar[j, j] = r2
+        Bbar[j + 1, j] = 0.0
+        _mix_columns(Gbacc, j, c2, s2)
+
+
+def reference_sweeps(B, Bbar, shifts):
+    """``restart.accumulate_sweeps`` with every rotation applied to dense arrays.
+
+    Each plane rotation mixes whole rows or columns of the factors and of the
+    three accumulators, and off-pattern entries are measured and zeroed
+    through boolean masks.  Slow, but every step is visible; the scalar
+    chase must reproduce its factors bit for bit.
+    """
+    B = np.array(B, dtype=np.float64)
+    Bbar = np.array(Bbar, dtype=np.float64)
+    k = B.shape[1]
+    Gacc, Pacc, Gbacc = np.eye(k + 1), np.eye(k), np.eye(k)
+    idx = np.arange(k)
+    lower_mask = np.ones_like(B, dtype=bool)
+    lower_mask[idx, idx] = False
+    lower_mask[idx + 1, idx] = False
+    upper_mask = np.ones_like(Bbar, dtype=bool)
+    upper_mask[idx, idx] = False
+    upper_mask[idx[:-1], idx[:-1] + 1] = False
+
+    identity_defect = float(np.max(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(k))))
+    offpattern = max(float(np.max(np.abs(M[mask]), initial=0.0))
+                     for M, mask in ((B, lower_mask), (Bbar, upper_mask)))
+    eps = float(np.finfo(np.float64).eps)
+    base_tol = max(64.0 * eps * max(1.0, float(np.linalg.norm(Bbar))),
+                   8.0 * identity_defect, 4.0 * offpattern)
+    if base_tol > 1e-6 * max(1.0, float(np.linalg.norm(Bbar))):
+        raise CouplingDefectError(
+            f"factor pair too degraded to restart: identity defect "
+            f"{identity_defect:.3e}, off-pattern noise {offpattern:.3e}"
+        )
+    B[lower_mask] = 0.0
+    Bbar[upper_mask] = 0.0
+    for step, lam in enumerate(shifts):
+        rights = _reference_lower_sweep(B, float(lam), Gacc, Pacc)
+        _reference_upper_sweep(Bbar, rights, Gbacc, base_tol * (step + 1))
+    return B, Bbar, SweepRotations(G=Gacc, P=Pacc, Gbar=Gbacc)
 
 
 def cross_residual_norm(comp, A, L):

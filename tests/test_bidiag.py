@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irjbd.bidiag import givens, inverse_norm_estimates, small_gsvd
-from irjbd.oracle import dense_joint_lanczos, stack_qr
+from irjbd.oracle import stack_qr
+
+from conftest import dense_joint_lanczos
 
 
 def random_joint_factors(rng, m, p, n, k):

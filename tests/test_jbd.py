@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from irjbd.jbd import BreakdownError, jbd_expand, jbd_init
-from irjbd.oracle import dense_joint_lanczos, stack_qr
+from irjbd.oracle import stack_qr
 from irjbd.sparsemat import SparseMatrix, identity
 from irjbd.stackedls import StackedOperator
 
-from conftest import bidiagonal_parts, expanded_state, gaussian_pair, verify_state
+from conftest import (bidiagonal_parts, dense_joint_lanczos, expanded_state, gaussian_pair,
+                      verify_state)
 
 
 def _zero_matrix(nrows, ncols):

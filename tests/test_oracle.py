@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from irjbd.oracle import dense_gsvd, dense_joint_lanczos, explicit_shifted_qr, stack_qr
+from irjbd.oracle import dense_gsvd, stack_qr
 
-from conftest import first_difference, gaussian_pair
+from conftest import dense_joint_lanczos, explicit_shifted_qr, first_difference, gaussian_pair
 
 
 class TestDenseGsvd:

@@ -2,16 +2,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irjbd.bidiag import small_gsvd
 from irjbd.driver import SolverConfig, extract_ritz
 from irjbd.jbd import jbd_expand, jbd_init
-from irjbd.oracle import explicit_shifted_qr, stack_qr
-from irjbd.restart import (CouplingDefectError, _lower_sweep, _upper_sweep, accumulate_sweeps,
+from irjbd.oracle import stack_qr
+from irjbd.restart import (CouplingDefectError, _sweeps, accumulate_sweeps,
                            multi_step_implicit_restart, thick_restart)
 
-from conftest import (bidiagonal_parts, expanded_state, lower_bidiagonal_pair,
-                      rotation_band_defect, rotation_orthogonality_defect, verify_state)
+from conftest import (bidiagonal_parts, expanded_state, explicit_shifted_qr,
+                      lower_bidiagonal_pair, reference_sweeps, rotation_band_defect,
+                      rotation_orthogonality_defect, verify_state)
 from test_bidiag import random_joint_factors
 
 
@@ -110,13 +113,12 @@ class TestCoupledSweep:
 
     def test_decoupled_pair_raises_defect(self, rng):
         B, Bbar = random_joint_factors(rng, 14, 12, 10, 6)
-        rights = _lower_sweep(B, 0.45, np.eye(7), np.eye(6))
         unrelated = np.triu(rng.standard_normal((6, 6)), 0)
         # a companion unrelated to B cannot share its right rotations, even
         # under the loosest residue threshold accumulate_sweeps admits
         loosest = 1e-6 * max(1.0, float(np.linalg.norm(unrelated)))
         with pytest.raises(CouplingDefectError, match="decoupled"):
-            _upper_sweep(unrelated, rights, np.eye(6), loosest)
+            _sweeps(B, unrelated, [0.45], loosest)
 
 
 class TestAccumulatedSweeps:
@@ -132,6 +134,38 @@ class TestAccumulatedSweeps:
         Bp, Bbarp, _ = accumulate_sweeps(B, Bbar, [0.3, 0.6])
         bidiagonal_parts(Bp, tol=0.0)
         bidiagonal_parts(Bbarp, upper=True, tol=0.0)
+
+
+class TestScalarChase:
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1),
+           st.sampled_from(["cholesky", "reduced", "lanczos"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_rotations(self, k, seed, kind, data):
+        # the scalar chase runs the dense reference's arithmetic on the band
+        # entries only, so the factors agree bit for bit; the transforms are
+        # built by Hessenberg products instead of rotation by rotation
+        rng = np.random.default_rng(seed)
+        if kind == "lanczos":
+            B, Bbar = random_joint_factors(rng, k + 4, k + 3, k + 2, k)
+        else:
+            alphas = 0.2 + rng.random(k)
+            if kind == "reduced":
+                alphas[rng.integers(k)] = 0.0
+            B, Bbar = lower_bidiagonal_pair(alphas, 0.2 + rng.random(k))
+        shifts = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                                    max_size=k))
+        try:
+            ref_B, ref_Bbar, ref = reference_sweeps(B, Bbar, shifts)
+        except CouplingDefectError as err:
+            with pytest.raises(CouplingDefectError) as raised:
+                accumulate_sweeps(B, Bbar, shifts)
+            assert str(raised.value) == str(err)
+            return
+        Bp, Bbarp, rot = accumulate_sweeps(B, Bbar, shifts)
+        np.testing.assert_array_equal(Bp, ref_B)
+        np.testing.assert_array_equal(Bbarp, ref_Bbar)
+        for got, want in ((rot.G, ref.G), (rot.P, ref.P), (rot.Gbar, ref.Gbar)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
 
 class TestMultiStepRestart:
