@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .driver import EPS, SolverConfig, irjbd_solve
-from .sparsemat import MatrixMarketError, identity, read_matrix_market, second_order_L
+from .sparsemat import identity, read_matrix_market, second_order_L
 from .stackedls import StackedOperator
 
 __all__ = ["main", "run_cli", "build_parser"]
@@ -122,14 +122,16 @@ def run_cli(argv=None):
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
+    # ValueError: a MatrixMarketError, or a matrix that cannot be built
+    # (a second-order L needs n >= 2)
     try:
         A = read_matrix_market(args.A)
-    except (OSError, MatrixMarketError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read A from {args.A}: {exc}", file=sys.stderr)
         return 1
     try:
         L, l_label = _load_regularizer(args.L, A.ncols)
-    except (OSError, MatrixMarketError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read L from {args.L}: {exc}", file=sys.stderr)
         return 1
     if L.ncols != A.ncols:

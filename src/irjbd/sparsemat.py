@@ -7,6 +7,8 @@ deliberately small instead of depending on a full sparse-matrix library.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 __all__ = [
@@ -103,9 +105,13 @@ class SparseMatrix:
         if len(cols) and (cols.min() < 0 or cols.max() >= ncols):
             raise ValueError("column index out of range")
 
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if len(rows):
+        drow = np.diff(rows)
+        if np.all((drow > 0) | ((drow == 0) & (np.diff(cols) > 0))):
+            # strictly row-major already: nothing to sort or sum (copies keep inputs writable)
+            cols, values = cols.copy(), values.copy()
+        else:
+            order = np.lexsort((cols, rows))
+            rows, cols, values = rows[order], cols[order], values[order]
             new_group = np.empty(len(rows), dtype=bool)
             new_group[0] = True
             new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
@@ -210,13 +216,61 @@ def _mm_fail(lineno, message):
     raise MatrixMarketError(f"line {lineno}: {message}")
 
 
+def _mm_parse(lines, coordinate, nrows, ncols):
+    """Parse and check data lines in one ``np.loadtxt`` call: (entries, None) or (None, why).
+
+    ``why`` is None when a line does not parse.  numpy < 2 parses ``1.0``
+    into an int with only a DeprecationWarning, raised here so that every
+    supported numpy accepts the same files; an empty section's warning is muted.
+    """
+    entry = [("row", np.int64), ("col", np.int64), ("value", np.float64)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            data = np.loadtxt(lines, dtype=entry if coordinate else np.float64,
+                              comments="%", usecols=None if coordinate else 0, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None, None
+    if coordinate:
+        r, c = data["row"], data["col"]
+        outside = (r < 1) | (r > nrows) | (c < 1) | (c > ncols)
+        if outside.any():
+            return None, f"index ({r[outside][0]}, {c[outside][0]}) outside {nrows}x{ncols}"
+    if not np.isfinite(data["value"] if coordinate else data).all():
+        return None, "value must be finite"
+    return data, None
+
+
+def _mm_locate(lines, lo, coordinate, nrows, ncols):
+    """Raise naming the first of ``lines[lo:]`` (known to hold one) that ``_mm_parse`` rejects.
+
+    A run of lines is rejected exactly when one of its lines is, so halving
+    the rejected run finds it after parsing O(len(lines)) lines in all.
+    """
+    hi = len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        first_half_bad = _mm_parse(lines[lo:mid], coordinate, nrows, ncols)[0] is None
+        lo, hi = (lo, mid) if first_half_bad else (mid, hi)
+    why = _mm_parse(lines[lo:hi], coordinate, nrows, ncols)[1]
+    raw = lines[lo].strip()
+    if why is None and not coordinate:
+        why = f"cannot parse value {raw!r}"
+    elif why is None:
+        ntokens = len(raw.split("%", 1)[0].split())
+        why = "entry must be 'row col value'" if ntokens != 3 else f"cannot parse entry {raw!r}"
+    _mm_fail(lo + 1, why)
+
+
 def read_matrix_market(path):
     """Read a real coordinate or array Matrix Market file.
 
     Accepts ``general`` and ``symmetric`` symmetry (symmetric storage is
     expanded to the full matrix) and ``real``/``integer`` fields.  Duplicate
-    coordinates are summed; explicit zeros are retained.  Parse failures
-    report the offending line number.
+    coordinates are summed; explicit zeros are retained.  numpy's C parser
+    reads the data section in O(nnz).  Parse failures, indices out of range
+    and non-finite values report the offending line number.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.readlines()
@@ -245,78 +299,45 @@ def read_matrix_market(path):
 
     size_tokens = lines[i].split()
     sizeline = i + 1
-    if fmt == "coordinate":
-        if len(size_tokens) != 3:
-            _mm_fail(sizeline, "coordinate size line must be 'nrows ncols nnz'")
-        try:
-            nrows, ncols, nnz = (int(t) for t in size_tokens)
-        except ValueError:
-            _mm_fail(sizeline, "size line entries must be integers")
-        if symmetry == "symmetric" and nrows != ncols:
-            _mm_fail(sizeline, "symmetric storage requires a square matrix")
-        rows, cols, vals = [], [], []
-        count = 0
-        for j in range(i + 1, len(lines)):
-            raw = lines[j].strip()
-            if not raw or raw.startswith("%"):
-                continue
-            toks = raw.split()
-            if len(toks) != 3:
-                _mm_fail(j + 1, "entry must be 'row col value'")
-            try:
-                r, c, v = int(toks[0]), int(toks[1]), float(toks[2])
-            except ValueError:
-                _mm_fail(j + 1, f"cannot parse entry {raw!r}")
-            if not (1 <= r <= nrows and 1 <= c <= ncols):
-                _mm_fail(j + 1, f"index ({r}, {c}) outside {nrows}x{ncols}")
-            rows.append(r - 1)
-            cols.append(c - 1)
-            vals.append(v)
-            count += 1
-        if count != nnz:
-            _mm_fail(len(lines), f"expected {nnz} entries, found {count}")
+    coordinate = fmt == "coordinate"
+    if len(size_tokens) != (3 if coordinate else 2):
+        _mm_fail(sizeline, "coordinate size line must be 'nrows ncols nnz'" if coordinate
+                 else "array size line must be 'nrows ncols'")
+    try:
+        sizes = [int(t) for t in size_tokens]
+    except ValueError:
+        _mm_fail(sizeline, "size line entries must be integers")
+    if min(sizes) < 0:
+        _mm_fail(sizeline, "size line entries must be nonnegative")
+    nrows, ncols = sizes[:2]
+    if symmetry == "symmetric" and nrows != ncols:
+        _mm_fail(sizeline, "symmetric storage requires a square matrix")
+    data, _ = _mm_parse(lines[i + 1:], coordinate, nrows, ncols)
+    if data is None:
+        _mm_locate(lines, i + 1, coordinate, nrows, ncols)
+
+    if coordinate:
+        if len(data) != sizes[2]:
+            _mm_fail(len(lines), f"expected {sizes[2]} entries, found {len(data)}")
+        rows, cols, vals = data["row"] - 1, data["col"] - 1, data["value"]
         if symmetry == "symmetric":
-            for idx in range(nnz):
-                if rows[idx] != cols[idx]:
-                    rows.append(cols[idx])
-                    cols.append(rows[idx])
-                    vals.append(vals[idx])
+            # the stored entries in file order, then the mirrored off-diagonal ones
+            off = rows != cols
+            rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+            vals = np.concatenate([vals, vals[off]])
         return SparseMatrix.from_coo(nrows, ncols, rows, cols, vals)
 
     # dense array format, column-major values
-    if len(size_tokens) != 2:
-        _mm_fail(sizeline, "array size line must be 'nrows ncols'")
-    try:
-        nrows, ncols = (int(t) for t in size_tokens)
-    except ValueError:
-        _mm_fail(sizeline, "size line entries must be integers")
-    if symmetry == "symmetric" and nrows != ncols:
-        _mm_fail(sizeline, "symmetric storage requires a square matrix")
-    entries = []
-    for j in range(i + 1, len(lines)):
-        raw = lines[j].strip()
-        if not raw or raw.startswith("%"):
-            continue
-        try:
-            entries.append((float(raw.split()[0]), j + 1))
-        except ValueError:
-            _mm_fail(j + 1, f"cannot parse value {raw!r}")
     if symmetry == "general":
-        if len(entries) != nrows * ncols:
-            _mm_fail(len(lines), f"expected {nrows * ncols} values, found {len(entries)}")
-        dense = np.array([v for v, _ in entries]).reshape((ncols, nrows)).T
-    else:
-        expected = sum(nrows - j for j in range(ncols))
-        if len(entries) != expected:
-            _mm_fail(len(lines), f"expected {expected} lower-triangle values, "
-                                 f"found {len(entries)}")
-        dense = np.zeros((nrows, ncols))
-        pos = 0
-        for c in range(ncols):
-            for r in range(c, nrows):
-                dense[r, c] = entries[pos][0]
-                dense[c, r] = entries[pos][0]
-                pos += 1
+        if len(data) != nrows * ncols:
+            _mm_fail(len(lines), f"expected {nrows * ncols} values, found {len(data)}")
+        return SparseMatrix.from_dense(data.reshape((ncols, nrows)).T, keep_zeros=True)
+    if len(data) != nrows * (nrows + 1) // 2:
+        _mm_fail(len(lines), f"expected {nrows * (nrows + 1) // 2} lower-triangle values, "
+                             f"found {len(data)}")
+    cols, rows = np.triu_indices(nrows)  # column c of the lower triangle holds rows c..n-1
+    dense = np.zeros((nrows, ncols))
+    dense[rows, cols] = dense[cols, rows] = data
     return SparseMatrix.from_dense(dense, keep_zeros=True)
 
 

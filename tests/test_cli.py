@@ -150,6 +150,34 @@ class TestErrorPaths:
         assert code == 1
         assert "cannot read L" in err
 
+    @pytest.mark.parametrize("value", ["nan", "1e400"])
+    def test_non_finite_value_in_file(self, tmp_path, capsys, value):
+        path = tmp_path / "a.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n2 1 2\n"
+                        f"1 1 1.0\n2 1 {value}\n")
+        code = run_cli(["--A", str(path), "--L", "identity", "--target", "1", "--kmax", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "cannot read A" in err and "line 4: value must be finite" in err
+
+    def test_negative_size_in_file(self, tmp_path, capsys):
+        path = tmp_path / "a.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n-2 1 0\n")
+        code = run_cli(["--A", str(path), "--L", "identity", "--target", "1", "--kmax", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "cannot read A" in err and "line 2: size line entries must be nonnegative" in err
+
+    def test_second_order_regularizer_needs_two_columns(self, tmp_path, capsys):
+        path = tmp_path / "a.mtx"
+        write_matrix_market(SparseMatrix.from_dense([[2.0], [1.0]]), str(path))
+        code = run_cli(["--A", str(path), "--L", "second-order", "--target", "1",
+                        "--kmax", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "cannot read L" in captured.err and "n >= 2" in captured.err
+        assert captured.out == ""
+
     def test_dimension_mismatch(self, diag_matrix_file, tmp_path, capsys):
         bad = SparseMatrix.from_dense(np.eye(3))
         bad_path = tmp_path / "l.mtx"
