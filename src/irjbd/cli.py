@@ -108,11 +108,13 @@ def _format_report(args, A, L, l_label, result, elapsed):
 
 def _write_history(path, history):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("restart,max_bound,diag_product,lsqr_iters\n")
+        # columns are only ever appended, so existing parsers keep working
+        fh.write("restart,max_bound,diag_product,lsqr_iters,kept,shifts_replaced\n")
         for rec in history:
             max_bound = float(np.max(rec.bounds)) if len(rec.bounds) else float("nan")
             fh.write(f"{rec.restart_index},{max_bound:.17g},"
-                     f"{rec.diag_product:.17g},{rec.lsqr_iters_total}\n")
+                     f"{rec.diag_product:.17g},{rec.lsqr_iters_total},"
+                     f"{rec.kept},{rec.shifts_replaced}\n")
 
 
 def run_cli(argv=None):

@@ -28,7 +28,7 @@ import numpy as np
 from .bidiag import inverse_norm_estimates, small_gsvd
 from .jbd import BreakdownError, jbd_expand, jbd_init
 from .restart import CouplingDefectError, multi_step_implicit_restart, thick_restart
-from .shifts import apply_adaptive_rule, select_exact_shifts
+from .shifts import ShiftSet, apply_adaptive_rule, select_exact_shifts
 from .stackedls import StackedOperator
 # not called here; bench/test_bench.py::test_tracer_restores_every_binding reads this binding
 from .stackedls import lsqr_solve  # noqa: F401
@@ -57,6 +57,11 @@ class SolverConfig:
 
     ``target`` is signed: +l asks for the l largest components, -l for the
     l smallest.  ``lsqr_maxit`` defaults to 10 n when left as None.
+
+    ``adjust`` is the base number of extra kept directions: a restart keeps
+    l + adjust columns while no wanted value has converged, and one more per
+    converged wanted value, up to half the kmax - l - adjust shifts (see
+    ``kept_columns``).
     """
 
     target: int
@@ -94,6 +99,18 @@ class SolverConfig:
     def effective_adjust(self):
         """adjust clamped so at least one shift remains available."""
         return max(0, min(self.adjust, self.kmax - self.l - 1))
+
+    def kept_columns(self, nconv):
+        """Columns a restart keeps once ``nconv`` wanted values have converged.
+
+        l + adjust grows by min(nconv, nshifts // 2), nshifts = kmax - l -
+        adjust being the shift count at the base, so the slowest wanted value
+        keeps more of the subspace; at least ceil(nshifts / 2) >= 1 shifts
+        remain.  ARPACK's dsaup2 grows its kept dimension by the same rule
+        (Lehoucq, Sorensen & Yang, 1998).
+        """
+        base = self.l + self.effective_adjust()
+        return base + min(nconv, (self.kmax - base) // 2)
 
 
 @dataclass
@@ -134,11 +151,21 @@ class GsvdComponent:
 
 @dataclass
 class ConvergenceRecord:
+    """One extraction: its bounds, and the restart that led to it.
+
+    ``shifts_used``, ``kept`` and ``shifts_replaced`` describe that restart:
+    its shifts, the columns it kept (``len(shifts_used) == kmax - kept``)
+    and how many shifts the adaptive rule replaced.  The first record
+    follows no restart, so it has no shifts and ``kept == 0``.
+    """
+
     restart_index: int
     bounds: np.ndarray
     diag_product: float
     shifts_used: np.ndarray
     lsqr_iters_total: int
+    kept: int = 0
+    shifts_replaced: int = 0
 
 
 @dataclass
@@ -250,17 +277,17 @@ def irjbd_solve(A, L, cfg):
     Runs the joint bidiagonalization to kmax columns, then alternates
     extraction with restarts (implicit shifted sweeps or thick restart,
     per cfg) until every targeted bound falls below ``cfg.tol`` or the
-    restart budget runs out.  Components are recovered only on exit, most
-    extreme first, and certified (``converged``) when the bound is below tol,
-    c * s >= 10 eps and the recovered relative residual is at most tol.
+    restart budget runs out.  Each restart keeps ``cfg.kept_columns``
+    columns, a count that grows as wanted values converge, and the implicit
+    sweep takes the other kmax - kept unwanted values as shifts.  Components
+    are recovered only on exit, most extreme first, and certified
+    (``converged``) when the bound is below tol, c * s >= 10 eps and the
+    recovered relative residual is at most tol.
 
     Returns a SolveResult.
     """
     op = StackedOperator(A, L, cfg.lsqr_tol, cfg.lsqr_maxit)
     l = cfg.l
-    adj = cfg.effective_adjust()
-    keep = l + adj
-    nshifts = cfg.kmax - keep
 
     rng = np.random.default_rng(cfg.seed)
     u1 = rng.standard_normal(op.m)
@@ -269,7 +296,8 @@ def irjbd_solve(A, L, cfg):
     history = []
     restarts = 0
     broken = None
-    last_shifts = np.zeros(0)
+    last_shifts = ShiftSet(np.zeros(0))
+    keep = 0
     state = None
 
     try:
@@ -299,8 +327,10 @@ def irjbd_solve(A, L, cfg):
             restart_index=restarts,
             bounds=ritz.bounds[:l].copy(),
             diag_product=ritz.diag_product,
-            shifts_used=last_shifts.copy(),
+            shifts_used=last_shifts.lambdas.copy(),
             lsqr_iters_total=op.iterations,
+            kept=keep,
+            shifts_replaced=int(np.count_nonzero(last_shifts.replaced_flags)),
         ))
         if np.all(ritz.converged[:l]):
             status = "converged"
@@ -322,11 +352,12 @@ def irjbd_solve(A, L, cfg):
             message = f"restart budget maxit={cfg.maxit} exhausted"
             break
 
-        shift_set = apply_adaptive_rule(select_exact_shifts(ritz.small, nshifts), ritz.small, l)
-        last_shifts = shift_set.lambdas
+        keep = cfg.kept_columns(int(np.count_nonzero(ritz.converged[:l])))
+        last_shifts = apply_adaptive_rule(select_exact_shifts(ritz.small, cfg.kmax - keep),
+                                          ritz.small, l)
         try:
             if cfg.restart_mode == "implicit":
-                state = multi_step_implicit_restart(state, shift_set.lambdas, keep)
+                state = multi_step_implicit_restart(state, last_shifts.lambdas, keep)
             else:
                 state = thick_restart(state, ritz.small, keep)
             jbd_expand(state, op, cfg.kmax)

@@ -80,8 +80,29 @@ class TestRuns:
         restarts = int([ln for ln in report.splitlines()
                         if ln.startswith("restarts")][0].split()[1])
         lines = hist_path.read_text().strip().splitlines()
-        assert lines[0] == "restart,max_bound,diag_product,lsqr_iters"
         assert len(lines) - 1 == restarts + 1
+
+    def test_history_columns_are_only_appended(self, tmp_path):
+        # parsers of the first four columns must keep working, so new
+        # columns go after them; a pair that restarts fills every column
+        rng = np.random.default_rng(1)
+        a_path = tmp_path / "a.mtx"
+        write_matrix_market(SparseMatrix.from_dense(rng.standard_normal((40, 30))),
+                            str(a_path))
+        hist_path = tmp_path / "history.csv"
+        assert run_cli(["--A", str(a_path), "--L", "second-order", "--target", "3",
+                        "--kmax", "8", "--adjust", "1", "--seed", "1",
+                        "--out", str(tmp_path / "report.txt"),
+                        "--history", str(hist_path)]) == 0
+        header, *rows = hist_path.read_text().strip().splitlines()
+        old = ["restart", "max_bound", "diag_product", "lsqr_iters"]
+        assert header.split(",") == old + ["kept", "shifts_replaced"]
+        assert len(rows) > 1
+        fields = [row.split(",") for row in rows]
+        assert all(len(f) == 6 for f in fields)
+        assert [int(f[0]) for f in fields] == list(range(len(rows)))
+        assert int(fields[0][4]) == 0
+        assert all(4 <= int(f[4]) < 8 and int(f[5]) >= 0 for f in fields[1:])
 
     def test_vectors_flag_adds_vector_lines(self, diag_matrix_file, capsys):
         assert run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "1",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irjbd.driver
 import irjbd.jbd
@@ -199,8 +201,12 @@ class TestSolverLoop:
         iters = [rec.lsqr_iters_total for rec in res.history]
         assert all(b >= a for a, b in zip(iters, iters[1:]))
         assert len(res.history[0].shifts_used) == 0
-        if res.restarts:
-            assert len(res.history[1].shifts_used) == cfg.kmax - (2 + cfg.adjust)
+        assert res.history[0].kept == 0
+        # a restart keeps more columns once wanted values converge, so the
+        # shift count follows each record's kept, not the base l + adjust
+        for rec in res.history[1:]:
+            assert 2 + cfg.adjust <= rec.kept < cfg.kmax
+            assert len(rec.shifts_used) == cfg.kmax - rec.kept
 
     def test_smallest_mode_orders_smallest_first(self, rng):
         Ad, Ld, A, L = gaussian_pair(rng, 20, 18, 12)
@@ -334,6 +340,59 @@ class TestSolverLoop:
         # a cap below one inner iteration used to end the solve as a "breakdown"
         with pytest.raises(ValueError, match="lsqr_maxit"):
             SolverConfig(target=3, kmax=10, lsqr_maxit=lsqr_maxit)
+
+
+class TestAdaptiveKeep:
+    """A restart keeps l + adjust + min(nconv, nshifts // 2) columns."""
+
+    @pytest.mark.parametrize("mode", ["implicit", "thick"])
+    def test_restarts_receive_the_grown_keep(self, mode, monkeypatch):
+        calls = []
+        real_implicit = irjbd.driver.multi_step_implicit_restart
+        real_thick = irjbd.driver.thick_restart
+
+        def spy_implicit(state, shifts, l):
+            calls.append((state.k, len(shifts), l))
+            return real_implicit(state, shifts, l)
+
+        def spy_thick(state, ritz, l):
+            calls.append((state.k, None, l))
+            return real_thick(state, ritz, l)
+
+        monkeypatch.setattr(irjbd.driver, "multi_step_implicit_restart", spy_implicit)
+        monkeypatch.setattr(irjbd.driver, "thick_restart", spy_thick)
+        _, _, A, L = gaussian_pair(np.random.default_rng(1), 40, 36, 30)
+        cfg = SolverConfig(target=3, kmax=10, adjust=1, tol=1e-8, seed=1, maxit=300,
+                           restart_mode=mode)
+        res = irjbd_solve(A, L, cfg)
+        assert res.status == "converged"
+        assert len(calls) == res.restarts > 0
+        nshifts = cfg.kmax - 3 - cfg.adjust
+        for i, (k, nlambdas, keep) in enumerate(calls):
+            # the extraction before restart i is history[i]; the record after
+            # it names the same keep
+            nconv = int(np.count_nonzero(res.history[i].bounds < cfg.tol))
+            assert keep == 3 + cfg.adjust + min(nconv, nshifts // 2)
+            assert res.history[i + 1].kept == keep
+            assert k == cfg.kmax
+            if mode == "implicit":
+                assert nlambdas == cfg.kmax - keep
+        # this pair converges its wanted values one by one, so the rule grows
+        assert max(keep for _, _, keep in calls) > 3 + cfg.adjust
+
+    @given(st.integers(-12, 12).filter(bool), st.integers(0, 30), st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_at_least_one_shift_always_remains(self, target, extra, adjust):
+        l = abs(target)
+        cfg = SolverConfig(target=target, kmax=l + 1 + extra, adjust=adjust)
+        base = l + cfg.effective_adjust()
+        nshifts = cfg.kmax - base
+        kept = [cfg.kept_columns(nconv) for nconv in range(l + 1)]
+        assert kept[0] == base
+        assert all(b - a in (0, 1) for a, b in zip(kept, kept[1:]))
+        for keep in kept:
+            assert keep < cfg.kmax
+            assert cfg.kmax - keep >= (nshifts + 1) // 2 >= 1
 
 
 class TestTrivialComponentHandling:
