@@ -1,9 +1,12 @@
 """Least-squares machinery on the stacked operator [A; L].
 
-The operator holds [A; L] as one set of CSR arrays, built once, so each
-product with it or its transpose is a single bincount.  LSQR is implemented
-natively on the operator and runs on [A; L] M for a right preconditioner M
-built once with the operator.  When the dense n x n map fits under
+The operator holds [A; L] as one slot-major padded-ELL copy (Bell &
+Garland, 2009), built once: entry j of every row sits in row j of a
+(width, m+p) array, so a product runs each numpy operation over all m+p
+rows at once.  Rows longer than the padded width form a CSR tail whose
+product is added.  LSQR is implemented natively on the operator and runs on
+[A; L] M for a right preconditioner M built once with the operator.  When
+the dense n x n map fits under
 ``_FACTOR_BYTES``, M = D R^-1, with D the scaling to unit column norms and
 R the Cholesky factor of the Gram matrix of [A; L] D: [A; L] M then has
 orthonormal columns up to rounding and every solve converges in one or two
@@ -63,18 +66,50 @@ def _column_norms(col_indices, values, n):
     return norms
 
 
+def _padded_ell(offsets, row_ids, col_indices, values):
+    """Slot-major padded-ELL copy of a CSR matrix, plus a CSR tail of long rows.
+
+    Returns (cols, vals, tail).  ``cols`` and ``vals`` have shape
+    (width, nrows): slot j of row r holds the row's j-th stored entry, and a
+    slot past the row's end holds the row's own last column (column 0 for an
+    empty row) with the value +0.0, so for finite input it adds an exact
+    zero.  ``width`` is the longest row as long as nrows * width <= 2 nnz and
+    is capped there otherwise.  A row longer than ``width`` keeps only padded
+    slots, and all of its entries go to ``tail`` = (row ids, column indices,
+    values) in storage order; ``tail`` is None when every row fits.  Moving
+    whole rows keeps each row summing its terms in storage order from +0.0.
+    """
+    nrows = len(offsets) - 1
+    counts = np.diff(offsets)
+    width = int(min(counts.max(), 2 * len(values) // nrows)) if nrows else 0
+    last = np.zeros(nrows, dtype=np.int64)
+    filled = counts > 0
+    last[filled] = col_indices[offsets[1:][filled] - 1]
+    cols = np.repeat(last[None, :], width, axis=0)
+    vals = np.zeros((width, nrows))
+    fits = (counts <= width)[row_ids]
+    slots = np.arange(len(values)) - offsets[row_ids]
+    cols[slots[fits], row_ids[fits]] = col_indices[fits]
+    vals[slots[fits], row_ids[fits]] = values[fits]
+    long = ~fits
+    tail = (row_ids[long], col_indices[long], values[long]) if np.any(long) else None
+    return cols, vals, tail
+
+
 class StackedOperator:
     """The operator x -> (A x; L x) for a conformable pair {A, L}.
 
-    [A; L] is stored fused: L's rows follow A's in one set of CSR arrays.
-    ``scale`` holds 1 / ||column j of [A; L]|| (1 for a zero column).  The
-    right preconditioner M under which ``lsqr_solve`` iterates is built here
-    once: D R^-1 (D = diag(``scale``), R the Cholesky factor of the Gram
-    matrix of [A; L] D) when the n x n map fits under ``_FACTOR_BYTES`` and R
-    is numerically nonsingular, and D otherwise.  The operator also holds the
-    inner-solve controls — ``tol`` (default 10 eps) and ``maxit`` (default
-    ``resolve_maxit(None, n)``) — and two counters, ``iterations`` and
-    ``failures``, that every ``lsqr_solve`` through it adds to.
+    [A; L] is stored fused, L's rows after A's, as a slot-major padded-ELL
+    copy (``_cols``, ``_vals``) with an optional CSR tail (``_tail``); see
+    ``_padded_ell``.  ``scale`` holds 1 / ||column j of [A; L]|| (1 for a
+    zero column).  The right preconditioner M under which ``lsqr_solve``
+    iterates is built here once: D R^-1 (D = diag(``scale``), R the Cholesky
+    factor of the Gram matrix of [A; L] D) when the n x n map fits under
+    ``_FACTOR_BYTES`` and R is numerically nonsingular, and D otherwise.
+    The operator also holds the inner-solve controls — ``tol`` (default
+    10 eps) and ``maxit`` (default ``resolve_maxit(None, n)``) — and two
+    counters, ``iterations`` and ``failures``, that every ``lsqr_solve``
+    through it adds to.
     """
 
     def __init__(self, A, L, tol=10.0 * _EPS, maxit=None):
@@ -96,22 +131,23 @@ class StackedOperator:
         self._rnorm = None
 
         offsets = np.concatenate([A.row_offsets, L.row_offsets[1:] + A.nnz])
-        self._row_ids = np.repeat(np.arange(self.m + self.p, dtype=np.int64), np.diff(offsets))
-        self._col_indices = np.concatenate([A.col_indices, L.col_indices])
-        self._values = np.concatenate([A.values, L.values])
-        colnorm = _column_norms(self._col_indices, self._values, self.n)
+        row_ids = np.repeat(np.arange(self.m + self.p, dtype=np.int64), np.diff(offsets))
+        col_indices = np.concatenate([A.col_indices, L.col_indices])
+        values = np.concatenate([A.values, L.values])
+        self._cols, self._vals, self._tail = _padded_ell(offsets, row_ids, col_indices, values)
+        colnorm = _column_norms(col_indices, values, self.n)
         self.scale = np.ones(self.n)
         np.divide(1.0, colnorm, out=self.scale, where=colnorm > 0.0)
         self._factor = None
         if 8 * self.n * self.n <= _FACTOR_BYTES:
-            self._factor = self._inverse_cholesky_factor()
+            self._factor = self._inverse_cholesky_factor(row_ids, col_indices, values)
 
     @staticmethod
     def resolve_maxit(maxit, n):
         """The inner iteration cap for n columns: ``maxit``, or 10 n when None."""
         return maxit if maxit is not None else 10 * n
 
-    def _inverse_cholesky_factor(self):
+    def _inverse_cholesky_factor(self, row_ids, col_indices, values):
         """D R^-1 for the Cholesky factor R of the Gram matrix of [A; L] D, or None.
 
         The entries of [A; L] D are at most 1 in magnitude, so its Gram
@@ -121,7 +157,8 @@ class StackedOperator:
         entry.
         """
         try:
-            lower = np.linalg.cholesky(self._equilibrated_gram())   # R = lower^T
+            gram = self._equilibrated_gram(row_ids, col_indices, values)
+            lower = np.linalg.cholesky(gram)   # R = lower^T
             diag = np.abs(np.diag(lower))
             if not diag.min() > sqrt(self.n * _EPS) * diag.max():
                 return None
@@ -130,15 +167,18 @@ class StackedOperator:
             return None
         return factor if np.all(np.isfinite(factor)) else None
 
-    def _equilibrated_gram(self):
-        """(S^T S) for S = [A; L] D, summed over dense blocks of n rows of S."""
+    def _equilibrated_gram(self, row_ids, col_indices, values):
+        """(S^T S) for S = [A; L] D, summed over dense blocks of n rows of S.
+
+        The fused stack is given by its entries in CSR order.
+        """
         n, rows = self.n, self.m + self.p
-        unit = self._values * self.scale[self._col_indices]
+        unit = values * self.scale[col_indices]
         gram = np.zeros((n, n))
         for first in range(0, rows, n):
-            lo, hi = np.searchsorted(self._row_ids, [first, first + n])
+            lo, hi = np.searchsorted(row_ids, [first, first + n])
             block = np.zeros((min(n, rows - first), n))
-            block[self._row_ids[lo:hi] - first, self._col_indices[lo:hi]] = unit[lo:hi]
+            block[row_ids[lo:hi] - first, col_indices[lo:hi]] = unit[lo:hi]
             gram += block.T @ block
         return gram
 
@@ -165,11 +205,22 @@ class StackedOperator:
         return (self.m + self.p, self.n)
 
     def apply(self, x):
-        """Return the stacked product (A x; L x)."""
+        """Return the stacked product (A x; L x).
+
+        Each row sums its terms in storage order from +0.0, one ELL slot
+        after another, so the result is bitwise (A.matvec(x); L.matvec(x)).
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"apply expects a vector of length {self.n}, got {x.shape}")
-        return _csr_product(self._row_ids, self._col_indices, self._values, x, self.m + self.p)
+        rows = self.m + self.p
+        out = np.zeros(rows)
+        for terms in self._vals * x[self._cols]:
+            out += terms
+        if self._tail is not None:
+            # a tail row has only padded slots, so out holds +0.0 there
+            out += _csr_product(*self._tail, x, rows)
+        return out
 
     def apply_transpose(self, y):
         """Return A.T y_upper + L.T y_lower for a stacked y."""
@@ -177,7 +228,15 @@ class StackedOperator:
         if y.shape != (self.m + self.p,):
             raise ValueError(f"apply_transpose expects a vector of length {self.m + self.p}, "
                              f"got {y.shape}")
-        return _csr_product(self._col_indices, self._row_ids, self._values, y, self.n)
+        if self._vals.size:
+            out = np.bincount(self._cols.ravel(), weights=(self._vals * y).ravel(),
+                              minlength=self.n)
+        else:
+            out = np.zeros(self.n)
+        if self._tail is not None:
+            rows, cols, vals = self._tail
+            out += _csr_product(cols, rows, vals, y, self.n)
+        return out
 
 
 @dataclass

@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import irjbd.stackedls
 from irjbd.sparsemat import SparseMatrix, identity, second_order_L
@@ -19,6 +22,57 @@ def _project(op, u):
     rhs = np.concatenate([u, np.zeros(op.p)])
     out = lsqr_solve(op, rhs)
     return op.apply(out.solution), out
+
+
+def _bits(v):
+    """The bit patterns of a float vector: compares signed zeros too."""
+    return np.asarray(v, dtype=np.float64).view(np.uint64)
+
+
+_ENTRIES = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+def _block(draw, nrows, ncols, zero, long_row):
+    """A random nrows x ncols block from duplicate-heavy triplets.
+
+    Indices drawn from a few rows and columns make repeated coordinates (and
+    empty rows) common.  ``zero`` gives the all-zero block; ``long_row``
+    adds a full row 0 of length ncols.
+    """
+    if zero or nrows == 0:
+        return SparseMatrix.from_coo(nrows, ncols, [], [], [])
+    k = draw(st.integers(0, 3 * nrows * ncols))
+    rows = draw(arrays(np.int64, k, elements=st.integers(0, nrows - 1)))
+    cols = draw(arrays(np.int64, k, elements=st.integers(0, ncols - 1)))
+    vals = draw(arrays(np.float64, k, elements=_ENTRIES))
+    if long_row:
+        rows = np.concatenate([rows, np.zeros(ncols, dtype=np.int64)])
+        cols = np.concatenate([cols, np.arange(ncols)])
+        vals = np.concatenate([vals, draw(arrays(np.float64, ncols, elements=_ENTRIES))])
+    return SparseMatrix.from_coo(nrows, ncols, rows, cols, vals)
+
+
+@st.composite
+def _stacks(draw):
+    """(A, L, x, y) for a random conformable stack with m + p >= n."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 8))
+    p = draw(st.integers(max(0, n - m), 8))
+    zero_A = draw(st.integers(0, 3)) == 0
+    long_row = draw(st.booleans())
+    A = _block(draw, m, n, zero_A, long_row)
+    L = _block(draw, p, n, False, long_row and m == 0)
+    x = draw(arrays(np.float64, n, elements=_ENTRIES))
+    y = draw(arrays(np.float64, m + p, elements=_ENTRIES))
+    return A, L, x, y
+
+
+def _long_row_stack():
+    """A 7 x 6 A whose dense first row is longer than the padded width."""
+    A = SparseMatrix.from_coo(7, 6, [0] * 6 + [3, 5], list(range(6)) + [2, 4],
+                              [1.5, -2.0, 0.25, 3.0, -1.0, 0.5, 2.0, -4.0])
+    L = SparseMatrix.from_coo(1, 6, [0], [1], [1.0])
+    return A, L, np.linspace(-1.0, 2.0, 6), np.linspace(3.0, -1.0, 8)
 
 
 class TestApply:
@@ -52,6 +106,43 @@ class TestApply:
         y = rng.standard_normal(50)
         blocks = A.matvec_transpose(y[:30]) + L.matvec_transpose(y[30:])
         assert np.max(np.abs(op.apply_transpose(y) - blocks)) <= 4 * EPS * np.max(np.abs(blocks))
+
+    @given(_stacks())
+    @example(_long_row_stack())
+    @settings(max_examples=300, deadline=None)
+    def test_padded_ell_matches_the_two_blocks(self, stack):
+        # empty rows, an all-zero A, rectangular A, summed duplicates and a
+        # row long enough to go to the CSR tail
+        A, L, x, y = stack
+        op = StackedOperator(A, L)
+        blocks = np.concatenate([A.matvec(x), L.matvec(x)])
+        np.testing.assert_array_equal(_bits(op.apply(x)), _bits(blocks))
+        # the transpose sums each column in another order: both orders stay
+        # within the rounding bound of a sum of that many terms
+        m = A.nrows
+        dense = np.vstack([A.to_dense(), L.to_dense()])
+        abs_terms = np.abs(dense).T @ np.abs(y)
+        count = np.count_nonzero(dense, axis=0)
+        expected = A.matvec_transpose(y[:m]) + L.matvec_transpose(y[m:])
+        err = np.abs(op.apply_transpose(y) - expected)
+        assert np.all(err <= count * EPS * abs_terms)
+
+    def test_storage_capped_at_twice_the_entries(self, rng):
+        # one dense row of length n would pad every row to n slots; the cap
+        # keeps the padded slots within 2 nnz and sends that row to the tail
+        n = 40
+        Ad = rng.standard_normal((60, n)) * (rng.random((60, n)) < 0.05)
+        Ad[7] = rng.standard_normal(n)
+        A, L = SparseMatrix.from_dense(Ad), second_order_L(n)
+        op = StackedOperator(A, L)
+        assert op._vals.size <= 2 * (A.nnz + L.nnz)
+        assert op._tail is not None
+        stack = np.vstack([Ad, L.to_dense()])
+        x = rng.standard_normal(n)
+        np.testing.assert_allclose(op.apply(x), stack @ x, rtol=1e-13, atol=1e-13)
+        np.testing.assert_array_equal(op.apply(x), np.concatenate([A.matvec(x), L.matvec(x)]))
+        y = rng.standard_normal(60 + L.nrows)
+        np.testing.assert_allclose(op.apply_transpose(y), stack.T @ y, rtol=1e-13, atol=1e-13)
 
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
