@@ -6,13 +6,12 @@ matrices sum to the identity.  Approximate GSVD data is read off from their
 SVDs, which share a single right-vector matrix W exactly when that identity
 holds; extraction therefore computes one LAPACK SVD (of B) and derives the
 companion's singular data through W, keeping the shared-W structure exact
-by construction and making any loss of the joint identity observable as a
-defect flag.
+by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import hypot
 
 import numpy as np
@@ -37,11 +36,9 @@ def givens(a, b):
 class SmallGsvd:
     """Joint singular data of the projected factor pair.
 
-    ``C`` is nonincreasing, ``S`` nondecreasing, and C**2 + S**2 = 1 up to
-    the joint-identity defect.  ``W`` is shared between both factors;
-    ``P``/``Pbar`` hold the corresponding left vectors.  ``flagged`` is set
-    when the joint identity (or the derived C/S consistency) degrades beyond
-    what the residual bounds can tolerate.
+    ``C`` is nonincreasing, ``S`` nondecreasing, and C**2 + S**2 = 1 to the
+    accuracy of the pair's joint identity.  ``W`` is shared between both
+    factors; ``P``/``Pbar`` hold the corresponding left vectors.
     """
 
     C: np.ndarray
@@ -49,53 +46,31 @@ class SmallGsvd:
     W: np.ndarray
     P: np.ndarray
     Pbar: np.ndarray
-    identity_defect: float
-    flagged: bool = False
-    notes: list = field(default_factory=list)
 
     @property
     def k(self):
         return len(self.C)
 
 
-def _as_dense(factor):
-    dense = np.asarray(factor, dtype=np.float64)
-    if dense.ndim != 2:
-        raise ValueError("expected a matrix")
-    return dense
-
-
-def small_gsvd(B, Bbar, identity_tol=1e-8, cross_check_tol=1e-8):
+def small_gsvd(B, Bbar):
     """Extract joint GSVD data from the factor pair {B, Bbar}.
 
     ``B`` may be (k+1) x k or k x k; ``Bbar`` is the signed k x k companion
     with B.T B + Bbar.T Bbar = I.  The SVD of B supplies C, W and P; then
-    S_i = ||Bbar w_i|| and pbar_i = Bbar w_i / S_i, which keeps a single W
-    shared by both factors.  Each w_i is sign-fixed so its largest-magnitude
-    entry is positive, making the output deterministic.
-
-    The joint identity and the consistency of S against sqrt(1 - C**2) are
-    checked; violations set ``flagged`` rather than raising, because a
-    flagged extraction is still the best available data for diagnostics.
+    S_i = ||Bbar w_i|| and pbar_i = Bbar w_i / S_i (zero where S_i
+    vanishes), which keeps a single W shared by both factors.  Each w_i is
+    sign-fixed so its largest-magnitude entry is positive, making the output
+    deterministic.  The joint identity is not checked here; its one check
+    is ``restart.accumulate_sweeps``, which refuses a degraded pair.
     """
-    Bd = _as_dense(B)
-    Bbard = _as_dense(Bbar)
-    k = Bd.shape[1]
-    if Bbard.shape != (k, k):
+    B = np.asarray(B, dtype=np.float64)
+    Bbar = np.asarray(Bbar, dtype=np.float64)
+    k = B.shape[1]
+    if Bbar.shape != (k, k):
         raise ValueError(f"factor pair disagrees on k: B has {k} columns, "
-                         f"companion is {Bbard.shape}")
+                         f"companion is {Bbar.shape}")
 
-    identity_defect = 0.0
-    if k:
-        gram = Bd.T @ Bd + Bbard.T @ Bbard
-        identity_defect = float(np.max(np.abs(gram - np.eye(k))))
-    notes = []
-    flagged = False
-    if identity_defect > identity_tol:
-        flagged = True
-        notes.append(f"joint identity defect {identity_defect:.3e} exceeds {identity_tol:.1e}")
-
-    P, C, Wt = np.linalg.svd(Bd, full_matrices=False)
+    P, C, Wt = np.linalg.svd(B, full_matrices=False)
     W = Wt.T
 
     # deterministic signs: dominant entry of each w positive
@@ -104,23 +79,12 @@ def small_gsvd(B, Bbar, identity_tol=1e-8, cross_check_tol=1e-8):
         W[:, flip] = -W[:, flip]
         P[:, flip] = -P[:, flip]
 
-    BW = Bbard @ W
+    BW = Bbar @ W
     S = np.linalg.norm(BW, axis=0)
     Pbar = np.zeros_like(BW)
     live = S > 0.0
     Pbar[:, live] = BW[:, live] / S[live]
-    for j in np.flatnonzero(~live):
-        flagged = True
-        notes.append(f"companion singular value {j} vanished")
-
-    if k:
-        cross = np.max(np.abs(S - np.sqrt(np.clip(1.0 - C**2, 0.0, None))))
-        if cross > cross_check_tol:
-            flagged = True
-            notes.append(f"C/S cross-check defect {cross:.3e} exceeds {cross_check_tol:.1e}")
-
-    return SmallGsvd(C=C, S=S, W=W, P=P, Pbar=Pbar,
-                     identity_defect=identity_defect, flagged=flagged, notes=notes)
+    return SmallGsvd(C=C, S=S, W=W, P=P, Pbar=Pbar)
 
 
 def inverse_norm_estimates(B, Bhat):
@@ -131,8 +95,8 @@ def inverse_norm_estimates(B, Bhat):
     only the smallest singular value of each block is needed.  A
     numerically singular block maps to +inf.
     """
-    Bd = _as_dense(B)
-    Bhatd = _as_dense(Bhat)
+    Bd = np.asarray(B, dtype=np.float64)
+    Bhatd = np.asarray(Bhat, dtype=np.float64)
     k = Bd.shape[1]
 
     def inv_norm(mat):

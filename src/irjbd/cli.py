@@ -8,18 +8,21 @@ a small CSV meant for external plotting of per-restart convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
 import numpy as np
 
-from .driver import EPS, SolverConfig, irjbd_solve
+from .driver import SolverConfig, irjbd_solve
 from .sparsemat import identity, read_matrix_market, second_order_L
 from .stackedls import StackedOperator
 
 __all__ = ["main", "run_cli", "build_parser"]
 
 _STATUS_EXIT = {"converged": 0, "unreliable": 2, "maxit_exhausted": 2, "breakdown": 2}
+
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
 
 
 def build_parser():
@@ -38,21 +41,23 @@ def build_parser():
                              "(default: 5)")
     parser.add_argument("--kmax", type=int, required=True,
                         help="maximum subspace dimension")
-    parser.add_argument("--adjust", type=int, default=3,
-                        help="extra retained directions to speed convergence (default: 3)")
-    parser.add_argument("--tol", type=float, default=1e-8,
-                        help="stopping tolerance on the residual bound (default: 1e-8)")
-    parser.add_argument("--maxit", type=int, default=1000,
-                        help="maximum number of restarts (default: 1000)")
-    parser.add_argument("--lsqr-tol", type=float, default=10.0 * EPS,
+    parser.add_argument("--adjust", type=int, default=_DEFAULTS["adjust"],
+                        help="extra retained directions to speed convergence "
+                             "(default: %(default)s)")
+    parser.add_argument("--tol", type=float, default=_DEFAULTS["tol"],
+                        help="stopping tolerance on the residual bound (default: %(default)g)")
+    parser.add_argument("--maxit", type=int, default=_DEFAULTS["maxit"],
+                        help="maximum number of restarts (default: %(default)s)")
+    parser.add_argument("--lsqr-tol", type=float, default=_DEFAULTS["lsqr_tol"],
                         help="inner least-squares tolerance, applied to [A; L] "
                              "right-preconditioned (default: 10*eps)")
-    parser.add_argument("--lsqr-maxit", type=int, default=None,
+    parser.add_argument("--lsqr-maxit", type=int, default=_DEFAULTS["lsqr_maxit"],
                         help="inner least-squares iteration cap (default: 10n)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the random unit starting vector (default: 0)")
+    parser.add_argument("--seed", type=int, default=_DEFAULTS["seed"],
+                        help="seed for the random unit starting vector (default: %(default)s)")
     parser.add_argument("--restart-mode", choices=("implicit", "thick"),
-                        default="implicit", help="restart strategy (default: implicit)")
+                        default=_DEFAULTS["restart_mode"],
+                        help="restart strategy (default: %(default)s)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the report here instead of stdout")
     parser.add_argument("--history", metavar="PATH", default=None,
@@ -142,17 +147,8 @@ def run_cli(argv=None):
         return 1
 
     try:
-        cfg = SolverConfig(
-            target=args.target,
-            kmax=args.kmax,
-            adjust=args.adjust,
-            tol=args.tol,
-            maxit=args.maxit,
-            lsqr_tol=args.lsqr_tol,
-            lsqr_maxit=args.lsqr_maxit,
-            seed=args.seed,
-            restart_mode=args.restart_mode,
-        )
+        cfg = SolverConfig(**{f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(SolverConfig)})
     except ValueError as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return 1

@@ -140,8 +140,23 @@ class JbdState:
         return (np.all(self.coupling_u[:-1] == 0.0)
                 and np.all(self.coupling_uhat[:-1] == 0.0))
 
-    def _blank_like(self):
-        return JbdState(self.m, self.p, self.n, self.capacity, self.breakdown_tol)
+    def restarted(self, l, U, Uhat, Vprime, preimages, B, Bbar):
+        """A new l-column state of the same run, built from restarted blocks.
+
+        ``U`` has l + 1 columns and ``B`` is (l+1) x l; ``Uhat``, ``Vprime``
+        and ``preimages`` have l columns and ``Bbar`` is l x l.  The pending
+        right vector and its couplings are left for the caller to set.
+        """
+        new = JbdState(self.m, self.p, self.n, self.capacity, self.breakdown_tol)
+        new.k = l
+        new.n_left = l + 1
+        new._U[:, : l + 1] = U
+        new._Uhat[:, :l] = Uhat
+        new._Vp[:, :l] = Vprime
+        new._T[:, :l] = preimages
+        new._B[: l + 1, :l] = B
+        new._Bbar[:l, :l] = Bbar
+        return new
 
 
 def _solve_upper(op, u):

@@ -10,12 +10,12 @@ sweep's rotation chains into the transforms as one Hessenberg product
 apiece.  Thick restart instead rotates the bases onto the leading Ritz
 directions of an extreme-first extraction and keeps full coupling rows.
 
-Both paths return states that expand through the ordinary process code.
+Both paths build their result with ``JbdState.restarted``, and it expands
+through the ordinary process code.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +198,15 @@ def accumulate_sweeps(B, Bbar, shifts):
     return _sweeps(B, Bbar, shifts, base_tol)
 
 
+def _check_restartable(state, l):
+    """Raise ValueError unless the open, unexhausted state can shrink to l columns."""
+    k = state.k
+    if not 1 <= l < k:
+        raise ValueError(f"need 1 <= l < k, got l={l}, k={k}")
+    if state.exhausted or state.n_left != k + 1:
+        raise ValueError("cannot restart an exhausted or closed state")
+
+
 def multi_step_implicit_restart(state, shifts, l):
     """Shrink a k-column state to l columns through k - l coupled sweeps.
 
@@ -209,43 +218,29 @@ def multi_step_implicit_restart(state, shifts, l):
     the joint-identity recurrence so the restarted state expands exactly
     like a fresh one.
     """
+    _check_restartable(state, l)
     k = state.k
     shifts = np.asarray(shifts, dtype=np.float64)
-    if len(shifts) == 0:
-        warnings.warn("implicit restart with no shifts is a no-op", stacklevel=2)
-        return state
-    if not 1 <= l < k:
-        raise ValueError(f"need 1 <= l < k, got l={l}, k={k}")
     if len(shifts) != k - l:
         raise ValueError(f"need k - l = {k - l} shifts, got {len(shifts)}")
-    if state.exhausted or state.n_left != k + 1:
-        raise ValueError("cannot restart an exhausted or closed state")
     if not state.is_canonical:
         raise ValueError("implicit restart requires canonical bidiagonal factors")
 
     Bp, Bbarp, rot = accumulate_sweeps(state.Bdense, state.Bbardense, shifts)
 
-    new = state._blank_like()
-    new.k = l
-    new.n_left = l + 1
-    new._U[:, : l + 1] = state.U @ rot.G[:, : l + 1]
-    new._Uhat[:, :l] = state.Uhat @ rot.Gbar[:, :l]
     vp_ext = state.Vprime @ rot.P[:, : l + 1]
     t_ext = state.preimages @ rot.P[:, : l + 1]
-    new._Vp[:, :l] = vp_ext[:, :l]
-    new._T[:, :l] = t_ext[:, :l]
-    new._B[: l + 1, :l] = Bp[: l + 1, :l]
-    new._Bbar[:l, :l] = Bbarp[:l, :l]
+    new = state.restarted(l, state.U @ rot.G[:, : l + 1], state.Uhat @ rot.Gbar[:, :l],
+                          vp_ext[:, :l], t_ext[:, :l], Bp[: l + 1, :l], Bbarp[:l, :l])
 
     # pending right vector: corner-of-G times the old pending vector plus the
     # first rotated column beyond the kept block
     corner = rot.G[k, l]
     resid = state.alpha_next * corner * state.vp_next + Bp[l, l] * vp_ext[:, l]
     t_resid = state.alpha_next * corner * state.t_next + Bp[l, l] * t_ext[:, l]
-    kept = new._Vp[:, :l]
-    coef = kept.T @ resid
-    resid = resid - kept @ coef
-    t_resid = t_resid - new._T[:, :l] @ coef
+    coef = new.Vprime.T @ resid
+    resid = resid - new.Vprime @ coef
+    t_resid = t_resid - new.preimages @ coef
     alpha = float(np.linalg.norm(resid))
     if alpha < state.breakdown_tol:
         raise BreakdownError("alpha", l + 1, alpha)
@@ -271,15 +266,9 @@ def thick_restart(state, ritz, l):
     vector is unchanged.  Unlike the banded transforms of the implicit
     restart, the applied rotation blocks are dense.
     """
-    k = state.k
-    if not 1 <= l < k:
-        raise ValueError(f"need 1 <= l < k, got l={l}, k={k}")
-    if state.exhausted or state.n_left != k + 1:
-        raise ValueError("cannot restart an exhausted or closed state")
-    if ritz.k != k:
+    _check_restartable(state, l)
+    if ritz.k != state.k:
         raise ValueError("extraction size does not match the state")
-
-    sel = np.arange(l)
 
     # complete the left singular basis with its orthogonal complement vector
     qfull, _ = np.linalg.qr(ritz.P, mode="complete")
@@ -287,20 +276,14 @@ def thick_restart(state, ritz, l):
     lead = int(np.argmax(np.abs(p_extra)))
     if p_extra[lead] < 0.0:
         p_extra = -p_extra
-    left_map = np.column_stack([ritz.P[:, sel], p_extra])
+    left_map = np.column_stack([ritz.P[:, :l], p_extra])
 
-    new = state._blank_like()
-    new.k = l
-    new.n_left = l + 1
-    new._U[:, : l + 1] = state.U @ left_map
-    new._Uhat[:, :l] = state.Uhat @ ritz.Pbar[:, sel]
-    new._Vp[:, :l] = state.Vprime @ ritz.W[:, sel]
-    new._T[:, :l] = state.preimages @ ritz.W[:, sel]
-    new._B[:l, :l] = np.diag(ritz.C[sel])
-    new._Bbar[:l, :l] = np.diag(ritz.S[sel])
-
+    new = state.restarted(l, state.U @ left_map, state.Uhat @ ritz.Pbar[:, :l],
+                          state.Vprime @ ritz.W[:, :l], state.preimages @ ritz.W[:, :l],
+                          np.vstack([np.diag(ritz.C[:l]), np.zeros(l)]),
+                          np.diag(ritz.S[:l]))
     new.vp_next = state.vp_next.copy()
     new.t_next = state.t_next.copy()
     new.coupling_u = left_map.T @ state.coupling_u
-    new.coupling_uhat = ritz.Pbar[:, sel].T @ state.coupling_uhat
+    new.coupling_uhat = ritz.Pbar[:, :l].T @ state.coupling_uhat
     return new

@@ -106,6 +106,7 @@ class StackedOperator:
     iterates is built here once: D R^-1 (D = diag(``scale``), R the Cholesky
     factor of the Gram matrix of [A; L] D) when the n x n map fits under
     ``_FACTOR_BYTES`` and R is numerically nonsingular, and D otherwise.
+    ``rnorm_estimate`` is ``stack_norm_estimate(A, L)``, computed once.
     The operator also holds the inner-solve controls — ``tol`` (default
     10 eps) and ``maxit`` (default ``resolve_maxit(None, n)``) — and two
     counters, ``iterations`` and ``failures``, that every ``lsqr_solve``
@@ -128,7 +129,7 @@ class StackedOperator:
         self.maxit = self.resolve_maxit(maxit, self.n)
         self.iterations = 0
         self.failures = 0
-        self._rnorm = None
+        self.rnorm_estimate = stack_norm_estimate(A, L)
 
         offsets = np.concatenate([A.row_offsets, L.row_offsets[1:] + A.nnz])
         row_ids = np.repeat(np.arange(self.m + self.p, dtype=np.int64), np.diff(offsets))
@@ -193,16 +194,6 @@ class StackedOperator:
         if self._factor is None:
             return self.scale * w
         return w @ self._factor
-
-    @property
-    def rnorm_estimate(self):
-        if self._rnorm is None:
-            self._rnorm = stack_norm_estimate(self.A, self.L)
-        return self._rnorm
-
-    @property
-    def shape(self):
-        return (self.m + self.p, self.n)
 
     def apply(self, x):
         """Return the stacked product (A x; L x).

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from irjbd.bidiag import givens, inverse_norm_estimates, small_gsvd
 from irjbd.oracle import stack_qr
+from irjbd.restart import CouplingDefectError, accumulate_sweeps
 
 from conftest import dense_joint_lanczos
 
@@ -19,12 +20,18 @@ def random_joint_factors(rng, m, p, n, k):
     return B, Bhat * signs[None, :]
 
 
+def assert_joint_values(out):
+    """Every companion value is live and C**2 + S**2 = 1 to 1e-8."""
+    assert np.all(out.S > 0)
+    assert np.max(np.abs(out.C**2 + out.S**2 - 1.0)) <= 1e-8
+
+
 def assert_matches_lapack(B, Bbar):
     """small_gsvd(B, Bbar) against LAPACK values, with reconstruction of B."""
     out = small_gsvd(B, Bbar)
     np.testing.assert_allclose(out.C, np.linalg.svd(B, compute_uv=False), rtol=0, atol=1e-13)
     np.testing.assert_allclose(out.P @ np.diag(out.C) @ out.W.T, B, rtol=0, atol=1e-13)
-    assert not out.flagged
+    assert_joint_values(out)
     return out
 
 
@@ -77,7 +84,7 @@ class TestJacobiSvd:
         np.testing.assert_allclose(out.C, [0.6, 0.0], atol=1e-15)
         np.testing.assert_allclose(out.S, [0.8, 1.0], atol=1e-15)
         np.testing.assert_allclose(out.P.T @ out.P, np.eye(2), atol=1e-15)
-        assert not out.flagged
+        assert_joint_values(out)
 
 
 class TestSmallGsvd:
@@ -86,7 +93,7 @@ class TestSmallGsvd:
         np.testing.assert_allclose(out.C, [0.6])
         np.testing.assert_allclose(out.S, [0.8])
         np.testing.assert_allclose(np.abs(out.W), [[1.0]])
-        assert not out.flagged
+        assert_joint_values(out)
 
     def test_k2_values_match_svd_oracle(self, rng):
         B, Bbar = random_joint_factors(rng, 8, 7, 5, 2)
@@ -98,7 +105,7 @@ class TestSmallGsvd:
         B, Bbar = random_joint_factors(rng, 14, 12, 10, 6)
         out = small_gsvd(B, Bbar)
         assert np.max(np.abs(out.C**2 + out.S**2 - 1.0)) < 1e-13
-        assert not out.flagged
+        assert_joint_values(out)
 
     def test_reconstruction_invariants(self, rng):
         B, Bbar = random_joint_factors(rng, 14, 12, 10, 6)
@@ -132,10 +139,11 @@ class TestSmallGsvd:
             assert a.W[lead, j] > 0
 
     def test_identity_defect_flagged(self, rng):
+        # the joint identity is policed where its loss would be amplified:
+        # the restart sweeps refuse the pair
         B, Bbar = random_joint_factors(rng, 14, 12, 10, 6)
-        out = small_gsvd(B, 1.001 * Bbar)
-        assert out.flagged
-        assert out.identity_defect > 1e-8
+        with pytest.raises(CouplingDefectError, match="too degraded"):
+            accumulate_sweeps(B, 1.001 * Bbar, [0.5])
 
     def test_strict_interlacing_of_squared_values(self, rng):
         # the same unreduced run, viewed at consecutive sizes

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irjbd.cli import main, run_cli
+from irjbd.cli import build_parser, main, run_cli
+from irjbd.driver import SolverConfig
 from irjbd.sparsemat import SparseMatrix, write_matrix_market
 from irjbd.stackedls import StackedOperator
 
@@ -143,6 +145,13 @@ class TestRuns:
         assert exc.value.code == 0
         assert len(built) == 1
         assert "\nlsqr_maxit 50\n" in capsys.readouterr().out
+
+    def test_parser_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["--A", "a.mtx", "--L", "identity", "--kmax", "9"])
+        for f in dataclasses.fields(SolverConfig):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(args, f.name) == f.default, f.name
+        assert (args.target, args.kmax) == (5, 9)
 
     def test_module_entry_point_runs(self, diag_matrix_file):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -46,7 +46,7 @@ class TestResidualBounds:
         Pbar = np.zeros((k, 1))
         Pbar[-1] = pbar_last
         return SmallGsvd(C=np.array([c]), S=np.array([s]), W=np.zeros((k, 1)), P=P,
-                         Pbar=Pbar, identity_defect=0.0)
+                         Pbar=Pbar)
 
     def test_converged_limit_is_zero(self):
         small = self._small(0.8, 0.6, 0.0, 0.0)
@@ -78,8 +78,7 @@ class TestCheckConvergence:
     def _ritz(self, bounds, diag_product):
         k = len(bounds)
         sg = small_gsvd(np.vstack([np.diag(np.linspace(0.9, 0.5, k)), np.zeros(k)]),
-                        np.diag(np.sqrt(1 - np.linspace(0.9, 0.5, k) ** 2)),
-                        identity_tol=1.0, cross_check_tol=1.0)
+                        np.diag(np.sqrt(1 - np.linspace(0.9, 0.5, k) ** 2)))
         return RitzSet(small=sg, bounds=np.asarray(bounds, dtype=float),
                        converged=np.zeros(k, dtype=bool), diag_product=diag_product,
                        reliability_warning=False)
