@@ -1,16 +1,17 @@
 """Least-squares machinery on the stacked operator [A; L].
 
-The operator holds [A; L] as one slot-major padded-ELL copy (Bell &
-Garland, 2009), built once: entry j of every row sits in row j of a
-(width, m+p) array, so a product runs each numpy operation over all m+p
-rows at once.  Rows longer than the padded width form a CSR tail whose
-product is added.  LSQR is implemented natively on the operator and runs on
-[A; L] M for a right preconditioner M built once with the operator.  When
-the dense n x n map fits under
-``_FACTOR_BYTES``, M = D R^-1, with D the scaling to unit column norms and
-R the Cholesky factor of the Gram matrix of [A; L] D: [A; L] M then has
-orthonormal columns up to rounding and every solve converges in one or two
-iterations.  Otherwise, or when that factor is not numerically
+The operator holds [A; L] as one slot-major ELL copy (Bell & Garland,
+2009), built once, with each block padded only to its own width: slot j
+holds the j-th entry of every row, the slots below the narrower block's
+width span all m+p rows and the slots above it only the wider block's rows,
+so a product runs each numpy operation over one slot of rows at once.  Rows
+longer than the width cap form a CSR tail whose product is added.  LSQR is
+implemented natively on the operator and runs on [A; L] M for a right
+preconditioner M built once with the operator.  When the dense n x n map
+fits under ``_FACTOR_BYTES``, M = D R^-1, with D the scaling to unit column
+norms and R the Cholesky factor of the Gram matrix of [A; L] D: [A; L] M
+then has orthonormal columns up to rounding and every solve converges in
+one or two iterations.  Otherwise, or when that factor is not numerically
 nonsingular, M = D.  Either way range([A; L] M) = range([A; L]).  The
 operator owns the inner-solve controls and counts the work of every solve
 made through it.
@@ -29,6 +30,7 @@ __all__ = ["StackedOperator", "LsqrOutcome", "lsqr_solve", "stack_norm_estimate"
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max)
 
 # largest dense right preconditioner, in bytes, an operator keeps (n <= 512)
 _FACTOR_BYTES = 2 * 1024 * 1024
@@ -66,44 +68,63 @@ def _column_norms(col_indices, values, n):
     return norms
 
 
-def _padded_ell(offsets, row_ids, col_indices, values):
-    """Slot-major padded-ELL copy of a CSR matrix, plus a CSR tail of long rows.
+def _block_ell(offsets, row_ids, col_indices, values, m):
+    """Slot-major ELL copy of a fused CSR stack [A; L], each block to its own
+    width, plus a CSR tail of long rows.
 
-    Returns (cols, vals, tail).  ``cols`` and ``vals`` have shape
-    (width, nrows): slot j of row r holds the row's j-th stored entry, and a
-    slot past the row's end holds the row's own last column (column 0 for an
-    empty row) with the value +0.0, so for finite input it adds an exact
-    zero.  ``width`` is the longest row as long as nrows * width <= 2 nnz and
-    is capped there otherwise.  A row longer than ``width`` keeps only padded
-    slots, and all of its entries go to ``tail`` = (row ids, column indices,
-    values) in storage order; ``tail`` is None when every row fits.  Moving
-    whole rows keeps each row summing its terms in storage order from +0.0.
+    The first ``m`` rows are A's.  A row longer than 2 nnz // nrows (the cap)
+    keeps only padded slots, and all of its entries go to ``tail`` = (row
+    ids, column indices, values) in storage order; ``tail`` is None when
+    every row fits.  Among the rows that fit, w_A and w_L are the longest
+    rows of the two blocks.  Slot j holds the j-th stored entry of a row;
+    slots below min(w_A, w_L) span all rows, and the slots from there up to
+    max(w_A, w_L) span only the wider block's rows.  A slot past its row's
+    end holds the row's own last column (column 0 for an empty row) with
+    the value +0.0, so for finite input it adds an exact zero.
+
+    Returns (cols, vals, groups, tail): the flat slot-major column indices
+    and values, and for each nonempty group of slots its (row slice, number
+    of slots); group g's slots follow group g - 1's in the flat arrays.
     """
     nrows = len(offsets) - 1
     counts = np.diff(offsets)
-    width = int(min(counts.max(), 2 * len(values) // nrows)) if nrows else 0
+    fits = counts <= (2 * len(values) // nrows if nrows else 0)
+    w_A = int(counts[:m][fits[:m]].max(initial=0))
+    w_L = int(counts[m:][fits[m:]].max(initial=0))
+    wide = slice(0, m) if w_A > w_L else slice(m, nrows)
+    groups = [(rows, width) for rows, width in
+              ((slice(0, nrows), min(w_A, w_L)), (wide, abs(w_A - w_L))) if width]
     last = np.zeros(nrows, dtype=np.int64)
     filled = counts > 0
     last[filled] = col_indices[offsets[1:][filled] - 1]
-    cols = np.repeat(last[None, :], width, axis=0)
-    vals = np.zeros((width, nrows))
-    fits = (counts <= width)[row_ids]
-    slots = np.arange(len(values)) - offsets[row_ids]
-    cols[slots[fits], row_ids[fits]] = col_indices[fits]
-    vals[slots[fits], row_ids[fits]] = values[fits]
-    long = ~fits
+    # every slot starts as padding; the empty array covers a stack without entries
+    cols = np.concatenate([np.zeros(0, dtype=np.int64)]
+                          + [np.tile(last[rows], width) for rows, width in groups])
+    vals = np.zeros(len(cols))
+    keep = fits[row_ids]
+    rows, slots = row_ids[keep], (np.arange(len(values)) - offsets[row_ids])[keep]
+    narrow = min(w_A, w_L)
+    pos = np.where(slots < narrow, slots * nrows + rows,
+                   narrow * nrows + (slots - narrow) * (wide.stop - wide.start)
+                   + rows - wide.start)
+    cols[pos] = col_indices[keep]
+    vals[pos] = values[keep]
+    long = ~keep
     tail = (row_ids[long], col_indices[long], values[long]) if np.any(long) else None
-    return cols, vals, tail
+    return cols, vals, groups, tail
 
 
 class StackedOperator:
     """The operator x -> (A x; L x) for a conformable pair {A, L}.
 
-    [A; L] is stored fused, L's rows after A's, as a slot-major padded-ELL
-    copy (``_cols``, ``_vals``) with an optional CSR tail (``_tail``); see
-    ``_padded_ell``.  ``scale`` holds 1 / ||column j of [A; L]|| (1 for a
-    zero column).  The right preconditioner M under which ``lsqr_solve``
-    iterates is built here once: D R^-1 (D = diag(``scale``), R the Cholesky
+    [A; L] is stored fused, L's rows after A's, as flat slot-major ELL
+    arrays (``_cols``, ``_vals``), each block padded to its own width, with
+    an optional CSR tail (``_tail``); see ``_block_ell``.  Both products
+    work in one scratch buffer (``_buf``) the size of ``_vals``, so one
+    operator must not run two products at once.  ``scale`` holds
+    1 / ||column j of [A; L]|| (1 for a zero column, and at most the largest
+    double).  The right preconditioner M under which ``lsqr_solve`` iterates
+    is built here once: D R^-1 (D = diag(``scale``), R the Cholesky
     factor of the Gram matrix of [A; L] D) when the n x n map fits under
     ``_FACTOR_BYTES`` and R is numerically nonsingular, and D otherwise.
     ``rnorm_estimate`` is ``stack_norm_estimate(A, L)``, computed once.
@@ -135,10 +156,26 @@ class StackedOperator:
         row_ids = np.repeat(np.arange(self.m + self.p, dtype=np.int64), np.diff(offsets))
         col_indices = np.concatenate([A.col_indices, L.col_indices])
         values = np.concatenate([A.values, L.values])
-        self._cols, self._vals, self._tail = _padded_ell(offsets, row_ids, col_indices, values)
+        self._cols, self._vals, groups, self._tail = _block_ell(
+            offsets, row_ids, col_indices, values, self.m)
+        # apply gathers x into _buf and apply_transpose multiplies y into it.
+        # Each group is (row slice, its values and its part of _buf, viewed
+        # as (slots, rows), and its slots as a list of views of _buf).  The
+        # views are made once: at n = 200 a view per slot and call costs
+        # about as much as the slot's arithmetic.
+        self._buf = np.empty_like(self._vals)
+        bounds = np.cumsum([width * (rows.stop - rows.start) for rows, width in groups])
+        self._groups = []
+        for (rows, width), vals, terms in zip(groups, np.split(self._vals, bounds[:-1]),
+                                              np.split(self._buf, bounds[:-1])):
+            terms = terms.reshape(width, -1)
+            self._groups.append((rows, vals.reshape(width, -1), terms, list(terms)))
         colnorm = _column_norms(col_indices, values, self.n)
+        # 1 / colnorm overflows for a subnormal norm: cap it at the largest double
         self.scale = np.ones(self.n)
-        np.divide(1.0, colnorm, out=self.scale, where=colnorm > 0.0)
+        with np.errstate(over="ignore"):
+            np.divide(1.0, colnorm, out=self.scale, where=colnorm > 0.0)
+        np.minimum(self.scale, _HUGE, out=self.scale)
         self._factor = None
         if 8 * self.n * self.n <= _FACTOR_BYTES:
             self._factor = self._inverse_cholesky_factor(row_ids, col_indices, values)
@@ -163,7 +200,9 @@ class StackedOperator:
             diag = np.abs(np.diag(lower))
             if not diag.min() > sqrt(self.n * _EPS) * diag.max():
                 return None
-            factor = self.scale[:, None] * np.linalg.inv(lower).T
+            # a capped scale can overflow the product: that falls back below
+            with np.errstate(over="ignore"):
+                factor = self.scale[:, None] * np.linalg.inv(lower).T
         except np.linalg.LinAlgError:
             return None
         return factor if np.all(np.isfinite(factor)) else None
@@ -206,22 +245,32 @@ class StackedOperator:
             raise ValueError(f"apply expects a vector of length {self.n}, got {x.shape}")
         rows = self.m + self.p
         out = np.zeros(rows)
-        for terms in self._vals * x[self._cols]:
-            out += terms
+        # every index is in range: "clip" only skips the buffered bounds check
+        x.take(self._cols, out=self._buf, mode="clip")
+        np.multiply(self._buf, self._vals, self._buf)
+        for block, _, _, slots in self._groups:
+            part = out[block]
+            for slot in slots:
+                part += slot
         if self._tail is not None:
             # a tail row has only padded slots, so out holds +0.0 there
             out += _csr_product(*self._tail, x, rows)
         return out
 
     def apply_transpose(self, y):
-        """Return A.T y_upper + L.T y_lower for a stacked y."""
+        """Return A.T y_upper + L.T y_lower for a stacked y.
+
+        One bincount over the slots: each column sums its terms in (slot,
+        stacked row) order from +0.0, then the tail's sum is added.
+        """
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.m + self.p,):
             raise ValueError(f"apply_transpose expects a vector of length {self.m + self.p}, "
                              f"got {y.shape}")
-        if self._vals.size:
-            out = np.bincount(self._cols.ravel(), weights=(self._vals * y).ravel(),
-                              minlength=self.n)
+        for block, vals, terms, _ in self._groups:
+            np.multiply(vals, y[block], terms)
+        if self._groups:
+            out = np.bincount(self._cols, weights=self._buf, minlength=self.n)
         else:
             out = np.zeros(self.n)
         if self._tail is not None:

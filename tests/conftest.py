@@ -359,6 +359,63 @@ def reference_sweeps(B, Bbar, shifts):
     return B, Bbar, SweepRotations(G=Gacc, P=Pacc, Gbar=Gbacc)
 
 
+def _padded_ell(offsets, row_ids, col_indices, values):
+    """Slot-major padded-ELL copy of a CSR matrix, plus a CSR tail of long rows.
+
+    Returns (cols, vals, tail).  ``cols`` and ``vals`` have shape
+    (width, nrows): slot j of row r holds the row's j-th stored entry, and a
+    slot past the row's end holds the row's own last column (column 0 for an
+    empty row) with the value +0.0.  ``width`` is the longest row as long as
+    nrows * width <= 2 nnz and is capped there otherwise.  A row longer than
+    ``width`` keeps only padded slots, and all of its entries go to ``tail``
+    = (row ids, column indices, values) in storage order; ``tail`` is None
+    when every row fits.
+    """
+    nrows = len(offsets) - 1
+    counts = np.diff(offsets)
+    width = int(min(counts.max(), 2 * len(values) // nrows)) if nrows else 0
+    last = np.zeros(nrows, dtype=np.int64)
+    filled = counts > 0
+    last[filled] = col_indices[offsets[1:][filled] - 1]
+    cols = np.repeat(last[None, :], width, axis=0)
+    vals = np.zeros((width, nrows))
+    fits = (counts <= width)[row_ids]
+    slots = np.arange(len(values)) - offsets[row_ids]
+    cols[slots[fits], row_ids[fits]] = col_indices[fits]
+    vals[slots[fits], row_ids[fits]] = values[fits]
+    long = ~fits
+    tail = (row_ids[long], col_indices[long], values[long]) if np.any(long) else None
+    return cols, vals, tail
+
+
+def reference_stacked_products(A, L, x, y):
+    """(A x; L x) and A.T y_upper + L.T y_lower on one padded-ELL copy of [A; L].
+
+    Every row of [A; L] is padded to one width.  The product adds the slots
+    one after another over all rows; the transpose is one bincount over all
+    slots in (slot, stacked row) order, plus the tail's.  ``StackedOperator``
+    must reproduce both bit for bit, signed zeros included.
+    """
+    m, p = A.nrows, L.nrows
+    offsets = np.concatenate([A.row_offsets, L.row_offsets[1:] + A.nnz])
+    row_ids = np.repeat(np.arange(m + p, dtype=np.int64), np.diff(offsets))
+    col_indices = np.concatenate([A.col_indices, L.col_indices])
+    values = np.concatenate([A.values, L.values])
+    cols, vals, tail = _padded_ell(offsets, row_ids, col_indices, values)
+    ax = np.zeros(m + p)
+    for terms in vals * x[cols]:
+        ax += terms
+    if vals.size:
+        aty = np.bincount(cols.ravel(), weights=(vals * y).ravel(), minlength=A.ncols)
+    else:
+        aty = np.zeros(A.ncols)
+    if tail is not None:
+        rows, tcols, tvals = tail
+        ax += np.bincount(rows, weights=tvals * x[tcols], minlength=m + p)
+        aty += np.bincount(tcols, weights=tvals * y[rows], minlength=A.ncols)
+    return ax, aty
+
+
 def cross_residual_norm(comp, A, L):
     """Residual norm in the cross-product form used by thick-restart solvers.
 

@@ -10,6 +10,8 @@ import irjbd.stackedls
 from irjbd.sparsemat import SparseMatrix, identity, second_order_L
 from irjbd.stackedls import StackedOperator, lsqr_solve, stack_norm_estimate
 
+from conftest import reference_stacked_products
+
 EPS = np.finfo(np.float64).eps
 
 
@@ -75,6 +77,42 @@ def _long_row_stack():
     return A, L, np.linspace(-1.0, 2.0, 6), np.linspace(3.0, -1.0, 8)
 
 
+def _wider_L_stack():
+    """A = I and a tridiagonal L: L's rows are wider than A's."""
+    n = 5
+    return (identity(n), second_order_L(n), np.linspace(-2.0, 1.0, n),
+            np.linspace(1.0, -3.0, 2 * n))
+
+
+def _equal_widths_stack():
+    """Rows of up to three entries in A and in a tridiagonal L: equal widths."""
+    n = 4
+    A = SparseMatrix.from_coo(5, n, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 4, 4, 4],
+                              [0, 1, 2, 1, 2, 3, 2, 3, 0, 3, 0, 1, 3],
+                              [1.0, -0.0, 2.5, -1.0, 0.5, 4.0, -2.0, 3.0, 1.5, -0.5, 2.0,
+                               -3.0, 0.25])
+    return A, second_order_L(n), np.array([1.0, -0.5, 0.0, 2.0]), np.linspace(-1.0, 1.0, 9)
+
+
+def _empty_L_stack():
+    """p = 0: the stack is A alone."""
+    A = SparseMatrix.from_coo(4, 3, [0, 0, 1, 2, 3, 3], [0, 2, 1, 0, 1, 2],
+                              [1.0, -2.0, 3.0, 0.5, -1.5, 2.0])
+    return A, _zero_matrix(0, 3), np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.0, -2.0, 3.0])
+
+
+def _wide_block_tail_stack():
+    """A 6 x 6 A of two entries a row plus a dense row 0, which goes to the
+    tail, over L = I: the tail row is in the wider block."""
+    n = 6
+    rows = np.concatenate([np.repeat(np.arange(1, n), 2), np.zeros(n, dtype=np.int64)])
+    cols = np.concatenate([np.stack([np.arange(1, n), np.arange(n - 1)], 1).ravel(),
+                           np.arange(n)])
+    vals = np.linspace(-3.0, 3.0, len(rows))
+    A = SparseMatrix.from_coo(n, n, rows, cols, vals)
+    return A, identity(n), np.linspace(1.0, -1.0, n), np.linspace(-2.0, 2.0, 2 * n)
+
+
 class TestApply:
     def test_scalars(self):
         op = StackedOperator(SparseMatrix.from_dense([[2.0]]), SparseMatrix.from_dense([[1.0]]))
@@ -109,14 +147,23 @@ class TestApply:
 
     @given(_stacks())
     @example(_long_row_stack())
+    @example(_wider_L_stack())
+    @example(_equal_widths_stack())
+    @example(_empty_L_stack())
+    @example(_wide_block_tail_stack())
     @settings(max_examples=300, deadline=None)
     def test_padded_ell_matches_the_two_blocks(self, stack):
-        # empty rows, an all-zero A, rectangular A, summed duplicates and a
-        # row long enough to go to the CSR tail
+        # empty rows, an all-zero A, rectangular A, summed duplicates, either
+        # block the wider one and a row long enough to go to the CSR tail
         A, L, x, y = stack
         op = StackedOperator(A, L)
         blocks = np.concatenate([A.matvec(x), L.matvec(x)])
-        np.testing.assert_array_equal(_bits(op.apply(x)), _bits(blocks))
+        ax = op.apply(x)
+        np.testing.assert_array_equal(_bits(ax), _bits(blocks))
+        # both products are bitwise those of one padded-ELL copy of [A; L]
+        ref_apply, ref_transpose = reference_stacked_products(A, L, x, y)
+        np.testing.assert_array_equal(_bits(ax), _bits(ref_apply))
+        np.testing.assert_array_equal(_bits(op.apply_transpose(y)), _bits(ref_transpose))
         # the transpose sums each column in another order: both orders stay
         # within the rounding bound of a sum of that many terms
         m = A.nrows
@@ -135,7 +182,7 @@ class TestApply:
         Ad[7] = rng.standard_normal(n)
         A, L = SparseMatrix.from_dense(Ad), second_order_L(n)
         op = StackedOperator(A, L)
-        assert op._vals.size <= 2 * (A.nnz + L.nnz)
+        assert op._cols.size == op._vals.size <= 2 * (A.nnz + L.nnz)
         assert op._tail is not None
         stack = np.vstack([Ad, L.to_dense()])
         x = rng.standard_normal(n)
@@ -143,6 +190,22 @@ class TestApply:
         np.testing.assert_array_equal(op.apply(x), np.concatenate([A.matvec(x), L.matvec(x)]))
         y = rng.standard_normal(60 + L.nrows)
         np.testing.assert_allclose(op.apply_transpose(y), stack.T @ y, rtol=1e-13, atol=1e-13)
+
+    def test_each_block_stored_to_its_own_width(self, rng):
+        # A rows of 8 entries over a tridiagonal L: padding L's rows to A's
+        # width would store 8 (m + p) slots
+        m, n = 60, 40
+        cols = np.concatenate([rng.choice(n, 8, replace=False) for _ in range(m)])
+        A = SparseMatrix.from_coo(m, n, np.repeat(np.arange(m), 8), cols,
+                                  rng.standard_normal(8 * m))
+        L = second_order_L(n)
+        op = StackedOperator(A, L)
+        assert op._tail is None
+        assert op._cols.size == op._vals.size == 8 * m + 3 * n
+        x, y = rng.standard_normal(n), rng.standard_normal(m + n)
+        ref_apply, ref_transpose = reference_stacked_products(A, L, x, y)
+        np.testing.assert_array_equal(_bits(op.apply(x)), _bits(ref_apply))
+        np.testing.assert_array_equal(_bits(op.apply_transpose(y)), _bits(ref_transpose))
 
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
@@ -390,6 +453,20 @@ class TestExtremeScaling:
         assert abs(out.solution[0] - 1.0) <= 1e-12
         resid = self.rhs / 1e160 - op.apply(out.solution) / 1e160
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(self.rhs / 1e160)
+
+    def test_subnormal_column_solved(self):
+        # 1 / ||column 0|| = 1e310 overflows: the scale is capped at the
+        # largest double, and the factor it overflows falls back to D
+        A = SparseMatrix.from_dense([[1e-310, 0.0], [0.0, 1.0]])
+        rhs = np.array([1e-310, 2.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = StackedOperator(A, _zero_matrix(1, 2))
+            out = lsqr_solve(op, rhs)
+        assert np.all(np.isfinite(op.scale))
+        assert out.converged
+        resid = op.apply(out.solution) - rhs
+        assert np.linalg.norm(resid) <= 10 * EPS * np.linalg.norm(rhs)
 
     def test_non_finite_rhs_rejected(self):
         op = StackedOperator(self.A, identity(2))
