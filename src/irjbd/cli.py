@@ -48,9 +48,6 @@ def build_parser():
                         help="stopping tolerance on the residual bound (default: %(default)g)")
     parser.add_argument("--maxit", type=int, default=_DEFAULTS["maxit"],
                         help="maximum number of restarts (default: %(default)s)")
-    parser.add_argument("--lsqr-tol", type=float, default=_DEFAULTS["lsqr_tol"],
-                        help="inner least-squares tolerance, applied to [A; L] "
-                             "right-preconditioned (default: 10*eps)")
     parser.add_argument("--lsqr-maxit", type=int, default=_DEFAULTS["lsqr_maxit"],
                         help="inner least-squares iteration cap (default: 10n)")
     parser.add_argument("--seed", type=int, default=_DEFAULTS["seed"],
@@ -88,7 +85,7 @@ def _format_report(args, A, L, l_label, result, elapsed):
     put(f"adjust {args.adjust}")
     put(f"tol {args.tol:.17g}")
     put(f"maxit {args.maxit}")
-    put(f"lsqr_tol {args.lsqr_tol:.17g}")
+    put(f"lsqr_tol {StackedOperator.default_tol:.17g}")
     put(f"lsqr_maxit {StackedOperator.resolve_maxit(args.lsqr_maxit, A.ncols)}")
     put(f"restart_mode {args.restart_mode}")
     put(f"matrix_a {args.A} rows {A.nrows} cols {A.ncols} nnz {A.nnz}")

@@ -69,7 +69,6 @@ class SolverConfig:
     adjust: int = 3
     tol: float = 1e-8
     maxit: int = 1000
-    lsqr_tol: float = 10.0 * EPS
     lsqr_maxit: int | None = None
     seed: int = 0
     restart_mode: str = "implicit"
@@ -85,8 +84,6 @@ class SolverConfig:
             raise ValueError(f"tol={self.tol} below machine precision is meaningless")
         if self.maxit < 0:
             raise ValueError("maxit must be nonnegative")
-        if self.lsqr_tol <= 0:
-            raise ValueError("lsqr_tol must be positive")
         if self.lsqr_maxit is not None and self.lsqr_maxit < 1:
             raise ValueError("lsqr_maxit must be at least 1")
         if self.restart_mode not in ("implicit", "thick"):
@@ -156,7 +153,7 @@ class ConvergenceRecord:
     ``shifts_used``, ``kept`` and ``shifts_replaced`` describe that restart:
     its shifts, the columns it kept (``len(shifts_used) == kmax - kept``)
     and how many shifts the adaptive rule replaced.  The first record
-    follows no restart, so it has no shifts and ``kept == 0``.
+    follows no restart, so no shifts and ``kept == 0``; a refused restart has none.
     """
 
     restart_index: int
@@ -172,9 +169,13 @@ class ConvergenceRecord:
 class SolveResult:
     """Outcome of a solve.
 
-    ``lsqr_iterations`` and ``lsqr_failures`` count the iterations and the
-    non-convergences of every inner solve.  Only the expansion makes inner
-    solves; recovery makes none, so a run that ends at an extraction has
+    ``restarts`` counts the restarts whose state was extracted: a restart
+    the sweep refuses, or one whose first expansion step breaks down, ends
+    the run on the previous extraction uncounted, so a run with a history
+    has ``len(history) == restarts + 1``.  ``lsqr_iterations`` and
+    ``lsqr_failures`` count the iterations and the non-convergences of
+    every inner solve.  Only the expansion makes inner solves, and neither
+    a refused restart nor recovery makes any, so a run with a history has
     ``lsqr_iterations == history[-1].lsqr_iters_total``.
     """
 
@@ -210,18 +211,15 @@ def extract_ritz(state, cfg):
     if not state.is_canonical:
         raise ValueError("extraction expects canonical trailing couplings; "
                          "expand at least one step after a thick restart")
-    B = state.Bdense.copy()
-    Bbar = state.Bbardense.copy()
-    k = state.k
-    sg = small_gsvd(B, Bbar)
+    sg = small_gsvd(state.Bdense, state.Bbardense)
     if cfg.target < 0:
         sg = replace(sg, C=sg.C[::-1], S=sg.S[::-1], W=sg.W[:, ::-1], P=sg.P[:, ::-1],
                      Pbar=sg.Pbar[:, ::-1])
-    inv_lead, inv_hat = inverse_norm_estimates(B, Bbar)
+    inv_lead, inv_hat = inverse_norm_estimates(state.Bdense, state.Bbardense)
     return RitzSet(
         small=sg,
         bounds=residual_bound_pq(sg, state.alpha_next, state.betabar),
-        converged=np.zeros(k, dtype=bool),
+        converged=np.zeros(state.k, dtype=bool),
         diag_product=inv_lead * inv_hat,
         reliability_warning=False,
     )
@@ -286,7 +284,7 @@ def irjbd_solve(A, L, cfg):
 
     Returns a SolveResult.
     """
-    op = StackedOperator(A, L, cfg.lsqr_tol, cfg.lsqr_maxit)
+    op = StackedOperator(A, L, maxit=cfg.lsqr_maxit)
     l = cfg.l
 
     rng = np.random.default_rng(cfg.seed)
@@ -310,19 +308,11 @@ def irjbd_solve(A, L, cfg):
                                lsqr_failures=op.failures)
         broken = exc
 
-    ritz = None
-    ritz_state = None
-    status = "maxit_exhausted"
-    message = ""
+    # one extraction per pass, and a restart counts once its state is
+    # extracted; every exit but convergence and the budget is a breakdown
+    status, message = "breakdown", ""
     while True:
-        if not state.is_canonical:
-            # a restart's re-expansion broke down before restoring canonical
-            # trailing couplings; fall back to the previous extraction
-            status = "breakdown"
-            message = str(broken) if broken is not None else "non-canonical state"
-            break
         ritz = check_convergence(extract_ritz(state, cfg), cfg)
-        ritz_state = state
         history.append(ConvergenceRecord(
             restart_index=restarts,
             bounds=ritz.bounds[:l].copy(),
@@ -333,17 +323,15 @@ def irjbd_solve(A, L, cfg):
             shifts_replaced=int(np.count_nonzero(last_shifts.replaced_flags)),
         ))
         if np.all(ritz.converged[:l]):
-            status = "converged"
-            if ritz.k < l:
-                status = "breakdown"
-                message = (f"subspace exhausted at k={ritz.k} < {l} requested components")
+            if ritz.k >= l:
+                status = "converged"
+            else:
+                message = f"subspace exhausted at k={ritz.k} < {l} requested components"
             break
         if broken is not None:
-            status = "breakdown"
             message = str(broken)
             break
         if state.exhausted:
-            status = "breakdown"
             message = ("invariant subspace found before all targeted components "
                        "converged; remaining targets are unreachable from this start")
             break
@@ -357,18 +345,29 @@ def irjbd_solve(A, L, cfg):
                                           ritz.small, l)
         try:
             if cfg.restart_mode == "implicit":
-                state = multi_step_implicit_restart(state, last_shifts.lambdas, keep)
+                restarted = multi_step_implicit_restart(state, last_shifts.lambdas, keep)
             else:
-                state = thick_restart(state, ritz.small, keep)
-            jbd_expand(state, op, cfg.kmax)
+                restarted = thick_restart(state, ritz.small, keep)
         except (BreakdownError, CouplingDefectError) as exc:
+            # a refused restart: the last extraction stands
+            message = str(exc)
+            break
+        try:
+            jbd_expand(restarted, op, cfg.kmax)
+        except BreakdownError as exc:
             broken = exc
+        if not restarted.is_canonical:
+            # the first step after a thick restart broke down before restoring
+            # canonical trailing couplings: the last extraction stands
+            message = str(broken)
+            break
+        state = restarted
         restarts += 1
 
     components = []
     uncertified = []
-    for idx in range(min(l, ritz.k) if ritz is not None else 0):
-        comp = recover_component(ritz_state, op, ritz, idx)
+    for idx in range(min(l, ritz.k)):
+        comp = recover_component(state, op, ritz, idx)
         trivial = comp.c * comp.s < 10.0 * EPS
         comp.reliability_warning = ritz.reliability_warning or trivial
         if trivial:
@@ -391,7 +390,7 @@ def irjbd_solve(A, L, cfg):
         components=components,
         history=history,
         status=status,
-        reliability_warning=bool(ritz.reliability_warning) if ritz is not None else False,
+        reliability_warning=bool(ritz.reliability_warning),
         message=_note_failures(message, op),
         seed=cfg.seed,
         restarts=restarts,

@@ -8,8 +8,8 @@ sign-adjusted so that B.T B + Bbar.T Bbar = I).  Each expansion step costs
 one inner least-squares solve with [A; L].
 
 The state also carries the pending right vector ``vp_next`` plus its
-coupling coefficients into the two left bases.  For a plain run those
-couplings are single trailing scalars (alpha_{k+1} and the signed trailing
+coupling coefficients into the two left bases.  ``JbdState.set_pending``
+sets them as single trailing scalars (alpha_{k+1} and the signed trailing
 superdiagonal), but they are stored as full vectors so that restarted
 states — whose projected factors need not stay strictly bidiagonal — expand
 through exactly the same code path.
@@ -127,7 +127,7 @@ class JbdState:
     @property
     def alpha_next(self):
         """Trailing coupling of the pending right vector into U."""
-        return float(self.coupling_u[-1]) if len(self.coupling_u) else 0.0
+        return float(self.coupling_u[-1])
 
     @property
     def betabar(self):
@@ -140,12 +140,14 @@ class JbdState:
         return (np.all(self.coupling_u[:-1] == 0.0)
                 and np.all(self.coupling_uhat[:-1] == 0.0))
 
-    def restarted(self, l, U, Uhat, Vprime, preimages, B, Bbar):
+    def restarted(self, l, U, Uhat, Vprime, preimages, B, Bbar, couplings=None):
         """A new l-column state of the same run, built from restarted blocks.
 
         ``U`` has l + 1 columns and ``B`` is (l+1) x l; ``Uhat``, ``Vprime``
-        and ``preimages`` have l columns and ``Bbar`` is l x l.  The pending
-        right vector and its couplings are left for the caller to set.
+        and ``preimages`` have l columns and ``Bbar`` is l x l.  The new state
+        keeps this state's pending right vector under ``couplings`` (rows of
+        l + 1 and l entries into U and Uhat) or, without them, has its own
+        set by the caller through ``set_pending``.
         """
         new = JbdState(self.m, self.p, self.n, self.capacity, self.breakdown_tol)
         new.k = l
@@ -156,7 +158,32 @@ class JbdState:
         new._T[:, :l] = preimages
         new._B[: l + 1, :l] = B
         new._Bbar[:l, :l] = Bbar
+        if couplings is not None:
+            new.vp_next = self.vp_next.copy()
+            new.t_next = self.t_next.copy()
+            new.coupling_u, new.coupling_uhat = couplings
         return new
+
+    def set_pending(self, vp, t):
+        """Make vp = [A; L] t, divided by alpha = ||vp||, the pending right vector.
+
+        Its couplings become alpha on the last U column and the coupled-
+        recurrence entry -alpha B[k, k-1] / Bbar[k-1, k-1] on the last Uhat
+        column (none at k = 0).  Returns alpha, and leaves the state
+        untouched when alpha is below ``breakdown_tol``.
+        """
+        alpha = float(np.linalg.norm(vp))
+        if alpha < self.breakdown_tol:
+            return alpha
+        k = self.k
+        self.vp_next = vp / alpha
+        self.t_next = t / alpha
+        self.coupling_u = np.zeros(k + 1)
+        self.coupling_u[-1] = alpha
+        self.coupling_uhat = np.zeros(k)
+        if k:
+            self.coupling_uhat[-1] = -alpha * self._B[k, k - 1] / self._Bbar[k - 1, k - 1]
+        return alpha
 
 
 def _solve_upper(op, u):
@@ -166,7 +193,7 @@ def _solve_upper(op, u):
     return lsqr_solve(op, rhs)
 
 
-def jbd_init(op, u1, capacity=None):
+def jbd_init(op, u1, capacity):
     """Seed a joint bidiagonalization run from a unit starting vector.
 
     Projects (u1; 0) onto range([A; L]) to obtain the first right vector;
@@ -179,26 +206,18 @@ def jbd_init(op, u1, capacity=None):
         raise ValueError(f"u1 must have length {op.m}")
     if abs(np.linalg.norm(u1) - 1.0) > 1e-14:
         raise ValueError("u1 must have unit norm")
-    capacity = capacity or max(2, op.n)
 
     tol = max(op.n * _EPS * op.rnorm_estimate, 32.0 * _EPS)
     state = JbdState(op.m, op.p, op.n, capacity, tol)
     state._U[:, 0] = u1
 
-    outcome = _solve_upper(op, u1)
-    proj = op.apply(outcome.solution)
-    alpha1 = float(np.linalg.norm(proj))
+    t1 = _solve_upper(op, u1).solution
+    alpha1 = state.set_pending(op.apply(t1), t1)
     if alpha1 < tol:
         raise BreakdownError("alpha", 1, alpha1)
-    vp1 = proj / alpha1
-    alphahat1 = float(np.linalg.norm(vp1[op.m:]))
+    alphahat1 = float(np.linalg.norm(state.vp_next[op.m:]))
     if alphahat1 < tol:
         raise BreakdownError("alphahat", 1, alphahat1)
-
-    state.vp_next = vp1
-    state.t_next = outcome.solution / alpha1
-    state.coupling_u = np.array([alpha1])
-    state.coupling_uhat = np.zeros(0)
     return state
 
 
@@ -259,17 +278,8 @@ def _expand_one(state, op):
         coef = Vpk.T @ cand2
         cand2 = cand2 - Vpk @ coef
         t_cand = t_cand - Tk @ coef
-    alpha = float(np.linalg.norm(cand2))
-    if alpha < state.breakdown_tol:
+    if state.set_pending(cand2, t_cand) < state.breakdown_tol:
         _exhaust(state)
-        return
-    state.vp_next = cand2 / alpha
-    state.t_next = t_cand / alpha
-    state.coupling_u = np.zeros(k + 2)
-    state.coupling_u[-1] = alpha
-    # trailing companion coupling via the coupled-recurrence identity
-    state.coupling_uhat = np.zeros(k + 1)
-    state.coupling_uhat[-1] = -alpha * beta / abar
 
 
 def _exhaust(state):

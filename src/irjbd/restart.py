@@ -10,8 +10,9 @@ sweep's rotation chains into the transforms as one Hessenberg product
 apiece.  Thick restart instead rotates the bases onto the leading Ritz
 directions of an extreme-first extraction and keeps full coupling rows.
 
-Both paths build their result with ``JbdState.restarted``, and it expands
-through the ordinary process code.
+Both paths build their result with ``JbdState.restarted`` (the implicit
+one then sets its new pending vector with ``JbdState.set_pending``), and
+it expands through the ordinary process code.
 """
 
 from __future__ import annotations
@@ -214,9 +215,9 @@ def multi_step_implicit_restart(state, shifts, l):
     right vector is rebuilt from its two boundary contributions (the old
     pending vector scaled by the corner entry of G, plus the first discarded
     rotated column), then reorthogonalized once against the kept right basis
-    and renormalized.  The trailing companion coupling is recomputed from
-    the joint-identity recurrence so the restarted state expands exactly
-    like a fresh one.
+    and handed to ``JbdState.set_pending``, which renormalizes it and
+    recomputes the trailing companion coupling from the joint-identity
+    recurrence, so the restarted state expands exactly like a fresh one.
     """
     _check_restartable(state, l)
     k = state.k
@@ -227,6 +228,10 @@ def multi_step_implicit_restart(state, shifts, l):
         raise ValueError("implicit restart requires canonical bidiagonal factors")
 
     Bp, Bbarp, rot = accumulate_sweeps(state.Bdense, state.Bbardense, shifts)
+    # set_pending divides by the kept block's trailing companion diagonal
+    abar_last = Bbarp[l - 1, l - 1]
+    if abs(abar_last) < state.breakdown_tol:
+        raise BreakdownError("alphahat", l, abar_last)
 
     vp_ext = state.Vprime @ rot.P[:, : l + 1]
     t_ext = state.preimages @ rot.P[:, : l + 1]
@@ -239,21 +244,9 @@ def multi_step_implicit_restart(state, shifts, l):
     resid = state.alpha_next * corner * state.vp_next + Bp[l, l] * vp_ext[:, l]
     t_resid = state.alpha_next * corner * state.t_next + Bp[l, l] * t_ext[:, l]
     coef = new.Vprime.T @ resid
-    resid = resid - new.Vprime @ coef
-    t_resid = t_resid - new.preimages @ coef
-    alpha = float(np.linalg.norm(resid))
+    alpha = new.set_pending(resid - new.Vprime @ coef, t_resid - new.preimages @ coef)
     if alpha < state.breakdown_tol:
         raise BreakdownError("alpha", l + 1, alpha)
-    new.vp_next = resid / alpha
-    new.t_next = t_resid / alpha
-    new.coupling_u = np.zeros(l + 1)
-    new.coupling_u[-1] = alpha
-
-    abar_last = Bbarp[l - 1, l - 1]
-    if abs(abar_last) < state.breakdown_tol:
-        raise BreakdownError("alphahat", l, abar_last)
-    new.coupling_uhat = np.zeros(l)
-    new.coupling_uhat[-1] = -alpha * Bp[l, l - 1] / abar_last
     return new
 
 
@@ -278,12 +271,9 @@ def thick_restart(state, ritz, l):
         p_extra = -p_extra
     left_map = np.column_stack([ritz.P[:, :l], p_extra])
 
-    new = state.restarted(l, state.U @ left_map, state.Uhat @ ritz.Pbar[:, :l],
-                          state.Vprime @ ritz.W[:, :l], state.preimages @ ritz.W[:, :l],
-                          np.vstack([np.diag(ritz.C[:l]), np.zeros(l)]),
-                          np.diag(ritz.S[:l]))
-    new.vp_next = state.vp_next.copy()
-    new.t_next = state.t_next.copy()
-    new.coupling_u = left_map.T @ state.coupling_u
-    new.coupling_uhat = ritz.Pbar[:, :l].T @ state.coupling_uhat
-    return new
+    return state.restarted(l, state.U @ left_map, state.Uhat @ ritz.Pbar[:, :l],
+                           state.Vprime @ ritz.W[:, :l], state.preimages @ ritz.W[:, :l],
+                           np.vstack([np.diag(ritz.C[:l]), np.zeros(l)]),
+                           np.diag(ritz.S[:l]),
+                           couplings=(left_map.T @ state.coupling_u,
+                                      ritz.Pbar[:, :l].T @ state.coupling_uhat))

@@ -129,12 +129,14 @@ class StackedOperator:
     ``_FACTOR_BYTES`` and R is numerically nonsingular, and D otherwise.
     ``rnorm_estimate`` is ``stack_norm_estimate(A, L)``, computed once.
     The operator also holds the inner-solve controls — ``tol`` (default
-    10 eps) and ``maxit`` (default ``resolve_maxit(None, n)``) — and two
-    counters, ``iterations`` and ``failures``, that every ``lsqr_solve``
-    through it adds to.
+    ``default_tol``, 10 eps) and ``maxit`` (default ``resolve_maxit(None,
+    n)``) — and two counters, ``iterations`` and ``failures``, that every
+    ``lsqr_solve`` through it adds to.
     """
 
-    def __init__(self, A, L, tol=10.0 * _EPS, maxit=None):
+    default_tol = 10.0 * _EPS
+
+    def __init__(self, A, L, tol=default_tol, maxit=None):
         if A.ncols != L.ncols:
             raise ValueError(f"A has {A.ncols} columns but L has {L.ncols}")
         if A.nrows + L.nrows < A.ncols:

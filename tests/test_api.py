@@ -21,10 +21,9 @@ def test_every_public_name_resolves():
         assert getattr(irjbd, name) is not None, name
 
 
-def test_solver_config_has_nine_fields():
+def test_solver_config_has_eight_fields():
     assert [f.name for f in fields(irjbd.SolverConfig)] == [
-        "target", "kmax", "adjust", "tol", "maxit", "lsqr_tol", "lsqr_maxit", "seed",
-        "restart_mode"]
+        "target", "kmax", "adjust", "tol", "maxit", "lsqr_maxit", "seed", "restart_mode"]
 
 
 def test_bench_and_readme_names_are_public():

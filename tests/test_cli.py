@@ -115,11 +115,13 @@ class TestRuns:
     def test_thick_mode_and_inner_solver_flags(self, diag_matrix_file, capsys):
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "2",
                         "--kmax", "4", "--adjust", "1", "--restart-mode", "thick",
-                        "--lsqr-tol", "1e-14", "--lsqr-maxit", "200", "--seed", "3"])
+                        "--lsqr-maxit", "200", "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert "restart_mode thick" in out
         assert "lsqr_maxit 200" in out
+        # the inner tolerance is no knob; the report keeps its line
+        assert f"\nlsqr_tol {StackedOperator.default_tol:.17g}\n" in out
 
     def test_partial_run_exits_two(self, diag_matrix_file, capsys):
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "2",

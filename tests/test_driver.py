@@ -322,6 +322,25 @@ class TestSolverLoop:
         assert f"{res.lsqr_failures} inner least-squares solves did not converge" \
             in res.message
 
+    @pytest.mark.parametrize("mode", ["implicit", "thick"])
+    @pytest.mark.parametrize("lsqr_maxit", [1, 2, 3, 4])
+    def test_refused_restart_is_not_counted(self, rng, monkeypatch, mode, lsqr_maxit):
+        # starved inner solves leave off-pattern noise in the factors; the
+        # implicit sweep refuses to restart such a pair, and the run must end
+        # on its one extraction instead of counting the refused restart and
+        # re-recording that extraction under the restart's shifts
+        monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
+        A = SparseMatrix.from_dense(rng.standard_normal((60, 40)))
+        res = irjbd_solve(A, second_order_L(40), SolverConfig(
+            target=3, kmax=10, maxit=20, lsqr_maxit=lsqr_maxit, restart_mode=mode))
+        assert len(res.history) == res.restarts + 1
+        assert [rec.restart_index for rec in res.history] == list(range(res.restarts + 1))
+        assert res.history[-1].lsqr_iters_total == res.lsqr_iterations
+        if mode == "implicit":
+            assert res.status == "breakdown"
+            assert "too degraded" in res.message
+            assert res.restarts == 0
+
     def test_effective_adjust_clamps_for_short_kmax(self):
         cfg = SolverConfig(target=3, kmax=4, tol=1e-8)
         assert cfg.effective_adjust() == 0

@@ -122,6 +122,25 @@ class TestExpand:
         assert state.exhausted and state.n_left == state.k + 1  # ran out on the right
         assert state.alpha_next == 0.0 and state.betabar == 0.0
 
+    def test_set_pending_writes_the_canonical_couplings(self, rng):
+        state, op, _, _ = expanded_state(rng, 16, 14, 10, 5)
+        # a vanishing vector is refused and leaves the state as it was
+        names = ("vp_next", "t_next", "coupling_u", "coupling_uhat")
+        before = [getattr(state, name) for name in names]
+        tiny = np.full(state.m + state.p, state.breakdown_tol / 100)
+        assert state.set_pending(tiny, np.ones(state.n)) < state.breakdown_tol
+        assert all(getattr(state, name) is x for name, x in zip(names, before))
+
+        k = state.k
+        t = rng.standard_normal(10)
+        vp = op.apply(t)
+        alpha = state.set_pending(vp, t)
+        assert alpha == np.linalg.norm(vp)
+        np.testing.assert_array_equal(state.vp_next, vp / alpha)
+        np.testing.assert_array_equal(state.t_next, t / alpha)
+        assert state.is_canonical and state.alpha_next == alpha
+        assert state.betabar == -alpha * state.Bdense[k, k - 1] / state.Bbardense[k - 1, k - 1]
+
     def test_determinism(self, rng):
         seed = rng.standard_normal(16)
         gen1 = np.random.default_rng(99)
