@@ -56,7 +56,7 @@ class SolverConfig:
     """All solver parameters.
 
     ``target`` is signed: +l asks for the l largest components, -l for the
-    l smallest.  ``lsqr_maxit`` defaults to 10 n when left as None.
+    l smallest.
 
     ``adjust`` is the base number of extra kept directions: a restart keeps
     l + adjust columns while no wanted value has converged, and one more per
@@ -69,7 +69,6 @@ class SolverConfig:
     adjust: int = 3
     tol: float = 1e-8
     maxit: int = 1000
-    lsqr_maxit: int | None = None
     seed: int = 0
     restart_mode: str = "implicit"
 
@@ -84,8 +83,6 @@ class SolverConfig:
             raise ValueError(f"tol={self.tol} below machine precision is meaningless")
         if self.maxit < 0:
             raise ValueError("maxit must be nonnegative")
-        if self.lsqr_maxit is not None and self.lsqr_maxit < 1:
-            raise ValueError("lsqr_maxit must be at least 1")
         if self.restart_mode not in ("implicit", "thick"):
             raise ValueError("restart_mode must be 'implicit' or 'thick'")
 
@@ -152,8 +149,10 @@ class ConvergenceRecord:
 
     ``shifts_used``, ``kept`` and ``shifts_replaced`` describe that restart:
     its shifts, the columns it kept (``len(shifts_used) == kmax - kept``)
-    and how many shifts the adaptive rule replaced.  The first record
-    follows no restart, so no shifts and ``kept == 0``; a refused restart has none.
+    and how many shifts the adaptive rule replaced.  Only the implicit
+    restart applies the rule; a thick restart records the unwanted values
+    it purged and replaces none.  The first record follows no restart, so
+    no shifts and ``kept == 0``; a refused restart has none.
     """
 
     restart_index: int
@@ -284,7 +283,7 @@ def irjbd_solve(A, L, cfg):
 
     Returns a SolveResult.
     """
-    op = StackedOperator(A, L, maxit=cfg.lsqr_maxit)
+    op = StackedOperator(A, L)
     l = cfg.l
 
     rng = np.random.default_rng(cfg.seed)
@@ -341,10 +340,12 @@ def irjbd_solve(A, L, cfg):
             break
 
         keep = cfg.kept_columns(int(np.count_nonzero(ritz.converged[:l])))
-        last_shifts = apply_adaptive_rule(select_exact_shifts(ritz.small, cfg.kmax - keep),
-                                          ritz.small, l)
+        # thick restart purges exactly the unwanted values; only the implicit
+        # sweep applies the shifts, so only it gets the adaptive rule
+        last_shifts = select_exact_shifts(ritz.small, cfg.kmax - keep)
         try:
             if cfg.restart_mode == "implicit":
+                last_shifts = apply_adaptive_rule(last_shifts, ritz.small, l)
                 restarted = multi_step_implicit_restart(state, last_shifts.lambdas, keep)
             else:
                 restarted = thick_restart(state, ritz.small, keep)

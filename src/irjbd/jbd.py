@@ -8,11 +8,12 @@ sign-adjusted so that B.T B + Bbar.T Bbar = I).  Each expansion step costs
 one inner least-squares solve with [A; L].
 
 The state also carries the pending right vector ``vp_next`` plus its
-coupling coefficients into the two left bases.  ``JbdState.set_pending``
-sets them as single trailing scalars (alpha_{k+1} and the signed trailing
-superdiagonal), but they are stored as full vectors so that restarted
-states — whose projected factors need not stay strictly bidiagonal — expand
-through exactly the same code path.
+coupling coefficients into the two left bases.  ``JbdState.set_pending``,
+the one maker of a pending vector (the first one included), orthogonalizes
+it against Vprime and sets the couplings as single trailing scalars, but
+they are stored as full vectors so that restarted states — whose projected
+factors need not stay strictly bidiagonal — expand through exactly the same
+code path.
 
 Every right vector is realized as [A; L] applied to an explicitly
 maintained preimage.  The literal three-term recurrence would divide
@@ -165,13 +166,20 @@ class JbdState:
         return new
 
     def set_pending(self, vp, t):
-        """Make vp = [A; L] t, divided by alpha = ||vp||, the pending right vector.
+        """Make vp = [A; L] t, orthogonalized and normalized, the pending right vector.
 
-        Its couplings become alpha on the last U column and the coupled-
-        recurrence entry -alpha B[k, k-1] / Bbar[k-1, k-1] on the last Uhat
-        column (none at k = 0).  Returns alpha, and leaves the state
-        untouched when alpha is below ``breakdown_tol``.
+        Two classical Gram-Schmidt passes take vp's projection onto Vprime
+        out, subtracting the same combination of the preimages from t, and
+        what remains is divided by its norm alpha.  The couplings become
+        alpha on the last U column and the coupled-recurrence entry
+        -alpha B[k, k-1] / Bbar[k-1, k-1] on the last Uhat column (none at
+        k = 0).  Returns alpha, and leaves the state untouched when alpha is
+        below ``breakdown_tol``.
         """
+        for _ in range(2):
+            coef = self.Vprime.T @ vp
+            vp = vp - self.Vprime @ coef
+            t = t - self.preimages @ coef
         alpha = float(np.linalg.norm(vp))
         if alpha < self.breakdown_tol:
             return alpha
@@ -186,20 +194,27 @@ class JbdState:
         return alpha
 
 
-def _solve_upper(op, u):
-    """Inner solve of min ||[A; L] t - (u; 0)|| over t."""
+def _set_next_right(state, op, u, beta):
+    """The right half of an expansion step; returns the new alpha.
+
+    The three-term recurrence runs on the preimages: t, the inner solve of
+    min ||[A; L] t - (u; 0)||, minus beta times the pending preimage, goes
+    to ``set_pending`` with [A; L] t.
+    """
     rhs = np.zeros(op.m + op.p)
     rhs[: op.m] = u
-    return lsqr_solve(op, rhs)
+    t = lsqr_solve(op, rhs).solution - beta * state.t_next
+    return state.set_pending(op.apply(t), t)
 
 
 def jbd_init(op, u1, capacity):
     """Seed a joint bidiagonalization run from a unit starting vector.
 
-    Projects (u1; 0) onto range([A; L]) to obtain the first right vector;
-    breakdown is raised if the projection or its lower block vanishes (the
-    starting vector is orthogonal to the relevant range, or the L side
-    contributes nothing).
+    The first right vector is the projection of (u1; 0) onto range([A; L]),
+    made by the right half of an expansion step on the empty basis.
+    Breakdown is raised if it vanishes (the starting vector is orthogonal to
+    the range); a vanishing lower block is the first expansion step's
+    alphahat_1 breakdown.
     """
     u1 = np.asarray(u1, dtype=np.float64)
     if u1.shape != (op.m,):
@@ -211,13 +226,9 @@ def jbd_init(op, u1, capacity):
     state = JbdState(op.m, op.p, op.n, capacity, tol)
     state._U[:, 0] = u1
 
-    t1 = _solve_upper(op, u1).solution
-    alpha1 = state.set_pending(op.apply(t1), t1)
+    alpha1 = _set_next_right(state, op, u1, 0.0)
     if alpha1 < tol:
         raise BreakdownError("alpha", 1, alpha1)
-    alphahat1 = float(np.linalg.norm(state.vp_next[op.m:]))
-    if alphahat1 < tol:
-        raise BreakdownError("alphahat", 1, alphahat1)
     return state
 
 
@@ -231,10 +242,6 @@ def _expand_one(state, op):
     """
     k = state.k
     m = state.m
-    if state.n_left != k + 1:
-        raise ValueError("cannot expand a state closed by left-side breakdown")
-    if k + 1 > state.capacity:
-        raise ValueError("state capacity exhausted; allocate a larger run")
     vp = state.vp_next
 
     # companion left vector paired with the pending right vector; the signed
@@ -267,18 +274,7 @@ def _expand_one(state, op):
     state._B[k + 1, k] = beta
     state._U[:, k + 1] = u_new
     state.n_left = k + 2
-
-    # next right vector: three-term recurrence on the preimages, realized
-    # through the operator, then reorthogonalized with preimage bookkeeping
-    t_cand = _solve_upper(op, u_new).solution - beta * state.t_next
-    cand2 = op.apply(t_cand)
-    Vpk = state._Vp[:, : k + 1]
-    Tk = state._T[:, : k + 1]
-    for _ in range(2):
-        coef = Vpk.T @ cand2
-        cand2 = cand2 - Vpk @ coef
-        t_cand = t_cand - Tk @ coef
-    if state.set_pending(cand2, t_cand) < state.breakdown_tol:
+    if _set_next_right(state, op, u_new, beta) < state.breakdown_tol:
         _exhaust(state)
 
 

@@ -11,8 +11,9 @@ apiece.  Thick restart instead rotates the bases onto the leading Ritz
 directions of an extreme-first extraction and keeps full coupling rows.
 
 Both paths build their result with ``JbdState.restarted`` (the implicit
-one then sets its new pending vector with ``JbdState.set_pending``), and
-it expands through the ordinary process code.
+one then hands its raw new pending vector to ``JbdState.set_pending``,
+which orthogonalizes and normalizes it), and it expands through the
+ordinary process code.
 """
 
 from __future__ import annotations
@@ -214,8 +215,8 @@ def multi_step_implicit_restart(state, shifts, l):
     The rotated bases are truncated to their leading blocks and the pending
     right vector is rebuilt from its two boundary contributions (the old
     pending vector scaled by the corner entry of G, plus the first discarded
-    rotated column), then reorthogonalized once against the kept right basis
-    and handed to ``JbdState.set_pending``, which renormalizes it and
+    rotated column) and handed to ``JbdState.set_pending``, which
+    reorthogonalizes it against the kept right basis, renormalizes it and
     recomputes the trailing companion coupling from the joint-identity
     recurrence, so the restarted state expands exactly like a fresh one.
     """
@@ -241,10 +242,8 @@ def multi_step_implicit_restart(state, shifts, l):
     # pending right vector: corner-of-G times the old pending vector plus the
     # first rotated column beyond the kept block
     corner = rot.G[k, l]
-    resid = state.alpha_next * corner * state.vp_next + Bp[l, l] * vp_ext[:, l]
-    t_resid = state.alpha_next * corner * state.t_next + Bp[l, l] * t_ext[:, l]
-    coef = new.Vprime.T @ resid
-    alpha = new.set_pending(resid - new.Vprime @ coef, t_resid - new.preimages @ coef)
+    alpha = new.set_pending(state.alpha_next * corner * state.vp_next + Bp[l, l] * vp_ext[:, l],
+                            state.alpha_next * corner * state.t_next + Bp[l, l] * t_ext[:, l])
     if alpha < state.breakdown_tol:
         raise BreakdownError("alpha", l + 1, alpha)
     return new

@@ -129,14 +129,14 @@ class StackedOperator:
     ``_FACTOR_BYTES`` and R is numerically nonsingular, and D otherwise.
     ``rnorm_estimate`` is ``stack_norm_estimate(A, L)``, computed once.
     The operator also holds the inner-solve controls — ``tol`` (default
-    ``default_tol``, 10 eps) and ``maxit`` (default ``resolve_maxit(None,
-    n)``) — and two counters, ``iterations`` and ``failures``, that every
+    ``default_tol``, 10 eps) and ``maxit`` (``default_maxit(n)``, 10 n) —
+    and two counters, ``iterations`` and ``failures``, that every
     ``lsqr_solve`` through it adds to.
     """
 
     default_tol = 10.0 * _EPS
 
-    def __init__(self, A, L, tol=default_tol, maxit=None):
+    def __init__(self, A, L, tol=default_tol):
         if A.ncols != L.ncols:
             raise ValueError(f"A has {A.ncols} columns but L has {L.ncols}")
         if A.nrows + L.nrows < A.ncols:
@@ -149,7 +149,7 @@ class StackedOperator:
         self.p = L.nrows
         self.n = A.ncols
         self.tol = tol
-        self.maxit = self.resolve_maxit(maxit, self.n)
+        self.maxit = self.default_maxit(self.n)
         self.iterations = 0
         self.failures = 0
         self.rnorm_estimate = stack_norm_estimate(A, L)
@@ -183,9 +183,9 @@ class StackedOperator:
             self._factor = self._inverse_cholesky_factor(row_ids, col_indices, values)
 
     @staticmethod
-    def resolve_maxit(maxit, n):
-        """The inner iteration cap for n columns: ``maxit``, or 10 n when None."""
-        return maxit if maxit is not None else 10 * n
+    def default_maxit(n):
+        """The inner iteration cap for n columns: 10 n."""
+        return 10 * n
 
     def _inverse_cholesky_factor(self, row_ids, col_indices, values):
         """D R^-1 for the Cholesky factor R of the Gram matrix of [A; L] D, or None.

@@ -4,11 +4,12 @@ from math import sqrt
 import numpy as np
 import pytest
 
+import irjbd.driver
 from irjbd.bidiag import givens
-from irjbd.jbd import _solve_upper, jbd_expand, jbd_init
+from irjbd.jbd import jbd_expand, jbd_init
 from irjbd.restart import CouplingDefectError, SweepRotations
 from irjbd.sparsemat import SparseMatrix
-from irjbd.stackedls import StackedOperator
+from irjbd.stackedls import StackedOperator, lsqr_solve
 
 
 def gaussian_pair(rng, m, p, n):
@@ -136,6 +137,20 @@ def expanded_state(rng, m, p, n, k, seed_vec=None):
     return state, op, Ad, Ld
 
 
+def starve_inner_solves(monkeypatch, maxit):
+    """Cap every inner solve of ``irjbd_solve`` at ``maxit`` LSQR iterations.
+
+    The cap is fixed at 10 n on the operator, so the driver's operator class
+    is swapped for a builder that lowers ``maxit`` on each operator it makes.
+    """
+    def capped(A, L):
+        op = StackedOperator(A, L)
+        op.maxit = maxit
+        return op
+
+    monkeypatch.setattr(irjbd.driver, "StackedOperator", capped)
+
+
 def lower_bidiagonal_pair(alphas, betas):
     """A (k+1) x k lower bidiagonal B scaled to ||B||_2 = 0.8, with a companion.
 
@@ -229,7 +244,8 @@ def verify_state(state, op=None, rng=None):
         w = rng.standard_normal(state.n_left)
         w /= np.linalg.norm(w)
         uw = U @ w
-        proj = op.apply(_solve_upper(op, uw / np.linalg.norm(uw)).solution)
+        rhs = np.concatenate([uw / np.linalg.norm(uw), np.zeros(state.p)])
+        proj = op.apply(lsqr_solve(op, rhs).solution)
         proj *= np.linalg.norm(uw)
         model = Vp @ (B.T @ w) + state.vp_next * float(state.coupling_u @ w)
         projection = float(np.max(np.abs(proj - model)))

@@ -115,13 +115,13 @@ class TestRuns:
     def test_thick_mode_and_inner_solver_flags(self, diag_matrix_file, capsys):
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "2",
                         "--kmax", "4", "--adjust", "1", "--restart-mode", "thick",
-                        "--lsqr-maxit", "200", "--seed", "3"])
+                        "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert "restart_mode thick" in out
-        assert "lsqr_maxit 200" in out
-        # the inner tolerance is no knob; the report keeps its line
+        # the inner tolerance and cap are no knobs; the report keeps their lines
         assert f"\nlsqr_tol {StackedOperator.default_tol:.17g}\n" in out
+        assert "\nlsqr_maxit 50\n" in out
 
     def test_partial_run_exits_two(self, diag_matrix_file, capsys):
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "2",
@@ -227,13 +227,13 @@ class TestErrorPaths:
         assert code == 1
         assert "bad configuration" in err
 
-    @pytest.mark.parametrize("lsqr_maxit", ["0", "-3"])
-    def test_lsqr_maxit_below_one(self, diag_matrix_file, capsys, lsqr_maxit):
+    def test_lsqr_maxit_is_no_flag(self, diag_matrix_file, capsys):
+        # the inner iteration cap is fixed at 10 n
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "1",
-                        "--kmax", "4", "--lsqr-maxit", lsqr_maxit])
+                        "--kmax", "4", "--lsqr-maxit", "5"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "bad configuration" in captured.err and "lsqr_maxit" in captured.err
+        assert "unrecognized arguments: --lsqr-maxit 5" in captured.err
         assert captured.out == ""
 
     def test_unknown_flag(self, diag_matrix_file, capsys):

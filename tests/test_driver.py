@@ -15,7 +15,7 @@ from irjbd.oracle import dense_gsvd, stack_qr
 from irjbd.sparsemat import SparseMatrix, identity, second_order_L
 from irjbd.stackedls import StackedOperator, lsqr_solve
 
-from conftest import cross_residual_norm, expanded_state, gaussian_pair
+from conftest import cross_residual_norm, expanded_state, gaussian_pair, starve_inner_solves
 
 
 def _zero_matrix(nrows, ncols):
@@ -300,8 +300,9 @@ class TestSolverLoop:
         monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
         _, _, A, L = gaussian_pair(rng, 24, 22, 16)
         # a tight inner cap makes some solves fail, so both counts are exercised
+        starve_inner_solves(monkeypatch, 12)
         res = irjbd_solve(A, L, SolverConfig(target=2, kmax=8, tol=1e-10, seed=3,
-                                             maxit=50, lsqr_maxit=12))
+                                             maxit=50))
         assert len(seen) > len(res.components) == 2
         assert res.lsqr_failures > 0
         assert res.lsqr_iterations == sum(out.iterations for out in seen)
@@ -314,9 +315,9 @@ class TestSolverLoop:
         # end cleanly and say why (on the diagonal preconditioner: under the
         # factored one a single iteration converges)
         monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
+        starve_inner_solves(monkeypatch, 1)
         A = SparseMatrix.from_dense(rng.standard_normal((60, 40)))
-        res = irjbd_solve(A, second_order_L(40),
-                          SolverConfig(target=3, kmax=10, lsqr_maxit=1))
+        res = irjbd_solve(A, second_order_L(40), SolverConfig(target=3, kmax=10))
         assert res.lsqr_failures > 0
         assert res.status != "converged"
         assert f"{res.lsqr_failures} inner least-squares solves did not converge" \
@@ -330,9 +331,10 @@ class TestSolverLoop:
         # on its one extraction instead of counting the refused restart and
         # re-recording that extraction under the restart's shifts
         monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
+        starve_inner_solves(monkeypatch, lsqr_maxit)
         A = SparseMatrix.from_dense(rng.standard_normal((60, 40)))
         res = irjbd_solve(A, second_order_L(40), SolverConfig(
-            target=3, kmax=10, maxit=20, lsqr_maxit=lsqr_maxit, restart_mode=mode))
+            target=3, kmax=10, maxit=20, restart_mode=mode))
         assert len(res.history) == res.restarts + 1
         assert [rec.restart_index for rec in res.history] == list(range(res.restarts + 1))
         assert res.history[-1].lsqr_iters_total == res.lsqr_iterations
@@ -340,6 +342,33 @@ class TestSolverLoop:
             assert res.status == "breakdown"
             assert "too degraded" in res.message
             assert res.restarts == 0
+
+    @pytest.mark.parametrize("mode", ["implicit", "thick"])
+    def test_start_breakdown_ends_before_any_extraction(self, mode):
+        # with L = 0 the first right vector has no lower block: the first
+        # expansion step breaks down at k == 0, after the one inner solve
+        res = irjbd_solve(identity(2), SparseMatrix.from_coo(2, 2, [], [], []),
+                          SolverConfig(target=1, kmax=2, restart_mode=mode))
+        assert res.status == "breakdown"
+        assert res.message == "joint bidiagonalization breakdown: alphahat_1 = 0.000e+00"
+        assert res.components == [] and res.history == []
+        assert res.lsqr_iterations == 1
+
+    def test_thick_restart_replaces_no_shift(self):
+        # twenty values clustered within 4e-4 of 1 lie above 100 spread ones:
+        # the adaptive rule fires here, but only the implicit sweep applies
+        # shifts, so a thick record keeps the purged unwanted values (all
+        # positive, where the rule's replacement is 0)
+        d = np.concatenate([1.0 - 2e-5 * np.arange(20), np.linspace(0.5, 0.01, 100)])
+        A, L = SparseMatrix.from_dense(np.diag(d)), identity(120)
+        for seed in range(3):
+            res = irjbd_solve(A, L, SolverConfig(target=3, kmax=12, tol=1e-8, seed=seed,
+                                                 restart_mode="thick"))
+            assert res.status == "converged"
+            assert all(rec.shifts_replaced == 0 for rec in res.history)
+            assert all(np.all(rec.shifts_used > 0.0) for rec in res.history[1:])
+        res = irjbd_solve(A, L, SolverConfig(target=3, kmax=12, tol=1e-8, maxit=10))
+        assert any(rec.shifts_replaced > 0 for rec in res.history)
 
     def test_effective_adjust_clamps_for_short_kmax(self):
         cfg = SolverConfig(target=3, kmax=4, tol=1e-8)
@@ -352,12 +381,6 @@ class TestSolverLoop:
             SolverConfig(target=5, kmax=5)
         with pytest.raises(ValueError):
             SolverConfig(target=2, kmax=6, restart_mode="explicit")
-
-    @pytest.mark.parametrize("lsqr_maxit", [0, -3])
-    def test_lsqr_maxit_below_one_rejected(self, lsqr_maxit):
-        # a cap below one inner iteration used to end the solve as a "breakdown"
-        with pytest.raises(ValueError, match="lsqr_maxit"):
-            SolverConfig(target=3, kmax=10, lsqr_maxit=lsqr_maxit)
 
 
 class TestAdaptiveKeep:

@@ -21,11 +21,13 @@ def _companion_unsigned(state):
 
 class TestInit:
     def test_vanishing_lower_block_is_breakdown(self, rng):
-        # with L = 0 the projected vector has no lower block at all
+        # with L = 0 the projected vector has no lower block at all, which the
+        # first expansion step finds before it commits a column
         op = StackedOperator(identity(2), _zero_matrix(2, 2))
-        u1 = np.array([1.0, 0.0])
-        with pytest.raises(BreakdownError, match="alphahat"):
-            jbd_init(op, u1, capacity=2)
+        state = jbd_init(op, np.array([1.0, 0.0]), capacity=2)
+        with pytest.raises(BreakdownError, match="alphahat_1 = "):
+            jbd_expand(state, op, 1)
+        assert state.k == 0
 
     def test_diagonal_pair_seed(self):
         # stack is the single column (2, 1)/sqrt(5); projecting (1, 0) onto it
@@ -131,13 +133,17 @@ class TestExpand:
         assert state.set_pending(tiny, np.ones(state.n)) < state.breakdown_tol
         assert all(getattr(state, name) is x for name, x in zip(names, before))
 
+        # the pending vector is the part of vp outside span(Vprime), normalized
         k = state.k
         t = rng.standard_normal(10)
         vp = op.apply(t)
         alpha = state.set_pending(vp, t)
-        assert alpha == np.linalg.norm(vp)
-        np.testing.assert_array_equal(state.vp_next, vp / alpha)
-        np.testing.assert_array_equal(state.t_next, t / alpha)
+        projected = vp - state.Vprime @ np.linalg.lstsq(state.Vprime, vp, rcond=None)[0]
+        np.testing.assert_allclose(alpha, np.linalg.norm(projected), rtol=1e-13)
+        np.testing.assert_allclose(state.vp_next, projected / alpha, rtol=0, atol=1e-13)
+        assert np.max(np.abs(state.Vprime.T @ state.vp_next)) <= 1e-14
+        # the preimage follows: [A; L] t_next is the pending vector
+        np.testing.assert_allclose(op.apply(state.t_next), state.vp_next, rtol=0, atol=1e-13)
         assert state.is_canonical and state.alpha_next == alpha
         assert state.betabar == -alpha * state.Bdense[k, k - 1] / state.Bbardense[k - 1, k - 1]
 

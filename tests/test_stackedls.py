@@ -216,7 +216,7 @@ class TestApply:
 
 class TestLsqr:
     def test_consistent_identity_block(self, rng):
-        op = StackedOperator(identity(2), _zero_matrix(2, 2), tol=1e-12, maxit=50)
+        op = StackedOperator(identity(2), _zero_matrix(2, 2), tol=1e-12)
         b = rng.standard_normal(2)
         rhs = np.concatenate([b, np.zeros(2)])
         out = lsqr_solve(op, rhs)
@@ -226,8 +226,7 @@ class TestLsqr:
     def test_rhs_orthogonal_to_range(self):
         # range([I_2; 0] padded) misses the third row entirely
         Ad = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(1, 2), tol=1e-12,
-                             maxit=50)
+        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(1, 2), tol=1e-12)
         rhs = np.array([0.0, 0.0, 1.0, 0.0])
         out = lsqr_solve(op, rhs)
         np.testing.assert_allclose(out.solution, np.zeros(2), atol=1e-12)
@@ -237,7 +236,7 @@ class TestLsqr:
         Ld = rng.standard_normal((3, 5))
         stack = np.vstack([Ad, Ld])
         op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld),
-                             tol=10 * EPS, maxit=100)
+                             tol=10 * EPS)
         rhs = rng.standard_normal(8)
         expected = np.linalg.solve(stack.T @ stack, stack.T @ rhs)
         out = lsqr_solve(op, rhs)
@@ -249,7 +248,7 @@ class TestLsqr:
         Ld = rng.standard_normal((5, 4))
         tol = 1e-10
         op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld),
-                             tol=tol, maxit=200)
+                             tol=tol)
         rhs = rng.standard_normal(11)
         out = lsqr_solve(op, rhs)
         assert out.converged
@@ -262,8 +261,8 @@ class TestLsqr:
         # on the diagonal preconditioner: the factored one converges in one step
         monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
         Ad = rng.standard_normal((6, 4))
-        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4), tol=1e-16,
-                             maxit=2)
+        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4), tol=1e-16)
+        op.maxit = 2
         rhs = rng.standard_normal(8)
         out = lsqr_solve(op, rhs)
         assert not out.converged
@@ -271,14 +270,14 @@ class TestLsqr:
 
     def test_iterations_capped(self, rng):
         Ad = rng.standard_normal((6, 4))
-        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4), tol=1e-16,
-                             maxit=7)
+        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4), tol=1e-16)
+        op.maxit = 7
         out = lsqr_solve(op, rng.standard_normal(8))
         assert out.iterations <= 7
 
     def test_zero_rhs_needs_no_iteration(self):
         # a zero right-hand side needs no iteration: x = 0 is exact
-        op = StackedOperator(identity(2), identity(2), tol=1e-12, maxit=10)
+        op = StackedOperator(identity(2), identity(2), tol=1e-12)
         out = lsqr_solve(op, np.zeros(4))
         np.testing.assert_array_equal(out.solution, np.zeros(2))
         assert out.iterations == 0
@@ -317,7 +316,7 @@ class TestEquilibration:
         Ad[:, 1] = 0.0
         Ld[:, 1] = 0.0
         op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld),
-                             tol=1e-12, maxit=50)
+                             tol=1e-12)
         assert op.scale[1] == 1.0
         rhs = rng.standard_normal(7)
         with warnings.catch_warnings():
@@ -341,9 +340,9 @@ def _assert_on_diagonal_path(monkeypatch, A, L, rhs):
     """Build the operator with no warning and check it solves like its twin."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        op = StackedOperator(A, L, tol=1e-12, maxit=200)
+        op = StackedOperator(A, L, tol=1e-12)
         out = lsqr_solve(op, rhs)
-    twin = _diagonal_twin(monkeypatch, A, L, tol=1e-12, maxit=200)
+    twin = _diagonal_twin(monkeypatch, A, L, tol=1e-12)
     ref = lsqr_solve(twin, rhs)
     np.testing.assert_array_equal(op.scale, twin.scale)
     np.testing.assert_array_equal(out.solution, ref.solution)
@@ -479,7 +478,7 @@ class TestExtremeScaling:
 class TestProjection:
     def test_full_range_upper_block(self, rng):
         # with A square invertible and L = 0, (u; 0) already lies in the range
-        op = StackedOperator(identity(4), _zero_matrix(2, 4), tol=1e-13, maxit=100)
+        op = StackedOperator(identity(4), _zero_matrix(2, 4), tol=1e-13)
         u = rng.standard_normal(4)
         proj, out = _project(op, u)
         assert out.converged
@@ -487,8 +486,7 @@ class TestProjection:
 
     def test_vector_outside_range_projects_to_zero(self):
         Ad = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(1, 2), tol=1e-13,
-                             maxit=50)
+        op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(1, 2), tol=1e-13)
         proj, _ = _project(op, np.array([0.0, 0.0, 1.0]))
         np.testing.assert_allclose(proj, np.zeros(4), atol=1e-12)
 
@@ -498,7 +496,7 @@ class TestProjection:
         stack = np.vstack([Ad, Ld])
         Q, _ = np.linalg.qr(stack)
         op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld),
-                             tol=10 * EPS, maxit=200)
+                             tol=10 * EPS)
         u = rng.standard_normal(5)
         u /= np.linalg.norm(u)
         proj, out = _project(op, u)
@@ -510,7 +508,7 @@ class TestProjection:
         Ld = rng.standard_normal((5, 4))
         tol = 1e-12
         op = StackedOperator(SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld),
-                             tol=tol, maxit=200)
+                             tol=tol)
         w = op.apply(rng.standard_normal(4))
         # feed the in-range vector back through the least-squares projection
         out = lsqr_solve(op, w)
@@ -532,12 +530,11 @@ def test_operator_defaults_and_counters(rng, monkeypatch):
     op = StackedOperator(identity(37), identity(37))
     assert op.tol == 10 * EPS
     assert op.maxit == 370
-    assert StackedOperator(identity(37), identity(37), maxit=5).maxit == 5
 
     # the counters sum over every solve made through the operator
     Ad = rng.standard_normal((6, 4))
-    op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4), tol=1e-16,
-                         maxit=2)
+    op = StackedOperator(SparseMatrix.from_dense(Ad), _zero_matrix(2, 4), tol=1e-16)
+    op.maxit = 2
     first = lsqr_solve(op, rng.standard_normal(8))
     second = lsqr_solve(op, rng.standard_normal(8))
     assert op.iterations == first.iterations + second.iterations == 4
