@@ -1,14 +1,14 @@
 """Restarting the joint bidiagonalization at a smaller subspace size.
 
 Implicit restart runs shifted bulge-chasing QR sweeps on the lower
-bidiagonal factor, reuses the right rotations of each sweep on the signed
-upper companion (one shift pair lambda^2 + mu^2 = 1 drives both, so the
-companion never needs its own shift), truncates every basis to the leading
-block, and reassembles the pending right vector from its two boundary
-terms.  The sweeps chase one bulge per factor on scalars and fold each
-sweep's rotation chains into the transforms as one Hessenberg product
-apiece.  Thick restart instead rotates the bases onto the leading Ritz
-directions of an extreme-first extraction and keeps full coupling rows.
+bidiagonal factor, restores the signed upper companion by one QR of
+Bbar P (one shift pair lambda^2 + mu^2 = 1 drives both factors, so the
+companion never needs its own shift or chase), truncates every basis to the
+leading block, and reassembles the pending right vector from its two
+boundary terms.  The sweeps chase one bulge on scalars and fold each
+sweep's rotation chains into G and P as one Hessenberg product apiece.
+Thick restart instead rotates the bases onto the leading Ritz directions of
+an extreme-first extraction and keeps full coupling rows.
 
 Both paths build their result with ``JbdState.restarted`` (the implicit
 one then hands its raw new pending vector to ``JbdState.set_pending``,
@@ -34,19 +34,20 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
-_ZERO_SCALE = 64.0  # rotation-residue zeroing threshold, in units of eps * ||Bbar||_F
+_ZERO_SCALE = 64.0  # companion zeroing threshold per shift, in units of eps * ||Bbar||_F
 
 
 class CouplingDefectError(RuntimeError):
-    """A to-be-annihilated entry of the coupled sweep exceeded the residue threshold."""
+    """The factor pair is too degraded to restart, or its companion to restore."""
 
 
 @dataclass
 class SweepRotations:
     """Accumulated orthogonal transforms of a multi-shift restart.
 
-    Each factor is a product of plane-rotation chains, hence banded: entry
-    (i, j) vanishes whenever i - j exceeds the number of shifts applied.
+    G and P are products of plane-rotation chains and Gbar is the Q factor
+    of Bbar P, so all three are banded: entry (i, j) vanishes whenever
+    i - j exceeds the number of shifts applied.
     """
 
     G: np.ndarray
@@ -75,27 +76,20 @@ def _chain_products(c, s):
     return H
 
 
-def _sweep(d, e, f, g, lam, zero_tol):
-    """One coupled shifted sweep on the bidiagonal entries, in place.
+def _sweep(d, e, lam):
+    """One shifted sweep on the lower bidiagonal entries, in place.
 
     ``d``/``e`` are the diagonal and subdiagonal of the (k+1) x k lower
-    factor B, ``f``/``g`` the diagonal and superdiagonal of the upper
-    companion, all Python floats; the chase carries a single bulge per
-    factor, as LAPACK's dbdsqr does.  The opening rotation annihilates the
-    (2,1) entry of B B^T - lam^2 I — only the first column of that product
-    is ever formed — and the remaining rotations chase the bulge back to
-    lower bidiagonal form.  Composed exact-shift sweeps must tolerate
-    reduced factors: deflating the shifted value into the trailing block (a
-    vanishing coupling) is precisely their purpose, and decoupling is
-    policed by the companion's residue checks instead.
+    factor B, as Python floats; the chase carries a single bulge, as
+    LAPACK's dbdsqr does.  The opening rotation annihilates the (2,1) entry
+    of B B^T - lam^2 I — only the first column of that product is ever
+    formed — and the remaining rotations chase the bulge back to lower
+    bidiagonal form.  Composed exact-shift sweeps must tolerate reduced
+    factors: deflating the shifted value into the trailing block (a
+    vanishing coupling) is precisely their purpose.
 
-    The companion reuses the right rotations of B.  Each is expected to
-    annihilate the superdiagonal residue left by the previous left rotation;
-    a residue within ``zero_tol`` is dropped, keeping the companion exactly
-    upper bidiagonal, and a larger one is reported as a coupling defect.
-
-    Returns the (c, s) chains of the left rotations on B, the right
-    rotations and the left rotations on the companion, in application order.
+    Returns the (c, s) chains of the left and the right rotations, in
+    application order.
     """
     k = len(d)
     c, s, _ = givens(d[0] * d[0] - lam * lam, d[0] * e[0])
@@ -115,64 +109,63 @@ def _sweep(d, e, f, g, lam, zero_tol):
         if j + 2 < k:
             bulge, d[j + 2] = s * d[j + 2], c * d[j + 2]
         left.append((c, s))
-
-    upper = []
-    for j, (c, s) in enumerate(right):
-        if j >= 1:
-            g[j - 1], residue = c * g[j - 1] + s * bulge, -s * g[j - 1] + c * bulge
-            if abs(residue) > zero_tol:
-                raise CouplingDefectError(
-                    f"entry ({j - 1}, {j + 1}) = {abs(residue):.3e} exceeds the zeroing "
-                    f"threshold {zero_tol:.3e}; lower/upper sweeps have decoupled"
-                )
-        f[j], g[j] = c * f[j] + s * g[j], -s * f[j] + c * g[j]
-        bulge, f[j + 1] = s * f[j + 1], c * f[j + 1]
-        c, s, f[j] = givens(f[j], bulge)
-        g[j], f[j + 1] = c * g[j] + s * f[j + 1], -s * g[j] + c * f[j + 1]
-        if j + 2 < k:
-            bulge, g[j + 1] = s * g[j + 1], c * g[j + 1]
-        upper.append((c, s))
-    return left, right, upper
+    return left, right
 
 
 def _sweeps(B, Bbar, shifts, base_tol):
-    """Run one coupled sweep per shift on the bidiagonal entries of the pair.
+    """Run one sweep of B per shift, then restore the companion by one QR.
 
     Only the diagonal and the one off-diagonal of each factor are read;
-    everything else counts as zero.  Each sweep's three rotation chains are
-    multiplied into the accumulated transforms as one upper-Hessenberg
-    product apiece, and the returned factors are exactly bidiagonal in
-    storage.
+    everything else counts as zero.  Each sweep's two rotation chains are
+    multiplied into G and P as one upper-Hessenberg product apiece.  The
+    shifted sweeps of B, applied to the companion, would give
+    Bbar P = Gbar Bbar' with Bbar' upper bidiagonal (one shift pair
+    lambda^2 + mu^2 = 1 drives both factors), so by the implicit-Q theorem
+    Gbar and Bbar' are the QR factors of Bbar P, with Bbar' signed to a
+    nonnegative diagonal.  Entries of that R beyond the superdiagonal
+    measure how far the pair has decoupled: up to ``base_tol`` per shift
+    they are dropped, beyond it they raise.  The returned factors are
+    exactly bidiagonal in storage.
     """
     d, e = B.diagonal().tolist(), B.diagonal(-1).tolist()
-    f, g = Bbar.diagonal().tolist(), Bbar.diagonal(1).tolist()
     k = len(d)
-    # G, P and Gbar stacked, P and Gbar padded to k + 1 by a unit corner: an
-    # identity rotation closes their k - 1 chains, so one batched product
-    # per sweep updates all three
-    acc = np.stack([np.eye(k + 1)] * 3)
-    for step, lam in enumerate(shifts):
+    # G and P stacked, P padded to k + 1 by a unit corner: an identity
+    # rotation closes its k - 1 chain, so one batched product per sweep
+    # updates both
+    acc = np.stack([np.eye(k + 1)] * 2)
+    for lam in shifts:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"shift {lam} outside [0, 1]")
-        left, right, upper = _sweep(d, e, f, g, float(lam), base_tol * (step + 1))
-        chains = np.array([left, right + [(1.0, 0.0)], upper + [(1.0, 0.0)]])
+        left, right = _sweep(d, e, float(lam))
+        chains = np.array([left, right + [(1.0, 0.0)]])
         acc = acc @ _chain_products(chains[..., 0], chains[..., 1])
+    P = acc[1, :k, :k]
+    Gbar, R = np.linalg.qr(np.tril(np.triu(Bbar), 1) @ P)
+    signs = np.where(np.diagonal(R) < 0.0, -1.0, 1.0)
+    Gbar *= signs
+    R *= signs[:, None]
+    zero_tol = base_tol * len(shifts)
+    residue = float(np.max(np.abs(np.triu(R, 2))))
+    if residue > zero_tol:
+        raise CouplingDefectError(
+            f"companion entry {residue:.3e} beyond the superdiagonal exceeds the "
+            f"zeroing threshold {zero_tol:.3e}; lower/upper sweeps have decoupled"
+        )
     Bp = np.zeros((k + 1, k))
     np.fill_diagonal(Bp, d)
     np.fill_diagonal(Bp[1:], e)
-    rot = SweepRotations(G=acc[0], P=acc[1, :k, :k], Gbar=acc[2, :k, :k])
-    return Bp, np.diag(f) + np.diag(g, 1), rot
+    rot = SweepRotations(G=acc[0], P=P, Gbar=Gbar)
+    return Bp, np.tril(R, 1), rot
 
 
 def accumulate_sweeps(B, Bbar, shifts):
-    """Run one coupled sweep per shift, accumulating all three transforms.
+    """Run one shifted sweep per shift, accumulating all three transforms.
 
     ``B`` and ``Bbar`` are dense copies of the factor pair; the returned
-    factors are exactly bidiagonal in storage.  The sweeps can only keep the
-    two factors coupled to the accuracy of their joint identity, so the
-    residue-zeroing threshold scales with the identity defect the pair
-    brings in, and grows with each composed sweep (every sweep's explicit
-    zeroing perturbs the identity the next sweep relies on).  Off-pattern
+    factors are exactly bidiagonal in storage.  The companion can only be
+    restored to upper bidiagonal form to the accuracy of the pair's joint
+    identity, so the zeroing threshold scales with the identity defect the
+    pair brings in, and with the number of composed sweeps.  Off-pattern
     noise carried in by the input factors is dropped under the same
     threshold discipline.
     """
@@ -187,9 +180,9 @@ def accumulate_sweeps(B, Bbar, shifts):
     identity_defect = float(np.max(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(k))))
     offpattern = max(float(np.max(np.abs(M))) for M in (
         np.triu(B, 1), np.tril(B, -2), np.tril(Bbar, -1), np.triu(Bbar, 2)))
-    # the sweeps can only stay coupled to the accuracy the state brings in:
-    # its joint-identity defect and the off-pattern noise left by the inner
-    # least-squares solves both cap the achievable residue level
+    # the companion can only be restored to the accuracy the state brings
+    # in: its joint-identity defect and the off-pattern noise left by the
+    # inner least-squares solves both cap the achievable residue level
     base_tol = max(_ZERO_SCALE * _EPS * max(1.0, float(np.linalg.norm(Bbar))),
                    8.0 * identity_defect, 4.0 * offpattern)
     if base_tol > 1e-6 * max(1.0, float(np.linalg.norm(Bbar))):
@@ -210,7 +203,7 @@ def _check_restartable(state, l):
 
 
 def multi_step_implicit_restart(state, shifts, l):
-    """Shrink a k-column state to l columns through k - l coupled sweeps.
+    """Shrink a k-column state to l columns through k - l shifted sweeps.
 
     The rotated bases are truncated to their leading blocks and the pending
     right vector is rebuilt from its two boundary contributions (the old

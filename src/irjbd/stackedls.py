@@ -128,27 +128,26 @@ class StackedOperator:
     factor of the Gram matrix of [A; L] D) when the n x n map fits under
     ``_FACTOR_BYTES`` and R is numerically nonsingular, and D otherwise.
     ``rnorm_estimate`` is ``stack_norm_estimate(A, L)``, computed once.
-    The operator also holds the inner-solve controls — ``tol`` (default
-    ``default_tol``, 10 eps) and ``maxit`` (``default_maxit(n)``, 10 n) —
-    and two counters, ``iterations`` and ``failures``, that every
-    ``lsqr_solve`` through it adds to.
+    The operator also holds the inner-solve controls — ``tol``
+    (``default_tol``, 10 eps) and ``maxit`` (``default_maxit(n)``, 10 n),
+    either of which may be reset after construction — and two counters,
+    ``iterations`` and ``failures``, that every ``lsqr_solve`` through it
+    adds to.
     """
 
     default_tol = 10.0 * _EPS
 
-    def __init__(self, A, L, tol=default_tol):
+    def __init__(self, A, L):
         if A.ncols != L.ncols:
             raise ValueError(f"A has {A.ncols} columns but L has {L.ncols}")
         if A.nrows + L.nrows < A.ncols:
             raise ValueError("stacked operator must have at least as many rows as columns")
-        if tol <= 0:
-            raise ValueError("tol must be positive")
         self.A = A
         self.L = L
         self.m = A.nrows
         self.p = L.nrows
         self.n = A.ncols
-        self.tol = tol
+        self.tol = self.default_tol
         self.maxit = self.default_maxit(self.n)
         self.iterations = 0
         self.failures = 0

@@ -15,9 +15,15 @@ from conftest import (bidiagonal_parts, expanded_state, explicit_shifted_qr,
                       rotation_orthogonality_defect, verify_state)
 from test_bidiag import random_joint_factors
 
+EPS = float(np.finfo(np.float64).eps)
+
 
 def random_lower_pair(rng, k):
     return lower_bidiagonal_pair(0.2 + rng.random(k), 0.2 + rng.random(k))
+
+
+def joint_identity_defect(B, Bbar):
+    return float(np.max(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(B.shape[1]))))
 
 
 class TestLowerSweep:
@@ -119,6 +125,19 @@ class TestCoupledSweep:
             _sweeps(B, unrelated, [0.45], loosest)
 
 
+    @pytest.mark.parametrize("k, draw", [(20, 0), (40, 54), (60, 91)])
+    def test_accurate_pair_restarts(self, k, draw):
+        # accurate pairs whose rotation-by-rotation companion chase left a
+        # residue above its zeroing threshold (3.8e-13 at k = 20): one QR of
+        # Bbar P restores the companion as accurately as the pair came in
+        rng = np.random.default_rng(1000 * k + draw)
+        B, Bbar = random_joint_factors(rng, k + 4, k + 3, k + 2, k)
+        shifts = small_gsvd(B, Bbar).C[k - k // 2:]
+        Bp, Bbarp, _ = accumulate_sweeps(B, Bbar, shifts)
+        assert (joint_identity_defect(Bp, Bbarp)
+                <= 8.0 * max(joint_identity_defect(B, Bbar), EPS))
+
+
 class TestAccumulatedSweeps:
     def test_band_structure_and_orthogonality(self, rng):
         B, Bbar = random_joint_factors(rng, 16, 14, 12, 8)
@@ -140,8 +159,14 @@ class TestScalarChase:
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_rotations(self, k, seed, kind, data):
         # the scalar chase runs the dense reference's arithmetic on the band
-        # entries only, so the factors agree bit for bit; the transforms are
-        # built by Hessenberg products instead of rotation by rotation
+        # entries of B only, so B' agrees bit for bit; G and P are built by
+        # Hessenberg products instead of rotation by rotation.  The companion
+        # comes from one QR of Bbar P instead of the reference's chase, so
+        # Bbar' and Gbar agree up to one sign per row of Bbar' (and column of
+        # Gbar): over 4,000 draws of each kind the gap was at most 1.8e-15
+        # (cholesky, reduced) and 4.7e-11 (lanczos, on a draw whose own
+        # identity defect is 1.2e-11 and where the chase, not the QR, has
+        # the larger residual ||Bbar P - Gbar Bbar'||)
         rng = np.random.default_rng(seed)
         if kind == "lanczos":
             B, Bbar = random_joint_factors(rng, k + 4, k + 3, k + 2, k)
@@ -155,15 +180,26 @@ class TestScalarChase:
         try:
             ref_B, ref_Bbar, ref = reference_sweeps(B, Bbar, shifts)
         except CouplingDefectError as err:
-            with pytest.raises(CouplingDefectError) as raised:
-                accumulate_sweeps(B, Bbar, shifts)
-            assert str(raised.value) == str(err)
+            if "decoupled" not in str(err):
+                with pytest.raises(CouplingDefectError) as raised:
+                    accumulate_sweeps(B, Bbar, shifts)
+                assert str(raised.value) == str(err)
+                return
+            # the chase's per-rotation residue checks end valid pairs on
+            # rounding; one QR restores the companion instead.  Over 7,000
+            # lanczos draws its output defect reached 12.8x the input's
+            Bp, Bbarp, _ = accumulate_sweeps(B, Bbar, shifts)
+            assert (joint_identity_defect(Bp, Bbarp)
+                    <= 16.0 * max(joint_identity_defect(B, Bbar), EPS))
             return
         Bp, Bbarp, rot = accumulate_sweeps(B, Bbar, shifts)
         np.testing.assert_array_equal(Bp, ref_B)
-        np.testing.assert_array_equal(Bbarp, ref_Bbar)
-        for got, want in ((rot.G, ref.G), (rot.P, ref.P), (rot.Gbar, ref.Gbar)):
+        for got, want in ((rot.G, ref.G), (rot.P, ref.P)):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        signs = np.where(np.sum(rot.Gbar * ref.Gbar, axis=0) < 0.0, -1.0, 1.0)
+        atol = 1e-10 if kind == "lanczos" else 1e-14
+        np.testing.assert_allclose(Bbarp, ref_Bbar * signs[:, None], rtol=0.0, atol=atol)
+        np.testing.assert_allclose(rot.Gbar, ref.Gbar * signs, rtol=0.0, atol=atol)
 
 
 class TestMultiStepRestart:
