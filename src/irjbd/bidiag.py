@@ -60,8 +60,8 @@ def small_gsvd(B, Bbar):
     S_i = ||Bbar w_i|| and pbar_i = Bbar w_i / S_i (zero where S_i
     vanishes), which keeps a single W shared by both factors.  Each w_i is
     sign-fixed so its largest-magnitude entry is positive, making the output
-    deterministic.  The joint identity is not checked here; its one check
-    is ``restart.accumulate_sweeps``, which refuses a degraded pair.
+    deterministic.  The joint identity is not checked here; every restart
+    checks it first and refuses a degraded pair.
     """
     B = np.asarray(B, dtype=np.float64)
     Bbar = np.asarray(Bbar, dtype=np.float64)

@@ -149,10 +149,10 @@ class ConvergenceRecord:
 
     ``shifts_used``, ``kept`` and ``shifts_replaced`` describe that restart:
     its shifts, the columns it kept (``len(shifts_used) == kmax - kept``)
-    and how many shifts the adaptive rule replaced.  Only the implicit
-    restart applies the rule; a thick restart records the unwanted values
-    it purged and replaces none.  The first record follows no restart, so
-    no shifts and ``kept == 0``; a refused restart has none.
+    and how many shifts the adaptive rule replaced.  Only implicit mode
+    applies the rule; a thick record holds the unwanted values its restart
+    purged.  The first record follows no restart, so no shifts and
+    ``kept == 0``; a refused restart has none.
     """
 
     restart_index: int
@@ -169,13 +169,13 @@ class SolveResult:
     """Outcome of a solve.
 
     ``restarts`` counts the restarts whose state was extracted: a restart
-    the sweep refuses, or one whose first expansion step breaks down, ends
-    the run on the previous extraction uncounted, so a run with a history
-    has ``len(history) == restarts + 1``.  ``lsqr_iterations`` and
-    ``lsqr_failures`` count the iterations and the non-convergences of
-    every inner solve.  Only the expansion makes inner solves, and neither
-    a refused restart nor recovery makes any, so a run with a history has
-    ``lsqr_iterations == history[-1].lsqr_iters_total``.
+    that is refused ends the run on the previous extraction uncounted, and
+    one whose re-expansion breaks down is extracted and counted, so a run
+    with a history has ``len(history) == restarts + 1``.
+    ``lsqr_iterations`` and ``lsqr_failures`` count the iterations and the
+    non-convergences of every inner solve.  Only the expansion makes inner
+    solves, and neither a refused restart nor recovery makes any, so a run
+    with a history has ``lsqr_iterations == history[-1].lsqr_iters_total``.
     """
 
     components: list
@@ -207,9 +207,6 @@ def extract_ritz(state, cfg):
     in both modes and the shifts, the kept set and the output order need no
     mode.  Bounds are those of ``residual_bound_pq``.
     """
-    if not state.is_canonical:
-        raise ValueError("extraction expects canonical trailing couplings; "
-                         "expand at least one step after a thick restart")
     sg = small_gsvd(state.Bdense, state.Bbardense)
     if cfg.target < 0:
         sg = replace(sg, C=sg.C[::-1], S=sg.S[::-1], W=sg.W[:, ::-1], P=sg.P[:, ::-1],
@@ -272,11 +269,11 @@ def irjbd_solve(A, L, cfg):
     """Compute the |target| extreme GSVD components of the pair {A, L}.
 
     Runs the joint bidiagonalization to kmax columns, then alternates
-    extraction with restarts (implicit shifted sweeps or thick restart,
-    per cfg) until every targeted bound falls below ``cfg.tol`` or the
-    restart budget runs out.  Each restart keeps ``cfg.kept_columns``
-    columns, a count that grows as wanted values converge, and the implicit
-    sweep takes the other kmax - kept unwanted values as shifts.  Components
+    extraction with restarts until every targeted bound falls below
+    ``cfg.tol`` or the restart budget runs out.  Each restart keeps
+    ``cfg.kept_columns`` columns, a count that grows as wanted values
+    converge, and takes the other kmax - kept unwanted values as shifts; in
+    implicit mode the adaptive rule may replace some of them.  Components
     are recovered only on exit, most extreme first, and certified
     (``converged``) when the bound is below tol, c * s >= 10 eps and the
     recovered relative residual is at most tol.
@@ -340,15 +337,19 @@ def irjbd_solve(A, L, cfg):
             break
 
         keep = cfg.kept_columns(int(np.count_nonzero(ritz.converged[:l])))
-        # thick restart purges exactly the unwanted values; only the implicit
-        # sweep applies the shifts, so only it gets the adaptive rule
         last_shifts = select_exact_shifts(ritz.small, cfg.kmax - keep)
+        if cfg.restart_mode == "implicit":
+            last_shifts = apply_adaptive_rule(last_shifts, ritz.small, l)
+        # the rule replaces the shifts nearest the wanted values, a leading
+        # run of the nearest-first list: truncation purges the other, exact
+        # shifts, and only the replaced ones are swept
+        replaced = last_shifts.lambdas[last_shifts.replaced_flags]
         try:
-            if cfg.restart_mode == "implicit":
-                last_shifts = apply_adaptive_rule(last_shifts, ritz.small, l)
-                restarted = multi_step_implicit_restart(state, last_shifts.lambdas, keep)
-            else:
-                restarted = thick_restart(state, ritz.small, keep)
+            restarted = state
+            if keep + len(replaced) < cfg.kmax:
+                restarted = thick_restart(state, ritz.small, keep + len(replaced))
+            if len(replaced):
+                restarted = multi_step_implicit_restart(restarted, replaced, keep)
         except (BreakdownError, CouplingDefectError) as exc:
             # a refused restart: the last extraction stands
             message = str(exc)
@@ -357,11 +358,6 @@ def irjbd_solve(A, L, cfg):
             jbd_expand(restarted, op, cfg.kmax)
         except BreakdownError as exc:
             broken = exc
-        if not restarted.is_canonical:
-            # the first step after a thick restart broke down before restoring
-            # canonical trailing couplings: the last extraction stands
-            message = str(broken)
-            break
         state = restarted
         restarts += 1
 

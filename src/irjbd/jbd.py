@@ -8,12 +8,12 @@ sign-adjusted so that B.T B + Bbar.T Bbar = I).  Each expansion step costs
 one inner least-squares solve with [A; L].
 
 The state also carries the pending right vector ``vp_next`` plus its
-coupling coefficients into the two left bases.  ``JbdState.set_pending``,
-the one maker of a pending vector (the first one included), orthogonalizes
-it against Vprime and sets the couplings as single trailing scalars, but
-they are stored as full vectors so that restarted states — whose projected
-factors need not stay strictly bidiagonal — expand through exactly the same
-code path.
+couplings into the two left bases, single scalars on their last columns
+(``alpha_next`` and ``betabar``).  That holds for every state, a restarted
+one included, because B never has an entry below its subdiagonal nor Bbar
+below its diagonal.  ``JbdState.set_pending``, the one maker of a pending
+vector (the first one included), orthogonalizes it against Vprime and sets
+both couplings.
 
 Every right vector is realized as [A; L] applied to an explicitly
 maintained preimage.  The literal three-term recurrence would divide
@@ -46,19 +46,20 @@ class BreakdownError(RuntimeError):
         )
 
 
-def _reorth_tracked(vec, basis, seed_coefficients):
+def _reorth_tracked(vec, basis, seed):
     """CGS2 that also returns the total projection coefficients.
 
-    ``seed_coefficients`` is the recurrence-predicted column, subtracted
-    first; the per-pass corrections are accumulated on top so the returned
-    coefficients are the true projections of the input onto the basis.
+    ``seed`` is the recurrence-predicted coefficient of the last basis
+    column, subtracted first; the per-pass corrections accumulate on top, so
+    the returned coefficients are the true projections of the input.
     Committing those (instead of the bare prediction) keeps the stored
     factors consistent with the stored vectors, which stops relation errors
     inherited from a restart from compounding through later columns.
     """
-    coefficients = seed_coefficients.copy()
-    vec = vec - basis @ seed_coefficients
+    coefficients = np.zeros(basis.shape[1])
     if basis.shape[1]:
+        coefficients[-1] = seed
+        vec = vec - seed * basis[:, -1]
         for _ in range(2):
             extra = basis.T @ vec
             vec = vec - basis @ extra
@@ -92,8 +93,8 @@ class JbdState:
         self._Bbar = np.zeros((capacity, capacity), order="F")
         self.vp_next = np.zeros(m + p)
         self.t_next = np.zeros(n)
-        self.coupling_u = np.zeros(1)
-        self.coupling_uhat = np.zeros(0)
+        self.alpha_next = 0.0  # coupling of the pending right vector into the last U column
+        self.betabar = 0.0  # its signed coupling into the last Uhat column
         self.exhausted = False
 
     # -- views -------------------------------------------------------------
@@ -125,31 +126,18 @@ class JbdState:
         """The signed projected factor against Uhat, shape (k, k)."""
         return self._Bbar[: self.k, : self.k]
 
-    @property
-    def alpha_next(self):
-        """Trailing coupling of the pending right vector into U."""
-        return float(self.coupling_u[-1])
-
-    @property
-    def betabar(self):
-        """Trailing (signed) coupling of the pending right vector into Uhat."""
-        return float(self.coupling_uhat[-1]) if len(self.coupling_uhat) else 0.0
-
-    @property
-    def is_canonical(self):
-        """True when the pending couplings are single trailing scalars."""
-        return (np.all(self.coupling_u[:-1] == 0.0)
-                and np.all(self.coupling_uhat[:-1] == 0.0))
-
-    def restarted(self, l, U, Uhat, Vprime, preimages, B, Bbar, couplings=None):
+    def restarted(self, l, U, Uhat, Vprime, preimages, B, Bbar, vp, t):
         """A new l-column state of the same run, built from restarted blocks.
 
-        ``U`` has l + 1 columns and ``B`` is (l+1) x l; ``Uhat``, ``Vprime``
-        and ``preimages`` have l columns and ``Bbar`` is l x l.  The new state
-        keeps this state's pending right vector under ``couplings`` (rows of
-        l + 1 and l entries into U and Uhat) or, without them, has its own
-        set by the caller through ``set_pending``.
+        ``U`` has l + 1 columns and ``B`` is (l+1) x l lower bidiagonal;
+        ``Uhat``, ``Vprime`` and ``preimages`` have l columns and ``Bbar`` is
+        l x l upper triangular.  The pending right vector is made from
+        (vp, t) by ``set_pending``.  Raises BreakdownError when the trailing
+        companion diagonal, which ``set_pending`` divides by, or the new
+        alpha vanishes.
         """
+        if abs(Bbar[l - 1, l - 1]) < self.breakdown_tol:
+            raise BreakdownError("alphahat", l, Bbar[l - 1, l - 1])
         new = JbdState(self.m, self.p, self.n, self.capacity, self.breakdown_tol)
         new.k = l
         new.n_left = l + 1
@@ -159,10 +147,9 @@ class JbdState:
         new._T[:, :l] = preimages
         new._B[: l + 1, :l] = B
         new._Bbar[:l, :l] = Bbar
-        if couplings is not None:
-            new.vp_next = self.vp_next.copy()
-            new.t_next = self.t_next.copy()
-            new.coupling_u, new.coupling_uhat = couplings
+        alpha = new.set_pending(vp, t)
+        if alpha < self.breakdown_tol:
+            raise BreakdownError("alpha", l + 1, alpha)
         return new
 
     def set_pending(self, vp, t):
@@ -172,7 +159,7 @@ class JbdState:
         out, subtracting the same combination of the preimages from t, and
         what remains is divided by its norm alpha.  The couplings become
         alpha on the last U column and the coupled-recurrence entry
-        -alpha B[k, k-1] / Bbar[k-1, k-1] on the last Uhat column (none at
+        -alpha B[k, k-1] / Bbar[k-1, k-1] on the last Uhat column (0 at
         k = 0).  Returns alpha, and leaves the state untouched when alpha is
         below ``breakdown_tol``.
         """
@@ -186,11 +173,8 @@ class JbdState:
         k = self.k
         self.vp_next = vp / alpha
         self.t_next = t / alpha
-        self.coupling_u = np.zeros(k + 1)
-        self.coupling_u[-1] = alpha
-        self.coupling_uhat = np.zeros(k)
-        if k:
-            self.coupling_uhat[-1] = -alpha * self._B[k, k - 1] / self._Bbar[k - 1, k - 1]
+        self.alpha_next = alpha
+        self.betabar = -alpha * self._B[k, k - 1] / self._Bbar[k - 1, k - 1] if k else 0.0
         return alpha
 
 
@@ -247,7 +231,7 @@ def _expand_one(state, op):
     # companion left vector paired with the pending right vector; the signed
     # diagonal keeps all runs on the alternating-sign convention
     candh, uhat_coefficients = _reorth_tracked(vp[m:].copy(), state._Uhat[:, :k],
-                                               state.coupling_uhat)
+                                               state.betabar)
     anorm = float(np.linalg.norm(candh))
     if anorm < state.breakdown_tol:
         raise BreakdownError("alphahat", k + 1, anorm)
@@ -255,7 +239,7 @@ def _expand_one(state, op):
 
     # next left vector from the upper block of the pending right vector
     cand, u_coefficients = _reorth_tracked(vp[:m].copy(), state._U[:, : k + 1],
-                                           state.coupling_u)
+                                           state.alpha_next)
     beta = float(np.linalg.norm(cand))
 
     # commit column k
@@ -282,8 +266,8 @@ def _exhaust(state):
     """End the run on an invariant subspace: no pending vector, zero couplings."""
     state.vp_next = np.zeros(state.m + state.p)
     state.t_next = np.zeros(state.n)
-    state.coupling_u = np.zeros(state.n_left)
-    state.coupling_uhat = np.zeros(state.k)
+    state.alpha_next = 0.0
+    state.betabar = 0.0
     state.exhausted = True
 
 

@@ -1,24 +1,20 @@
 """Restarting the joint bidiagonalization at a smaller subspace size.
 
-Implicit restart runs shifted bulge-chasing QR sweeps on the lower
-bidiagonal factor, restores the signed upper companion by one QR of
-Bbar P (one shift pair lambda^2 + mu^2 = 1 drives both factors, so the
-companion never needs its own shift or chase), truncates every basis to the
-leading block, and reassembles the pending right vector from its two
-boundary terms.  The sweeps chase one bulge on scalars and fold each
-sweep's rotation chains into G and P as one Hessenberg product apiece.
-Thick restart instead rotates the bases onto the leading Ritz directions of
-an extreme-first extraction and keeps full coupling rows.
-
-Both paths build their result with ``JbdState.restarted`` (the implicit
-one then hands its raw new pending vector to ``JbdState.set_pending``,
-which orthogonalizes and normalizes it), and it expands through the
-ordinary process code.
+Every restart truncates onto kept Ritz triplets and reduces the result back
+to canonical bidiagonal form, the Krylov-Schur restart (Stewart, 2001):
+``thick_restart`` keeps the leading triplets of an extreme-first
+extraction, which purges the other values as exact shifts would.  Shifts
+that are not Ritz values (those the adaptive rule replaced) still need
+``multi_step_implicit_restart``: one bulge-chasing sweep of the lower
+factor per shift, then one QR of Bbar P for the companion (one shift pair
+lambda^2 + mu^2 = 1 drives both factors).  Both build their result with
+``JbdState.restarted``, so it expands through the ordinary process code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -43,12 +39,7 @@ class CouplingDefectError(RuntimeError):
 
 @dataclass
 class SweepRotations:
-    """Accumulated orthogonal transforms of a multi-shift restart.
-
-    G and P are products of plane-rotation chains and Gbar is the Q factor
-    of Bbar P, so all three are banded: entry (i, j) vanishes whenever
-    i - j exceeds the number of shifts applied.
-    """
+    """A restart's transforms: G left of B, P right of both, Gbar left of Bbar."""
 
     G: np.ndarray
     P: np.ndarray
@@ -84,9 +75,7 @@ def _sweep(d, e, lam):
     LAPACK's dbdsqr does.  The opening rotation annihilates the (2,1) entry
     of B B^T - lam^2 I — only the first column of that product is ever
     formed — and the remaining rotations chase the bulge back to lower
-    bidiagonal form.  Composed exact-shift sweeps must tolerate reduced
-    factors: deflating the shifted value into the trailing block (a
-    vanishing coupling) is precisely their purpose.
+    bidiagonal form; a vanishing coupling in B is tolerated.
 
     Returns the (c, s) chains of the left and the right rotations, in
     application order.
@@ -112,20 +101,46 @@ def _sweep(d, e, lam):
     return left, right
 
 
+def _restart_tolerance(B, Bbar, companion_noise=True):
+    """The companion zeroing threshold of a restart of {B, Bbar}, or a refusal.
+
+    It scales with the pair's identity defect and off-pattern noise; above
+    1e-6 the pair is too degraded to restart.  Bbar's entries beyond its
+    superdiagonal count only with ``companion_noise``: they carry rounding
+    amplified by 1/sigma_min(Bbar) near c = 1 (1.2e-6 on a first-difference
+    L), while B's noise stays at rounding level unless inner solves fail.
+    """
+    blocks = [np.triu(B, 1), np.tril(B, -2), np.tril(Bbar, -1)]
+    if companion_noise:
+        blocks.append(np.triu(Bbar, 2))
+    identity_defect = float(np.max(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(B.shape[1]))))
+    offpattern = max(float(np.max(np.abs(M))) for M in blocks)
+    scale = max(1.0, float(np.linalg.norm(Bbar)))
+    base_tol = max(_ZERO_SCALE * _EPS * scale, 8.0 * identity_defect, 4.0 * offpattern)
+    if base_tol > 1e-6 * scale:
+        raise CouplingDefectError(
+            f"factor pair too degraded to restart: identity defect "
+            f"{identity_defect:.3e}, off-pattern noise {offpattern:.3e}"
+        )
+    return base_tol
+
+
+def _signed_qr(M):
+    """The QR factors of M, with R's diagonal signed nonnegative."""
+    Q, R = np.linalg.qr(M)
+    signs = np.where(np.diagonal(R) < 0.0, -1.0, 1.0)
+    return Q * signs, R * signs[:, None]
+
+
 def _sweeps(B, Bbar, shifts, base_tol):
     """Run one sweep of B per shift, then restore the companion by one QR.
 
-    Only the diagonal and the one off-diagonal of each factor are read;
-    everything else counts as zero.  Each sweep's two rotation chains are
-    multiplied into G and P as one upper-Hessenberg product apiece.  The
-    shifted sweeps of B, applied to the companion, would give
-    Bbar P = Gbar Bbar' with Bbar' upper bidiagonal (one shift pair
-    lambda^2 + mu^2 = 1 drives both factors), so by the implicit-Q theorem
-    Gbar and Bbar' are the QR factors of Bbar P, with Bbar' signed to a
-    nonnegative diagonal.  Entries of that R beyond the superdiagonal
-    measure how far the pair has decoupled: up to ``base_tol`` per shift
-    they are dropped, beyond it they raise.  The returned factors are
-    exactly bidiagonal in storage.
+    Only the bands of the factors are read.  Each sweep's two rotation
+    chains reach G and P as one upper-Hessenberg product apiece.  By the
+    implicit-Q theorem Gbar and Bbar' are the QR factors of band(Bbar) P;
+    entries of R beyond the superdiagonal, which measure how far the pair
+    has decoupled, are dropped up to ``base_tol`` per shift and raise
+    beyond it.  The factors returned are exactly bidiagonal in storage.
     """
     d, e = B.diagonal().tolist(), B.diagonal(-1).tolist()
     k = len(d)
@@ -140,10 +155,7 @@ def _sweeps(B, Bbar, shifts, base_tol):
         chains = np.array([left, right + [(1.0, 0.0)]])
         acc = acc @ _chain_products(chains[..., 0], chains[..., 1])
     P = acc[1, :k, :k]
-    Gbar, R = np.linalg.qr(np.tril(np.triu(Bbar), 1) @ P)
-    signs = np.where(np.diagonal(R) < 0.0, -1.0, 1.0)
-    Gbar *= signs
-    R *= signs[:, None]
+    Gbar, R = _signed_qr(np.tril(np.triu(Bbar), 1) @ P)
     zero_tol = base_tol * len(shifts)
     residue = float(np.max(np.abs(np.triu(R, 2))))
     if residue > zero_tol:
@@ -154,20 +166,14 @@ def _sweeps(B, Bbar, shifts, base_tol):
     Bp = np.zeros((k + 1, k))
     np.fill_diagonal(Bp, d)
     np.fill_diagonal(Bp[1:], e)
-    rot = SweepRotations(G=acc[0], P=P, Gbar=Gbar)
-    return Bp, np.tril(R, 1), rot
+    return Bp, np.tril(R, 1), SweepRotations(G=acc[0], P=P, Gbar=Gbar)
 
 
 def accumulate_sweeps(B, Bbar, shifts):
-    """Run one shifted sweep per shift, accumulating all three transforms.
+    """Run one shifted sweep per shift of the pair, accumulating all three transforms.
 
-    ``B`` and ``Bbar`` are dense copies of the factor pair; the returned
-    factors are exactly bidiagonal in storage.  The companion can only be
-    restored to upper bidiagonal form to the accuracy of the pair's joint
-    identity, so the zeroing threshold scales with the identity defect the
-    pair brings in, and with the number of composed sweeps.  Off-pattern
-    noise carried in by the input factors is dropped under the same
-    threshold discipline.
+    The zeroing threshold is ``_restart_tolerance`` per sweep; off-pattern
+    noise of the input factors is dropped.
     """
     B = np.asarray(B, dtype=np.float64)
     Bbar = np.asarray(Bbar, dtype=np.float64)
@@ -176,21 +182,25 @@ def accumulate_sweeps(B, Bbar, shifts):
         raise ValueError("lower sweep expects a (k+1) x k factor")
     if Bbar.shape != (k, k):
         raise ValueError("upper sweep expects a square k x k factor")
+    return _sweeps(B, Bbar, shifts, _restart_tolerance(B, Bbar))
 
-    identity_defect = float(np.max(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(k))))
-    offpattern = max(float(np.max(np.abs(M))) for M in (
-        np.triu(B, 1), np.tril(B, -2), np.tril(Bbar, -1), np.triu(Bbar, 2)))
-    # the companion can only be restored to the accuracy the state brings
-    # in: its joint-identity defect and the off-pattern noise left by the
-    # inner least-squares solves both cap the achievable residue level
-    base_tol = max(_ZERO_SCALE * _EPS * max(1.0, float(np.linalg.norm(Bbar))),
-                   8.0 * identity_defect, 4.0 * offpattern)
-    if base_tol > 1e-6 * max(1.0, float(np.linalg.norm(Bbar))):
-        raise CouplingDefectError(
-            f"factor pair too degraded to restart: identity defect "
-            f"{identity_defect:.3e}, off-pattern noise {offpattern:.3e}"
-        )
-    return _sweeps(B, Bbar, shifts, base_tol)
+
+def _reflector(x):
+    """v with ||v||^2 = 2 and (I - v v^T) x = ||x|| e_last, or zero when x already is that.
+
+    Mapping onto +||x||, with Parlett's cancellation-free v[-1], leaves every
+    entry the reflectors produce nonnegative.
+    """
+    last = float(x[-1])
+    rest = float(x[:-1] @ x[:-1])
+    norm = sqrt(rest + last * last)
+    v_last = last - norm if last <= 0.0 else -rest / (last + norm)
+    size = sqrt(0.5 * (rest + v_last * v_last))
+    if not size:
+        return np.zeros_like(x)
+    v = x / size
+    v[-1] = v_last / size
+    return v
 
 
 def _check_restartable(state, l):
@@ -205,67 +215,75 @@ def _check_restartable(state, l):
 def multi_step_implicit_restart(state, shifts, l):
     """Shrink a k-column state to l columns through k - l shifted sweeps.
 
-    The rotated bases are truncated to their leading blocks and the pending
-    right vector is rebuilt from its two boundary contributions (the old
-    pending vector scaled by the corner entry of G, plus the first discarded
-    rotated column) and handed to ``JbdState.set_pending``, which
-    reorthogonalizes it against the kept right basis, renormalizes it and
-    recomputes the trailing companion coupling from the joint-identity
-    recurrence, so the restarted state expands exactly like a fresh one.
+    The rotated bases are truncated to their leading blocks, and the new
+    pending right vector is the old one scaled by the corner entry of G plus
+    the first discarded rotated column.
     """
     _check_restartable(state, l)
     k = state.k
     shifts = np.asarray(shifts, dtype=np.float64)
     if len(shifts) != k - l:
         raise ValueError(f"need k - l = {k - l} shifts, got {len(shifts)}")
-    if not state.is_canonical:
-        raise ValueError("implicit restart requires canonical bidiagonal factors")
 
     Bp, Bbarp, rot = accumulate_sweeps(state.Bdense, state.Bbardense, shifts)
-    # set_pending divides by the kept block's trailing companion diagonal
-    abar_last = Bbarp[l - 1, l - 1]
-    if abs(abar_last) < state.breakdown_tol:
-        raise BreakdownError("alphahat", l, abar_last)
-
     vp_ext = state.Vprime @ rot.P[:, : l + 1]
     t_ext = state.preimages @ rot.P[:, : l + 1]
-    new = state.restarted(l, state.U @ rot.G[:, : l + 1], state.Uhat @ rot.Gbar[:, :l],
-                          vp_ext[:, :l], t_ext[:, :l], Bp[: l + 1, :l], Bbarp[:l, :l])
+    corner = state.alpha_next * rot.G[k, l]
+    return state.restarted(l, state.U @ rot.G[:, : l + 1], state.Uhat @ rot.Gbar[:, :l],
+                           vp_ext[:, :l], t_ext[:, :l], Bp[: l + 1, :l], Bbarp[:l, :l],
+                           corner * state.vp_next + Bp[l, l] * vp_ext[:, l],
+                           corner * state.t_next + Bp[l, l] * t_ext[:, l])
 
-    # pending right vector: corner-of-G times the old pending vector plus the
-    # first rotated column beyond the kept block
-    corner = rot.G[k, l]
-    alpha = new.set_pending(state.alpha_next * corner * state.vp_next + Bp[l, l] * vp_ext[:, l],
-                            state.alpha_next * corner * state.t_next + Bp[l, l] * t_ext[:, l])
-    if alpha < state.breakdown_tol:
-        raise BreakdownError("alpha", l + 1, alpha)
-    return new
+
+def _reduce(B, Bbar, ritz, l):
+    """Truncate {B, Bbar} onto the l leading triplets of ``ritz`` and reduce it.
+
+    The kept left singular vectors and B's left null vector span the new
+    left space, into which the pending right vector couples through the last
+    row of that map.  One reflector turns the coupling onto the last left
+    vector; then, bottom up, a right reflector clears row j+1 left of column
+    j and a left reflector on rows <= j clears column j above row j.  The
+    companion is the R factor of Bbar P, kept whole: it is bidiagonal up to
+    the identity defect, the couplings need only a triangular one, and
+    dropping entries would break Vprime = Uhat Bbar.  Returns what
+    ``accumulate_sweeps`` does; G[k, l] is the coupling's norm.
+    """
+    k = ritz.k
+    qfull, _ = np.linalg.qr(ritz.P, mode="complete")
+    # one array holds the factor M, G^T to its right and P below it, so a
+    # left reflector on rows of M turns the matching columns of G, and a
+    # right reflector on columns of M those of P, in one update each
+    Z = np.zeros((l + 1 + k, l + k + 1))
+    M, Gt = Z[: l + 1, :l], Z[: l + 1, l:]
+    np.fill_diagonal(M, ritz.C[:l])
+    Gt[:l] = ritz.P[:, :l].T
+    Gt[l] = qfull[:, -1]
+    Z[l + 1:, :l] = ritz.W[:, :l]
+    v = _reflector(Gt[:, k])
+    Z[: l + 1] -= np.multiply.outer(v, v @ Z[: l + 1])
+    for j in range(l - 1, -1, -1):
+        v = _reflector(M[j + 1, : j + 1])
+        Z[:, : j + 1] -= np.multiply.outer(Z[:, : j + 1] @ v, v)
+        v = _reflector(M[: j + 1, j])
+        Z[: j + 1] -= np.multiply.outer(v, v @ Z[: j + 1])
+    P = Z[l + 1:, :l]
+    Gbar, Bbarp = _signed_qr(Bbar @ P)
+    return np.triu(np.tril(M), -1), Bbarp, SweepRotations(G=Gt.T, P=P, Gbar=Gbar)
 
 
 def thick_restart(state, ritz, l):
-    """Rotate the state onto l kept Ritz directions plus the coupling rows.
+    """Truncate the state onto l kept Ritz triplets and reduce it to bidiagonal form.
 
-    Keeps the leading l Ritz triplets of the extraction, which come
-    extreme-first (the wanted end leads, whichever end that is), producing
-    diagonal projected factors and full coupling rows; the pending right
-    vector is unchanged.  Unlike the banded transforms of the implicit
-    restart, the applied rotation blocks are dense.
+    The extraction comes extreme-first, so the wanted end is kept.  The
+    pending right vector keeps its direction; alpha is scaled by the norm of
+    its coupling into the kept left space.
     """
     _check_restartable(state, l)
     if ritz.k != state.k:
         raise ValueError("extraction size does not match the state")
-
-    # complete the left singular basis with its orthogonal complement vector
-    qfull, _ = np.linalg.qr(ritz.P, mode="complete")
-    p_extra = qfull[:, -1]
-    lead = int(np.argmax(np.abs(p_extra)))
-    if p_extra[lead] < 0.0:
-        p_extra = -p_extra
-    left_map = np.column_stack([ritz.P[:, :l], p_extra])
-
-    return state.restarted(l, state.U @ left_map, state.Uhat @ ritz.Pbar[:, :l],
-                           state.Vprime @ ritz.W[:, :l], state.preimages @ ritz.W[:, :l],
-                           np.vstack([np.diag(ritz.C[:l]), np.zeros(l)]),
-                           np.diag(ritz.S[:l]),
-                           couplings=(left_map.T @ state.coupling_u,
-                                      ritz.Pbar[:, :l].T @ state.coupling_uhat))
+    _restart_tolerance(state.Bdense, state.Bbardense, companion_noise=False)
+    Bp, Bbarp, rot = _reduce(state.Bdense, state.Bbardense, ritz, l)
+    alpha = state.alpha_next * rot.G[state.k, l]
+    return state.restarted(l, state.U @ rot.G, state.Uhat @ rot.Gbar, state.Vprime @ rot.P,
+                           state.preimages @ rot.P, Bp, Bbarp,
+                           alpha * state.vp_next, alpha * state.t_next)

@@ -225,8 +225,8 @@ def verify_state(state, op=None, rng=None):
     """Measure every maintained invariant of a state.
 
     With ``op`` given, additionally probes the projected recurrence
-    QQ^T (U w; 0) = Vprime B^T w + vp_next (coupling . w) on one random unit
-    w, which costs a single inner solve.
+    QQ^T (U w; 0) = Vprime B^T w + vp_next alpha_next w[-1] on one random
+    unit w, which costs a single inner solve.
     """
     k = state.k
     m = state.m
@@ -253,7 +253,7 @@ def verify_state(state, op=None, rng=None):
         rhs = np.concatenate([uw / np.linalg.norm(uw), np.zeros(state.p)])
         proj = op.apply(lsqr_solve(op, rhs).solution)
         proj *= np.linalg.norm(uw)
-        model = Vp @ (B.T @ w) + state.vp_next * float(state.coupling_u @ w)
+        model = Vp @ (B.T @ w) + state.vp_next * (state.alpha_next * w[-1])
         projection = float(np.max(np.abs(proj - model)))
 
     return StateDefects(

@@ -12,6 +12,7 @@ from irjbd.driver import (GsvdComponent, RitzSet, SolverConfig, check_convergenc
                           residual_bound_pq)
 from irjbd.jbd import jbd_init
 from irjbd.oracle import dense_gsvd, stack_qr
+from irjbd.shifts import ShiftSet
 from irjbd.sparsemat import SparseMatrix, identity, second_order_L
 from irjbd.stackedls import StackedOperator, lsqr_solve
 
@@ -326,8 +327,8 @@ class TestSolverLoop:
     @pytest.mark.parametrize("mode", ["implicit", "thick"])
     @pytest.mark.parametrize("lsqr_maxit", [1, 2, 3, 4])
     def test_refused_restart_is_not_counted(self, rng, monkeypatch, mode, lsqr_maxit):
-        # starved inner solves leave off-pattern noise in the factors; the
-        # implicit sweep refuses to restart such a pair, and the run must end
+        # starved inner solves leave off-pattern noise in the factors; every
+        # restart, in both modes, refuses such a pair, and the run must end
         # on its one extraction instead of counting the refused restart and
         # re-recording that extraction under the restart's shifts
         monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
@@ -338,10 +339,9 @@ class TestSolverLoop:
         assert len(res.history) == res.restarts + 1
         assert [rec.restart_index for rec in res.history] == list(range(res.restarts + 1))
         assert res.history[-1].lsqr_iters_total == res.lsqr_iterations
-        if mode == "implicit":
-            assert res.status == "breakdown"
-            assert "too degraded" in res.message
-            assert res.restarts == 0
+        assert res.status == "breakdown"
+        assert "too degraded" in res.message
+        assert res.restarts == 0
 
     @pytest.mark.parametrize("mode", ["implicit", "thick"])
     def test_start_breakdown_ends_before_any_extraction(self, mode):
@@ -386,40 +386,81 @@ class TestSolverLoop:
 class TestAdaptiveKeep:
     """A restart keeps l + adjust + min(nconv, nshifts // 2) columns."""
 
-    @pytest.mark.parametrize("mode", ["implicit", "thick"])
-    def test_restarts_receive_the_grown_keep(self, mode, monkeypatch):
+    @staticmethod
+    def spy_restarts(monkeypatch):
+        """Record every restart call the driver makes, with its sizes."""
         calls = []
-        real_implicit = irjbd.driver.multi_step_implicit_restart
         real_thick = irjbd.driver.thick_restart
-
-        def spy_implicit(state, shifts, l):
-            calls.append((state.k, len(shifts), l))
-            return real_implicit(state, shifts, l)
+        real_sweeps = irjbd.driver.multi_step_implicit_restart
 
         def spy_thick(state, ritz, l):
-            calls.append((state.k, None, l))
+            calls.append(("thick", state.k, l))
             return real_thick(state, ritz, l)
 
-        monkeypatch.setattr(irjbd.driver, "multi_step_implicit_restart", spy_implicit)
+        def spy_sweeps(state, shifts, l):
+            calls.append(("sweeps", state.k, len(shifts), l))
+            return real_sweeps(state, shifts, l)
+
         monkeypatch.setattr(irjbd.driver, "thick_restart", spy_thick)
+        monkeypatch.setattr(irjbd.driver, "multi_step_implicit_restart", spy_sweeps)
+        return calls
+
+    @staticmethod
+    def expected_calls(res, kmax):
+        # every restart truncates the full state onto keep + r triplets, r
+        # being the shifts the adaptive rule replaced (none in thick mode),
+        # and only when r > 0 sweeps those r shifts down to keep
+        expected = []
+        for rec in res.history[1:]:
+            assert len(rec.shifts_used) == kmax - rec.kept
+            if rec.kept + rec.shifts_replaced < kmax:
+                expected.append(("thick", kmax, rec.kept + rec.shifts_replaced))
+            if rec.shifts_replaced:
+                expected.append(("sweeps", rec.kept + rec.shifts_replaced,
+                                 rec.shifts_replaced, rec.kept))
+        return expected
+
+    @pytest.mark.parametrize("mode", ["implicit", "thick"])
+    def test_restarts_receive_the_grown_keep(self, mode, monkeypatch):
+        calls = self.spy_restarts(monkeypatch)
         _, _, A, L = gaussian_pair(np.random.default_rng(1), 40, 36, 30)
         cfg = SolverConfig(target=3, kmax=10, adjust=1, tol=1e-8, seed=1, maxit=300,
                            restart_mode=mode)
         res = irjbd_solve(A, L, cfg)
         assert res.status == "converged"
-        assert len(calls) == res.restarts > 0
+        assert res.restarts > 0
         nshifts = cfg.kmax - 3 - cfg.adjust
-        for i, (k, nlambdas, keep) in enumerate(calls):
+        for i in range(res.restarts):
             # the extraction before restart i is history[i]; the record after
-            # it names the same keep
+            # it names the keep of restart i
             nconv = int(np.count_nonzero(res.history[i].bounds < cfg.tol))
-            assert keep == 3 + cfg.adjust + min(nconv, nshifts // 2)
-            assert res.history[i + 1].kept == keep
-            assert k == cfg.kmax
-            if mode == "implicit":
-                assert nlambdas == cfg.kmax - keep
+            assert res.history[i + 1].kept == 3 + cfg.adjust + min(nconv, nshifts // 2)
+        assert calls == self.expected_calls(res, cfg.kmax)
         # this pair converges its wanted values one by one, so the rule grows
-        assert max(keep for _, _, keep in calls) > 3 + cfg.adjust
+        assert max(rec.kept for rec in res.history) > 3 + cfg.adjust
+
+    def test_replaced_shifts_are_swept_after_truncation(self, monkeypatch):
+        # on the clustered diagonal pair the adaptive rule replaces one to
+        # five of the six shifts from the fifth restart on
+        calls = self.spy_restarts(monkeypatch)
+        d = np.concatenate([1.0 - 2e-5 * np.arange(20), np.linspace(0.5, 0.01, 100)])
+        A, L = SparseMatrix.from_dense(np.diag(d)), identity(120)
+        res = irjbd_solve(A, L, SolverConfig(target=3, kmax=12, tol=1e-8, maxit=10))
+        assert res.restarts == 10
+        assert calls == self.expected_calls(res, 12)
+        assert any(call[0] == "sweeps" for call in calls)
+
+    def test_every_shift_replaced_truncates_nothing(self, monkeypatch):
+        # when the rule replaces every shift there is nothing to truncate:
+        # the sweeps run on the full state
+        calls = self.spy_restarts(monkeypatch)
+        monkeypatch.setattr(irjbd.driver, "apply_adaptive_rule", lambda shifts, ritz, l: ShiftSet(
+            np.zeros(len(shifts)), np.ones(len(shifts), dtype=bool)))
+        _, _, A, L = gaussian_pair(np.random.default_rng(1), 40, 36, 30)
+        res = irjbd_solve(A, L, SolverConfig(target=3, kmax=10, tol=1e-8, seed=1, maxit=5))
+        assert res.restarts == 5
+        assert calls == self.expected_calls(res, 10)
+        assert {call[0] for call in calls} == {"sweeps"}
 
     @given(st.integers(-12, 12).filter(bool), st.integers(0, 30), st.integers(0, 12))
     @settings(max_examples=200, deadline=None)

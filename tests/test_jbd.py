@@ -70,8 +70,7 @@ class TestExpand:
         np.testing.assert_allclose(state.Bdense, [[3.0 / np.sqrt(10.0)]], atol=1e-12)
         # a closed run has no pending right vector and no couplings
         np.testing.assert_array_equal(state.vp_next, np.zeros(4))
-        np.testing.assert_array_equal(state.coupling_u, np.zeros(state.n_left))
-        np.testing.assert_array_equal(state.coupling_uhat, np.zeros(state.k))
+        assert state.alpha_next == 0.0 and state.betabar == 0.0
 
     def test_coupled_coefficient_identity(self, rng):
         # alphahat_i * betahat_i = alpha_{i+1} * beta_{i+1} for a fresh run;
@@ -127,7 +126,7 @@ class TestExpand:
     def test_set_pending_writes_the_canonical_couplings(self, rng):
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 5)
         # a vanishing vector is refused and leaves the state as it was
-        names = ("vp_next", "t_next", "coupling_u", "coupling_uhat")
+        names = ("vp_next", "t_next", "alpha_next", "betabar")
         before = [getattr(state, name) for name in names]
         tiny = np.full(state.m + state.p, state.breakdown_tol / 100)
         assert state.set_pending(tiny, np.ones(state.n)) < state.breakdown_tol
@@ -144,7 +143,7 @@ class TestExpand:
         assert np.max(np.abs(state.Vprime.T @ state.vp_next)) <= 1e-14
         # the preimage follows: [A; L] t_next is the pending vector
         np.testing.assert_allclose(op.apply(state.t_next), state.vp_next, rtol=0, atol=1e-13)
-        assert state.is_canonical and state.alpha_next == alpha
+        assert state.alpha_next == alpha
         assert state.betabar == -alpha * state.Bdense[k, k - 1] / state.Bbardense[k - 1, k - 1]
 
     def test_determinism(self, rng):
