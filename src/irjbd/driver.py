@@ -285,7 +285,7 @@ def irjbd_solve(A, L, cfg):
 
     rng = np.random.default_rng(cfg.seed)
     u1 = rng.standard_normal(op.m)
-    u1 /= np.linalg.norm(u1)
+    u1 /= sqrt(u1 @ u1)
 
     history = []
     restarts = 0

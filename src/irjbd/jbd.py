@@ -25,6 +25,8 @@ pins the basis to the range at the cost of one extra pair of matvecs.
 
 from __future__ import annotations
 
+from math import sqrt
+
 import numpy as np
 
 from .stackedls import lsqr_solve
@@ -167,7 +169,7 @@ class JbdState:
             coef = self.Vprime.T @ vp
             vp = vp - self.Vprime @ coef
             t = t - self.preimages @ coef
-        alpha = float(np.linalg.norm(vp))
+        alpha = sqrt(vp @ vp)
         if alpha < self.breakdown_tol:
             return alpha
         k = self.k
@@ -203,7 +205,7 @@ def jbd_init(op, u1, capacity):
     u1 = np.asarray(u1, dtype=np.float64)
     if u1.shape != (op.m,):
         raise ValueError(f"u1 must have length {op.m}")
-    if abs(np.linalg.norm(u1) - 1.0) > 1e-14:
+    if abs(sqrt(u1 @ u1) - 1.0) > 1e-14:
         raise ValueError("u1 must have unit norm")
 
     tol = max(op.n * _EPS * op.rnorm_estimate, 32.0 * _EPS)
@@ -232,7 +234,7 @@ def _expand_one(state, op):
     # diagonal keeps all runs on the alternating-sign convention
     candh, uhat_coefficients = _reorth_tracked(vp[m:].copy(), state._Uhat[:, :k],
                                                state.betabar)
-    anorm = float(np.linalg.norm(candh))
+    anorm = sqrt(candh @ candh)
     if anorm < state.breakdown_tol:
         raise BreakdownError("alphahat", k + 1, anorm)
     abar = anorm if k % 2 == 0 else -anorm
@@ -240,7 +242,7 @@ def _expand_one(state, op):
     # next left vector from the upper block of the pending right vector
     cand, u_coefficients = _reorth_tracked(vp[:m].copy(), state._U[:, : k + 1],
                                            state.alpha_next)
-    beta = float(np.linalg.norm(cand))
+    beta = sqrt(cand @ cand)
 
     # commit column k
     state._Vp[:, k] = vp
