@@ -21,6 +21,10 @@ accumulated out-of-range rounding noise by alpha at each step, which can
 compound across restarts until the basis leaves range([A; L]) entirely;
 running the recurrence on preimages and applying the operator once per step
 pins the basis to the range at the cost of one extra pair of matvecs.
+Each right vector is stored stacked on its preimage, (v; t) with m+p+n
+rows, so one product orthogonalizes or rotates both.  The per-step
+products call ``ndarray.dot``: at these sizes the ``@`` operator's dispatch
+costs about as much as the arithmetic, and the results are the same.
 """
 
 from __future__ import annotations
@@ -63,8 +67,8 @@ def _reorth_tracked(vec, basis, seed):
         coefficients[-1] = seed
         vec = vec - seed * basis[:, -1]
         for _ in range(2):
-            extra = basis.T @ vec
-            vec = vec - basis @ extra
+            extra = basis.T.dot(vec)
+            vec = vec - basis.dot(extra)
             coefficients += extra
     return vec, coefficients
 
@@ -89,12 +93,10 @@ class JbdState:
         self.n_left = 1
         self._U = np.zeros((m, capacity + 1), order="F")
         self._Uhat = np.zeros((p, capacity), order="F")
-        self._Vp = np.zeros((m + p, capacity), order="F")
-        self._T = np.zeros((n, capacity), order="F")  # preimages of the Vp columns
+        self._right = np.zeros((m + p + n, capacity), order="F")
         self._B = np.zeros((capacity + 1, capacity), order="F")
         self._Bbar = np.zeros((capacity, capacity), order="F")
-        self.vp_next = np.zeros(m + p)
-        self.t_next = np.zeros(n)
+        self.pending = np.zeros(m + p + n)  # the pending right vector over its preimage
         self.alpha_next = 0.0  # coupling of the pending right vector into the last U column
         self.betabar = 0.0  # its signed coupling into the last Uhat column
         self.exhausted = False
@@ -110,13 +112,27 @@ class JbdState:
         return self._Uhat[:, : self.k]
 
     @property
+    def right(self):
+        """Vprime over its preimages, shape (m+p+n, k)."""
+        return self._right[:, : self.k]
+
+    @property
     def Vprime(self):
-        return self._Vp[:, : self.k]
+        return self._right[: self.m + self.p, : self.k]
 
     @property
     def preimages(self):
         """Coefficient vectors t with [A; L] t = the matching Vprime column."""
-        return self._T[:, : self.k]
+        return self._right[self.m + self.p:, : self.k]
+
+    @property
+    def vp_next(self):
+        return self.pending[: self.m + self.p]
+
+    @property
+    def t_next(self):
+        """The preimage of ``vp_next``."""
+        return self.pending[self.m + self.p:]
 
     @property
     def Bdense(self):
@@ -128,15 +144,15 @@ class JbdState:
         """The signed projected factor against Uhat, shape (k, k)."""
         return self._Bbar[: self.k, : self.k]
 
-    def restarted(self, l, U, Uhat, Vprime, preimages, B, Bbar, vp, t):
+    def restarted(self, l, U, Uhat, right, B, Bbar, pending):
         """A new l-column state of the same run, built from restarted blocks.
 
         ``U`` has l + 1 columns and ``B`` is (l+1) x l lower bidiagonal;
-        ``Uhat``, ``Vprime`` and ``preimages`` have l columns and ``Bbar`` is
-        l x l upper triangular.  The pending right vector is made from
-        (vp, t) by ``set_pending``.  Raises BreakdownError when the trailing
-        companion diagonal, which ``set_pending`` divides by, or the new
-        alpha vanishes.
+        ``Uhat`` and ``right`` (Vprime over its preimages) have l columns
+        and ``Bbar`` is l x l upper triangular.  The pending right vector is
+        made from the stacked ``pending`` by ``set_pending``.  Raises
+        BreakdownError when the trailing companion diagonal, which
+        ``set_pending`` divides by, or the new alpha vanishes.
         """
         if abs(Bbar[l - 1, l - 1]) < self.breakdown_tol:
             raise BreakdownError("alphahat", l, Bbar[l - 1, l - 1])
@@ -145,36 +161,35 @@ class JbdState:
         new.n_left = l + 1
         new._U[:, : l + 1] = U
         new._Uhat[:, :l] = Uhat
-        new._Vp[:, :l] = Vprime
-        new._T[:, :l] = preimages
+        new._right[:, :l] = right
         new._B[: l + 1, :l] = B
         new._Bbar[:l, :l] = Bbar
-        alpha = new.set_pending(vp, t)
+        alpha = new.set_pending(pending)
         if alpha < self.breakdown_tol:
             raise BreakdownError("alpha", l + 1, alpha)
         return new
 
-    def set_pending(self, vp, t):
+    def set_pending(self, pending):
         """Make vp = [A; L] t, orthogonalized and normalized, the pending right vector.
 
-        Two classical Gram-Schmidt passes take vp's projection onto Vprime
-        out, subtracting the same combination of the preimages from t, and
-        what remains is divided by its norm alpha.  The couplings become
-        alpha on the last U column and the coupled-recurrence entry
-        -alpha B[k, k-1] / Bbar[k-1, k-1] on the last Uhat column (0 at
-        k = 0).  Returns alpha, and leaves the state untouched when alpha is
-        below ``breakdown_tol``.
+        ``pending`` is (vp; t), m+p+n entries.  Two classical Gram-Schmidt
+        passes take vp's projection onto Vprime out, subtracting the same
+        combination of the preimages from t, and what remains is divided by
+        vp's norm alpha.  The couplings become alpha on the last U column
+        and the coupled-recurrence entry -alpha B[k, k-1] / Bbar[k-1, k-1]
+        on the last Uhat column (0 at k = 0).  Returns alpha, and leaves the
+        state untouched when alpha is below ``breakdown_tol``.
         """
+        mp = self.m + self.p
+        right = self.right
         for _ in range(2):
-            coef = self.Vprime.T @ vp
-            vp = vp - self.Vprime @ coef
-            t = t - self.preimages @ coef
-        alpha = sqrt(vp @ vp)
+            pending = pending - right.dot(right[:mp].T.dot(pending[:mp]))
+        head = pending[:mp]
+        alpha = sqrt(head.dot(head))
         if alpha < self.breakdown_tol:
             return alpha
         k = self.k
-        self.vp_next = vp / alpha
-        self.t_next = t / alpha
+        self.pending = pending / alpha
         self.alpha_next = alpha
         self.betabar = -alpha * self._B[k, k - 1] / self._Bbar[k - 1, k - 1] if k else 0.0
         return alpha
@@ -185,12 +200,12 @@ def _set_next_right(state, op, u, beta):
 
     The three-term recurrence runs on the preimages: t, the inner solve of
     min ||[A; L] t - (u; 0)||, minus beta times the pending preimage, goes
-    to ``set_pending`` with [A; L] t.
+    to ``set_pending`` under [A; L] t.
     """
     rhs = np.zeros(op.m + op.p)
     rhs[: op.m] = u
     t = lsqr_solve(op, rhs).solution - beta * state.t_next
-    return state.set_pending(op.apply(t), t)
+    return state.set_pending(np.concatenate((op.apply(t), t)))
 
 
 def jbd_init(op, u1, capacity):
@@ -232,21 +247,20 @@ def _expand_one(state, op):
 
     # companion left vector paired with the pending right vector; the signed
     # diagonal keeps all runs on the alternating-sign convention
-    candh, uhat_coefficients = _reorth_tracked(vp[m:].copy(), state._Uhat[:, :k],
+    candh, uhat_coefficients = _reorth_tracked(vp[m:], state._Uhat[:, :k],
                                                state.betabar)
-    anorm = sqrt(candh @ candh)
+    anorm = sqrt(candh.dot(candh))
     if anorm < state.breakdown_tol:
         raise BreakdownError("alphahat", k + 1, anorm)
     abar = anorm if k % 2 == 0 else -anorm
 
     # next left vector from the upper block of the pending right vector
-    cand, u_coefficients = _reorth_tracked(vp[:m].copy(), state._U[:, : k + 1],
+    cand, u_coefficients = _reorth_tracked(vp[:m], state._U[:, : k + 1],
                                            state.alpha_next)
-    beta = sqrt(cand @ cand)
+    beta = sqrt(cand.dot(cand))
 
     # commit column k
-    state._Vp[:, k] = vp
-    state._T[:, k] = state.t_next
+    state._right[:, k] = state.pending
     state._B[: k + 1, k] = u_coefficients
     state._Uhat[:, k] = candh / abar
     state._Bbar[:k, k] = uhat_coefficients
@@ -266,8 +280,7 @@ def _expand_one(state, op):
 
 def _exhaust(state):
     """End the run on an invariant subspace: no pending vector, zero couplings."""
-    state.vp_next = np.zeros(state.m + state.p)
-    state.t_next = np.zeros(state.n)
+    state.pending = np.zeros(state.m + state.p + state.n)
     state.alpha_next = 0.0
     state.betabar = 0.0
     state.exhausted = True

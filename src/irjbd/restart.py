@@ -110,11 +110,14 @@ def _restart_tolerance(B, Bbar, companion_noise=True):
     amplified by 1/sigma_min(Bbar) near c = 1 (1.2e-6 on a first-difference
     L), while B's noise stays at rounding level unless inner solves fail.
     """
-    blocks = [np.triu(B, 1), np.tril(B, -2), np.tril(Bbar, -1)]
-    if companion_noise:
-        blocks.append(np.triu(Bbar, 2))
-    identity_defect = float(np.max(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(B.shape[1]))))
-    offpattern = max(float(np.max(np.abs(M))) for M in blocks)
+    k = B.shape[1]
+    # i - j over B's (k+1) x k shape: B's pattern is 0 <= i - j <= 1 and
+    # Bbar's, on the first k rows, -1 <= i - j <= 0
+    offset = np.subtract.outer(np.arange(k + 1), np.arange(k))
+    beyond = offset[:k] < -1 if companion_noise else False
+    noise = np.concatenate((B[(offset < 0) | (offset > 1)], Bbar[(offset[:k] > 0) | beyond]))
+    identity_defect = float(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(k)).max())
+    offpattern = float(np.abs(noise).max(initial=0.0))
     scale = max(1.0, float(np.linalg.norm(Bbar)))
     base_tol = max(_ZERO_SCALE * _EPS * scale, 8.0 * identity_defect, 4.0 * offpattern)
     if base_tol > 1e-6 * scale:
@@ -192,7 +195,7 @@ def _reflector(x):
     entry the reflectors produce nonnegative.
     """
     last = float(x[-1])
-    rest = float(x[:-1] @ x[:-1])
+    rest = float(x[:-1].dot(x[:-1]))
     norm = sqrt(rest + last * last)
     v_last = last - norm if last <= 0.0 else -rest / (last + norm)
     size = sqrt(0.5 * (rest + v_last * v_last))
@@ -226,13 +229,27 @@ def multi_step_implicit_restart(state, shifts, l):
         raise ValueError(f"need k - l = {k - l} shifts, got {len(shifts)}")
 
     Bp, Bbarp, rot = accumulate_sweeps(state.Bdense, state.Bbardense, shifts)
-    vp_ext = state.Vprime @ rot.P[:, : l + 1]
-    t_ext = state.preimages @ rot.P[:, : l + 1]
+    right = state.right @ rot.P[:, : l + 1]
     corner = state.alpha_next * rot.G[k, l]
     return state.restarted(l, state.U @ rot.G[:, : l + 1], state.Uhat @ rot.Gbar[:, :l],
-                           vp_ext[:, :l], t_ext[:, :l], Bp[: l + 1, :l], Bbarp[:l, :l],
-                           corner * state.vp_next + Bp[l, l] * vp_ext[:, l],
-                           corner * state.t_next + Bp[l, l] * t_ext[:, l])
+                           right[:, :l], Bp[: l + 1, :l], Bbarp[:l, :l],
+                           corner * state.pending + Bp[l, l] * right[:, l])
+
+
+def _left_null_vector(P):
+    """The unit q orthogonal to the k columns of an orthonormal (k+1) x k P.
+
+    For B = P C W^T that is B's left null vector.  q is the unit vector e_j
+    with both classical Gram-Schmidt passes against P taken out, j the row
+    of P of least norm: (I - P P^T) e_j has squared norm 1 - ||P[j]||^2 >=
+    1 / (k + 1), so the second pass leaves q orthogonal to P to working
+    precision, and q[j] > 0.
+    """
+    j = int(np.argmin(np.einsum("ij,ij->i", P, P)))
+    q = P @ -P[j]
+    q[j] += 1.0
+    q -= P @ (P.T @ q)
+    return q / sqrt(q @ q)
 
 
 def _reduce(B, Bbar, ritz, l):
@@ -243,32 +260,44 @@ def _reduce(B, Bbar, ritz, l):
     row of that map.  One reflector turns the coupling onto the last left
     vector; then, bottom up, a right reflector clears row j+1 left of column
     j and a left reflector on rows <= j clears column j above row j.  The
+    reflectors act on the (l+1) x l factor and accumulate in two square
+    transforms, which rotate the truncation maps once at the end.  The
     companion is the R factor of Bbar P, kept whole: it is bidiagonal up to
     the identity defect, the couplings need only a triangular one, and
     dropping entries would break Vprime = Uhat Bbar.  Returns what
     ``accumulate_sweeps`` does; G[k, l] is the coupling's norm.
     """
     k = ritz.k
-    qfull, _ = np.linalg.qr(ritz.P, mode="complete")
-    # one array holds the factor M, G^T to its right and P below it, so a
-    # left reflector on rows of M turns the matching columns of G, and a
-    # right reflector on columns of M those of P, in one update each
-    Z = np.zeros((l + 1 + k, l + k + 1))
-    M, Gt = Z[: l + 1, :l], Z[: l + 1, l:]
+    left = np.empty((k + 1, l + 1))
+    left[:, :l] = ritz.P[:, :l]
+    left[:, l] = _left_null_vector(ritz.P)
+    # one array holds the factor M, the left transform Q to its right and
+    # the right transform R below it, so a left reflector on rows of M turns
+    # the matching rows of Q, and a right reflector on columns of M those of
+    # R, in one update each
+    Z = np.zeros((2 * l + 1, 2 * l + 1))
+    M, Q, R = Z[: l + 1, :l], Z[: l + 1, l:], Z[l + 1:, :l]
     np.fill_diagonal(M, ritz.C[:l])
-    Gt[:l] = ritz.P[:, :l].T
-    Gt[l] = qfull[:, -1]
-    Z[l + 1:, :l] = ritz.W[:, :l]
-    v = _reflector(Gt[:, k])
-    Z[: l + 1] -= np.multiply.outer(v, v @ Z[: l + 1])
+    np.fill_diagonal(Q, 1.0)
+    np.fill_diagonal(R, 1.0)
+    # ndarray.dot: at these sizes the @ operator's dispatch costs more than
+    # the product
+    v = _reflector(left[k])
+    rows = Z[: l + 1]
+    rows -= np.multiply.outer(v, v.dot(rows))
     for j in range(l - 1, -1, -1):
         v = _reflector(M[j + 1, : j + 1])
-        Z[:, : j + 1] -= np.multiply.outer(Z[:, : j + 1] @ v, v)
+        cols = Z[:, : j + 1]
+        cols -= np.multiply.outer(cols.dot(v), v)
         v = _reflector(M[: j + 1, j])
-        Z[: j + 1] -= np.multiply.outer(v, v @ Z[: j + 1])
-    P = Z[l + 1:, :l]
+        rows = Z[: j + 1]
+        rows -= np.multiply.outer(v, v.dot(rows))
+    Bp = np.zeros((l + 1, l))
+    np.fill_diagonal(Bp, M.diagonal())
+    np.fill_diagonal(Bp[1:], M.diagonal(-1))
+    P = ritz.W[:, :l] @ R
     Gbar, Bbarp = _signed_qr(Bbar @ P)
-    return np.triu(np.tril(M), -1), Bbarp, SweepRotations(G=Gt.T, P=P, Gbar=Gbar)
+    return Bp, Bbarp, SweepRotations(G=left @ Q.T, P=P, Gbar=Gbar)
 
 
 def thick_restart(state, ritz, l):
@@ -284,6 +313,5 @@ def thick_restart(state, ritz, l):
     _restart_tolerance(state.Bdense, state.Bbardense, companion_noise=False)
     Bp, Bbarp, rot = _reduce(state.Bdense, state.Bbardense, ritz, l)
     alpha = state.alpha_next * rot.G[state.k, l]
-    return state.restarted(l, state.U @ rot.G, state.Uhat @ rot.Gbar, state.Vprime @ rot.P,
-                           state.preimages @ rot.P, Bp, Bbarp,
-                           alpha * state.vp_next, alpha * state.t_next)
+    return state.restarted(l, state.U @ rot.G, state.Uhat @ rot.Gbar, state.right @ rot.P,
+                           Bp, Bbarp, alpha * state.pending)

