@@ -22,9 +22,10 @@ compound across restarts until the basis leaves range([A; L]) entirely;
 running the recurrence on preimages and applying the operator once per step
 pins the basis to the range at the cost of one extra pair of matvecs.
 Each right vector is stored stacked on its preimage, (v; t) with m+p+n
-rows, so one product orthogonalizes or rotates both.  The per-step
-products call ``ndarray.dot``: at these sizes the ``@`` operator's dispatch
-costs about as much as the arithmetic, and the results are the same.
+rows, so one product orthogonalizes or rotates both.  Per-step products
+with contiguous operands call ``ndarray.dot``: at these sizes the ``@``
+operator's dispatch costs about as much as the arithmetic, and the results
+are the same (``ndarray.dot`` copies a strided matrix, ``@`` does not).
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ class JbdState:
         mp = self.m + self.p
         right = self.right
         for _ in range(2):
-            pending = pending - right.dot(right[:mp].T.dot(pending[:mp]))
+            # @ on the row block: ndarray.dot would copy the strided Vprime
+            pending = pending - right.dot(right[:mp].T @ pending[:mp])
         head = pending[:mp]
         alpha = sqrt(head.dot(head))
         if alpha < self.breakdown_tol:

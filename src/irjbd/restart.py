@@ -280,15 +280,15 @@ def _reduce(B, Bbar, ritz, l):
     np.fill_diagonal(M, ritz.C[:l])
     np.fill_diagonal(Q, 1.0)
     np.fill_diagonal(R, 1.0)
-    # ndarray.dot: at these sizes the @ operator's dispatch costs more than
-    # the product
+    # ndarray.dot on contiguous operands: at these sizes the @ operator's
+    # dispatch costs more than the product (dot would copy a column block)
     v = _reflector(left[k])
     rows = Z[: l + 1]
     rows -= np.multiply.outer(v, v.dot(rows))
     for j in range(l - 1, -1, -1):
         v = _reflector(M[j + 1, : j + 1])
         cols = Z[:, : j + 1]
-        cols -= np.multiply.outer(cols.dot(v), v)
+        cols -= np.multiply.outer(cols @ v, v)
         v = _reflector(M[: j + 1, j])
         rows = Z[: j + 1]
         rows -= np.multiply.outer(v, v.dot(rows))
