@@ -2,11 +2,12 @@
 
 The projected factors produced by the joint bidiagonalization are a lower
 bidiagonal B ((k+1) x k) and a signed upper bidiagonal companion whose Gram
-matrices sum to the identity.  Approximate GSVD data is read off from their
-SVDs, which share a single right-vector matrix W exactly when that identity
-holds; extraction therefore computes one LAPACK SVD (of B) and derives the
-companion's singular data through W, keeping the shared-W structure exact
-by construction.
+matrices sum to the identity; after a restart the companion is upper
+triangular and bidiagonal up to that identity's defect.  Approximate GSVD
+data is read off from their SVDs, which share a single right-vector matrix
+W exactly when that identity holds; extraction therefore computes one
+LAPACK SVD (of B) and derives the companion's singular data through W,
+keeping the shared-W structure exact by construction.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ One process run maintains three orthonormal bases — left vectors U for the
 A side, left vectors Uhat for the L side, and projected right vectors
 Vprime living in range([A; L]) — together with small projected factors
 B (lower bidiagonal against U) and Bbar (upper bidiagonal against Uhat,
-sign-adjusted so that B.T B + Bbar.T Bbar = I).  Each expansion step costs
-one inner least-squares solve with [A; L].
+sign-adjusted so that B.T B + Bbar.T Bbar = I; after a restart, upper
+triangular and bidiagonal up to the identity defect).  Each expansion
+step costs one inner least-squares solve with [A; L].
 
 The state also carries the pending right vector ``vp_next`` plus its
 couplings into the two left bases, single scalars on their last columns

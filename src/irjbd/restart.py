@@ -7,8 +7,10 @@ extraction, which purges the other values as exact shifts would.  Shifts
 that are not Ritz values (those the adaptive rule replaced) still need
 ``multi_step_implicit_restart``: one bulge-chasing sweep of the lower
 factor per shift, then one QR of Bbar P for the companion (one shift pair
-lambda^2 + mu^2 = 1 drives both factors).  Both build their result with
-``JbdState.restarted``, so it expands through the ordinary process code.
+lambda^2 + mu^2 = 1 drives both factors).  Both restore the companion the
+same way, as the whole R factor of Bbar P, and both build their result
+with ``JbdState.restarted``, so it expands through the ordinary process
+code.
 """
 
 from __future__ import annotations
@@ -29,12 +31,9 @@ __all__ = [
     "thick_restart",
 ]
 
-_EPS = float(np.finfo(np.float64).eps)
-_ZERO_SCALE = 64.0  # companion zeroing threshold per shift, in units of eps * ||Bbar||_F
-
 
 class CouplingDefectError(RuntimeError):
-    """The factor pair is too degraded to restart, or its companion to restore."""
+    """The factor pair is too degraded to restart."""
 
 
 @dataclass
@@ -101,31 +100,30 @@ def _sweep(d, e, lam):
     return left, right
 
 
-def _restart_tolerance(B, Bbar, companion_noise=True):
-    """The companion zeroing threshold of a restart of {B, Bbar}, or a refusal.
+def _refuse_degraded(B, Bbar):
+    """Raise CouplingDefectError if the pair {B, Bbar} is too degraded to restart.
 
-    It scales with the pair's identity defect and off-pattern noise; above
-    1e-6 the pair is too degraded to restart.  Bbar's entries beyond its
-    superdiagonal count only with ``companion_noise``: they carry rounding
-    amplified by 1/sigma_min(Bbar) near c = 1 (1.2e-6 on a first-difference
-    L), while B's noise stays at rounding level unless inner solves fail.
+    The pair is too degraded when 8x its identity defect or 4x its
+    off-pattern noise exceeds 1e-6 * max(1, ||Bbar||_F).  The noise counted
+    is B's entries off its band, which inner solves that fail to converge
+    leave there, and Bbar's below its diagonal.  Bbar's entries beyond its
+    superdiagonal are not noise: they hold the reorthogonalization
+    coefficients the process commits (with rounding amplified by
+    1/sigma_min(Bbar) near c = 1), and every restart keeps them.
     """
     k = B.shape[1]
-    # i - j over B's (k+1) x k shape: B's pattern is 0 <= i - j <= 1 and
-    # Bbar's, on the first k rows, -1 <= i - j <= 0
+    # i - j over B's (k+1) x k shape: B's band is 0 <= i - j <= 1, and Bbar,
+    # on the first k rows, is upper triangular
     offset = np.subtract.outer(np.arange(k + 1), np.arange(k))
-    beyond = offset[:k] < -1 if companion_noise else False
-    noise = np.concatenate((B[(offset < 0) | (offset > 1)], Bbar[(offset[:k] > 0) | beyond]))
+    noise = np.concatenate((B[(offset < 0) | (offset > 1)], Bbar[offset[:k] > 0]))
     identity_defect = float(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(k)).max())
     offpattern = float(np.abs(noise).max(initial=0.0))
     scale = max(1.0, float(np.linalg.norm(Bbar)))
-    base_tol = max(_ZERO_SCALE * _EPS * scale, 8.0 * identity_defect, 4.0 * offpattern)
-    if base_tol > 1e-6 * scale:
+    if max(8.0 * identity_defect, 4.0 * offpattern) > 1e-6 * scale:
         raise CouplingDefectError(
             f"factor pair too degraded to restart: identity defect "
             f"{identity_defect:.3e}, off-pattern noise {offpattern:.3e}"
         )
-    return base_tol
 
 
 def _signed_qr(M):
@@ -135,18 +133,23 @@ def _signed_qr(M):
     return Q * signs, R * signs[:, None]
 
 
-def _sweeps(B, Bbar, shifts, base_tol):
-    """Run one sweep of B per shift, then restore the companion by one QR.
+def accumulate_sweeps(B, Bbar, shifts):
+    """Run one shifted sweep of B per shift, then restore the companion by one QR.
 
-    Only the bands of the factors are read.  Each sweep's two rotation
-    chains reach G and P as one upper-Hessenberg product apiece.  By the
-    implicit-Q theorem Gbar and Bbar' are the QR factors of band(Bbar) P;
-    entries of R beyond the superdiagonal, which measure how far the pair
-    has decoupled, are dropped up to ``base_tol`` per shift and raise
-    beyond it.  The factors returned are exactly bidiagonal in storage.
+    The sweeps read only B's band, so B' is exactly lower bidiagonal; each
+    sweep's two rotation chains reach G and P as one upper-Hessenberg
+    product apiece.  By the implicit-Q theorem Gbar and Bbar' are the QR
+    factors of Bbar P, and Bbar' is kept whole, as ``_reduce`` keeps it.
     """
+    B = np.asarray(B, dtype=np.float64)
+    Bbar = np.asarray(Bbar, dtype=np.float64)
+    k = B.shape[1]
+    if B.shape[0] != k + 1:
+        raise ValueError("lower sweep expects a (k+1) x k factor")
+    if Bbar.shape != (k, k):
+        raise ValueError("upper sweep expects a square k x k factor")
+    _refuse_degraded(B, Bbar)
     d, e = B.diagonal().tolist(), B.diagonal(-1).tolist()
-    k = len(d)
     # G and P stacked, P padded to k + 1 by a unit corner: an identity
     # rotation closes its k - 1 chain, so one batched product per sweep
     # updates both
@@ -158,34 +161,11 @@ def _sweeps(B, Bbar, shifts, base_tol):
         chains = np.array([left, right + [(1.0, 0.0)]])
         acc = acc @ _chain_products(chains[..., 0], chains[..., 1])
     P = acc[1, :k, :k]
-    Gbar, R = _signed_qr(np.tril(np.triu(Bbar), 1) @ P)
-    zero_tol = base_tol * len(shifts)
-    residue = float(np.max(np.abs(np.triu(R, 2))))
-    if residue > zero_tol:
-        raise CouplingDefectError(
-            f"companion entry {residue:.3e} beyond the superdiagonal exceeds the "
-            f"zeroing threshold {zero_tol:.3e}; lower/upper sweeps have decoupled"
-        )
+    Gbar, Bbarp = _signed_qr(Bbar @ P)
     Bp = np.zeros((k + 1, k))
     np.fill_diagonal(Bp, d)
     np.fill_diagonal(Bp[1:], e)
-    return Bp, np.tril(R, 1), SweepRotations(G=acc[0], P=P, Gbar=Gbar)
-
-
-def accumulate_sweeps(B, Bbar, shifts):
-    """Run one shifted sweep per shift of the pair, accumulating all three transforms.
-
-    The zeroing threshold is ``_restart_tolerance`` per sweep; off-pattern
-    noise of the input factors is dropped.
-    """
-    B = np.asarray(B, dtype=np.float64)
-    Bbar = np.asarray(Bbar, dtype=np.float64)
-    k = B.shape[1]
-    if B.shape[0] != k + 1:
-        raise ValueError("lower sweep expects a (k+1) x k factor")
-    if Bbar.shape != (k, k):
-        raise ValueError("upper sweep expects a square k x k factor")
-    return _sweeps(B, Bbar, shifts, _restart_tolerance(B, Bbar))
+    return Bp, Bbarp, SweepRotations(G=acc[0], P=P, Gbar=Gbar)
 
 
 def _reflector(x):
@@ -310,7 +290,7 @@ def thick_restart(state, ritz, l):
     _check_restartable(state, l)
     if ritz.k != state.k:
         raise ValueError("extraction size does not match the state")
-    _restart_tolerance(state.Bdense, state.Bbardense, companion_noise=False)
+    _refuse_degraded(state.Bdense, state.Bbardense)
     Bp, Bbarp, rot = _reduce(state.Bdense, state.Bbardense, ritz, l)
     alpha = state.alpha_next * rot.G[state.k, l]
     return state.restarted(l, state.U @ rot.G, state.Uhat @ rot.Gbar, state.right @ rot.P,

@@ -347,8 +347,10 @@ def reference_sweeps(B, Bbar, shifts):
 
     Each plane rotation mixes whole rows or columns of the factors and of the
     three accumulators, and off-pattern entries are measured and zeroed
-    through boolean masks.  Slow, but every step is visible; the scalar
-    chase must reproduce its factors bit for bit.
+    through boolean masks.  Slow, but every step is visible: the scalar
+    chase must reproduce B' bit for bit, and the companion, chased here
+    rotation by rotation on its band, checks Gbar independently of the one
+    QR of Bbar P that ``accumulate_sweeps`` takes.
     """
     B = np.array(B, dtype=np.float64)
     Bbar = np.array(Bbar, dtype=np.float64)
@@ -362,17 +364,21 @@ def reference_sweeps(B, Bbar, shifts):
     upper_mask[idx, idx] = False
     upper_mask[idx[:-1], idx[:-1] + 1] = False
 
+    # the refusal counts the noise restart._refuse_degraded does: B's
+    # entries off its band and Bbar's below its diagonal
     identity_defect = float(np.max(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(k))))
     offpattern = max(float(np.max(np.abs(M[mask]), initial=0.0))
-                     for M, mask in ((B, lower_mask), (Bbar, upper_mask)))
-    eps = float(np.finfo(np.float64).eps)
-    base_tol = max(64.0 * eps * max(1.0, float(np.linalg.norm(Bbar))),
-                   8.0 * identity_defect, 4.0 * offpattern)
-    if base_tol > 1e-6 * max(1.0, float(np.linalg.norm(Bbar))):
+                     for M, mask in ((B, lower_mask), (Bbar, np.tri(k, k, -1, dtype=bool))))
+    scale = max(1.0, float(np.linalg.norm(Bbar)))
+    if max(8.0 * identity_defect, 4.0 * offpattern) > 1e-6 * scale:
         raise CouplingDefectError(
             f"factor pair too degraded to restart: identity defect "
             f"{identity_defect:.3e}, off-pattern noise {offpattern:.3e}"
         )
+    # the chase reads both bands and zeroes each residue it leaves beyond the
+    # companion's band, up to a threshold per shift
+    eps = float(np.finfo(np.float64).eps)
+    base_tol = max(64.0 * eps * scale, 8.0 * identity_defect, 4.0 * offpattern)
     B[lower_mask] = 0.0
     Bbar[upper_mask] = 0.0
     for step, lam in enumerate(shifts):
