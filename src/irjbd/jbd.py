@@ -54,25 +54,46 @@ class BreakdownError(RuntimeError):
         )
 
 
+def _cancels(after, before):
+    """Whether a Gram-Schmidt pass cancelled: ||after||^2 < ||before||^2 / 2.
+
+    The test of Daniel, Gragg, Kaufman & Stewart (1976) with eta = 1/sqrt(2),
+    on squared norms.  A pass that keeps more than 1/sqrt(2) of its input's
+    norm leaves the output orthogonal to the basis to working precision, so
+    a second pass is taken only after one that does not.
+    """
+    return after < 0.5 * before
+
+
 def _reorth_tracked(vec, basis, seed):
-    """CGS2 that also returns the total projection coefficients.
+    """Classical Gram-Schmidt that also returns the total projection coefficients.
 
     ``seed`` is the recurrence-predicted coefficient of the last basis
-    column, subtracted first; the per-pass corrections accumulate on top, so
-    the returned coefficients are the true projections of the input.
-    Committing those (instead of the bare prediction) keeps the stored
-    factors consistent with the stored vectors, which stops relation errors
-    inherited from a restart from compounding through later columns.
+    column, subtracted first.  One pass then takes the rest of the
+    projection out, and a second pass follows only when the first cancels
+    (``_cancels``).  The per-pass corrections accumulate on top of the
+    seed, so the returned coefficients are the true projections of the
+    input.  Committing those (instead of the bare prediction) keeps the
+    stored factors consistent with the stored vectors, which stops relation
+    errors inherited from a restart from compounding through later columns.
+    Returns the vector, the coefficients and the vector's squared norm.
     """
     coefficients = np.zeros(basis.shape[1])
-    if basis.shape[1]:
-        coefficients[-1] = seed
-        vec = vec - seed * basis[:, -1]
-        for _ in range(2):
-            extra = basis.T.dot(vec)
-            vec = vec - basis.dot(extra)
-            coefficients += extra
-    return vec, coefficients
+    if not basis.shape[1]:
+        return vec, coefficients, vec.dot(vec)
+    coefficients[-1] = seed
+    vec = vec - seed * basis[:, -1]
+    before = vec.dot(vec)
+    extra = basis.T.dot(vec)
+    vec = vec - basis.dot(extra)
+    coefficients += extra
+    square = vec.dot(vec)
+    if _cancels(square, before):
+        extra = basis.T.dot(vec)
+        vec -= basis.dot(extra)
+        coefficients += extra
+        square = vec.dot(vec)
+    return vec, coefficients, square
 
 
 class JbdState:
@@ -93,9 +114,11 @@ class JbdState:
         self.breakdown_tol = breakdown_tol
         self.k = 0
         self.n_left = 1
-        self._U = np.zeros((m, capacity + 1), order="F")
-        self._Uhat = np.zeros((p, capacity), order="F")
-        self._right = np.zeros((m + p + n, capacity), order="F")
+        # every basis column is written before a view reaches it, so the
+        # bases skip the zero fill; B and Bbar rely on their zeros
+        self._U = np.empty((m, capacity + 1), order="F")
+        self._Uhat = np.empty((p, capacity), order="F")
+        self._right = np.empty((m + p + n, capacity), order="F")
         self._B = np.zeros((capacity + 1, capacity), order="F")
         self._Bbar = np.zeros((capacity, capacity), order="F")
         self.pending = np.zeros(m + p + n)  # the pending right vector over its preimage
@@ -174,21 +197,28 @@ class JbdState:
     def set_pending(self, pending):
         """Make vp = [A; L] t, orthogonalized and normalized, the pending right vector.
 
-        ``pending`` is (vp; t), m+p+n entries.  Two classical Gram-Schmidt
-        passes take vp's projection onto Vprime out, subtracting the same
-        combination of the preimages from t, and what remains is divided by
-        vp's norm alpha.  The couplings become alpha on the last U column
-        and the coupled-recurrence entry -alpha B[k, k-1] / Bbar[k-1, k-1]
-        on the last Uhat column (0 at k = 0).  Returns alpha, and leaves the
-        state untouched when alpha is below ``breakdown_tol``.
+        ``pending`` is (vp; t), m+p+n entries.  A classical Gram-Schmidt
+        pass takes vp's projection onto Vprime out, subtracting the same
+        combination of the preimages from t, and a second pass follows only
+        when the first cancels in vp (``_cancels``).  What remains is
+        divided by vp's norm alpha.  The couplings become alpha on the last
+        U column and the coupled-recurrence entry
+        -alpha B[k, k-1] / Bbar[k-1, k-1] on the last Uhat column (0 at
+        k = 0).  Returns alpha, and leaves the state untouched when alpha is
+        below ``breakdown_tol``.
         """
         mp = self.m + self.p
         right = self.right
-        for _ in range(2):
-            # @ on the row block: ndarray.dot would copy the strided Vprime
-            pending = pending - right.dot(right[:mp].T @ pending[:mp])
         head = pending[:mp]
-        alpha = sqrt(head.dot(head))
+        before = head.dot(head)
+        # @ on the row block: ndarray.dot would copy the strided Vprime
+        pending = pending - right.dot(right[:mp].T @ head)
+        head = pending[:mp]
+        square = head.dot(head)
+        if _cancels(square, before):
+            pending -= right.dot(right[:mp].T @ head)
+            square = head.dot(head)
+        alpha = sqrt(square)
         if alpha < self.breakdown_tol:
             return alpha
         k = self.k
@@ -250,17 +280,17 @@ def _expand_one(state, op):
 
     # companion left vector paired with the pending right vector; the signed
     # diagonal keeps all runs on the alternating-sign convention
-    candh, uhat_coefficients = _reorth_tracked(vp[m:], state._Uhat[:, :k],
-                                               state.betabar)
-    anorm = sqrt(candh.dot(candh))
+    candh, uhat_coefficients, square = _reorth_tracked(vp[m:], state._Uhat[:, :k],
+                                                       state.betabar)
+    anorm = sqrt(square)
     if anorm < state.breakdown_tol:
         raise BreakdownError("alphahat", k + 1, anorm)
     abar = anorm if k % 2 == 0 else -anorm
 
     # next left vector from the upper block of the pending right vector
-    cand, u_coefficients = _reorth_tracked(vp[:m], state._U[:, : k + 1],
-                                           state.alpha_next)
-    beta = sqrt(cand.dot(cand))
+    cand, u_coefficients, square = _reorth_tracked(vp[:m], state._U[:, : k + 1],
+                                                   state.alpha_next)
+    beta = sqrt(square)
 
     # commit column k
     state._right[:, k] = state.pending

@@ -112,13 +112,20 @@ def _refuse_degraded(B, Bbar):
     1/sigma_min(Bbar) near c = 1), and every restart keeps them.
     """
     k = B.shape[1]
-    # i - j over B's (k+1) x k shape: B's band is 0 <= i - j <= 1, and Bbar,
-    # on the first k rows, is upper triangular
-    offset = np.subtract.outer(np.arange(k + 1), np.arange(k))
-    noise = np.concatenate((B[(offset < 0) | (offset > 1)], Bbar[offset[:k] > 0]))
-    identity_defect = float(np.abs(B.T @ B + Bbar.T @ Bbar - np.eye(k)).max())
-    offpattern = float(np.abs(noise).max(initial=0.0))
-    scale = max(1.0, float(np.linalg.norm(Bbar)))
+    defect = B.T @ B
+    defect += Bbar.T @ Bbar
+    defect.flat[:: k + 1] -= 1.0
+    identity_defect = float(np.abs(defect).max())
+    # in C order B's diagonal and subdiagonal are the flat runs of stride
+    # k + 1 from 0 and from k; Bbar is upper triangular
+    noise = np.abs(B, order="C")
+    noise.flat[:: k + 1] = 0.0
+    noise.flat[k:: k + 1] = 0.0
+    offpattern = max(float(noise.max(initial=0.0)),
+                     float(np.abs(Bbar[np.tri(k, k, -1, dtype=bool)]).max(initial=0.0)))
+    # the Frobenius norm as np.linalg.norm forms it, without its wrapper
+    flat = Bbar.ravel(order="K")
+    scale = max(1.0, sqrt(flat.dot(flat)))
     if max(8.0 * identity_defect, 4.0 * offpattern) > 1e-6 * scale:
         raise CouplingDefectError(
             f"factor pair too degraded to restart: identity defect "
@@ -225,11 +232,11 @@ def _left_null_vector(P):
     1 / (k + 1), so the second pass leaves q orthogonal to P to working
     precision, and q[j] > 0.
     """
-    j = int(np.argmin(np.einsum("ij,ij->i", P, P)))
-    q = P @ -P[j]
+    j = int(np.einsum("ij,ij->i", P, P).argmin())
+    q = P.dot(-P[j])
     q[j] += 1.0
-    q -= P @ (P.T @ q)
-    return q / sqrt(q @ q)
+    q -= P.dot(P.T.dot(q))
+    return q / sqrt(q.dot(q))
 
 
 def _reduce(B, Bbar, ritz, l):

@@ -13,6 +13,8 @@ from irjbd.sparsemat import SparseMatrix
 from irjbd.stackedls import StackedOperator, lsqr_solve
 
 
+EPS = float(np.finfo(np.float64).eps)
+
 # CI runs the property tests on fixed draws (pytest --hypothesis-profile=ci),
 # so a bound measured over random draws cannot fail on a new one there
 settings.register_profile("ci", derandomize=True)
@@ -155,6 +157,66 @@ def starve_inner_solves(monkeypatch, maxit):
         return op
 
     monkeypatch.setattr(irjbd.driver, "StackedOperator", capped)
+
+
+def reference_lsqr(op, rhs):
+    """``stackedls.lsqr_solve`` as it ran on the iterate y of [A; L] M.
+
+    The loop updates y and its search direction w, takes ||y|| from y
+    itself and returns x = M y once at the end; the operator's counters are
+    left alone.  ``lsqr_solve`` updates x through M w and takes ||y|| from
+    the Paige-Saunders recurrence instead, and must stop at the same
+    iteration with the same flag and, up to rounding, the same x.
+    Returns (x, iterations, converged).
+    """
+    rhs = np.asarray(rhs, dtype=np.float64)
+    tol = op.tol
+    y = np.zeros(op.n)
+    u = rhs.copy()
+    with np.errstate(over="ignore"):
+        beta = sqrt(u.dot(u))
+    if not np.isfinite(beta):
+        big = float(np.max(np.abs(rhs)))
+        x, itn, converged = reference_lsqr(op, rhs / big)
+        return x * big, itn, converged
+    bnorm = beta
+    if beta == 0.0:
+        return y, 0, True
+    u /= beta
+    v = op._precondition_transpose(op.apply_transpose(u))
+    alfa = sqrt(v.dot(v))
+    if alfa == 0.0:
+        return y, 0, True
+    v /= alfa
+    w = v.copy()
+    rhobar, phibar, anorm = alfa, beta, 0.0
+    for itn in range(1, op.maxit + 1):
+        u *= -alfa
+        u += op.apply(op._precondition(v))
+        beta = sqrt(u.dot(u))
+        if beta > 0.0:
+            u /= beta
+            anorm = sqrt(anorm**2 + alfa**2 + beta**2)
+            v *= -beta
+            v += op._precondition_transpose(op.apply_transpose(u))
+            alfa = sqrt(v.dot(v))
+            if alfa > 0.0:
+                v /= alfa
+        rho = sqrt(rhobar**2 + beta**2)
+        cs, sn = rhobar / rho, beta / rho
+        theta = sn * alfa
+        rhobar = -cs * alfa
+        phi = cs * phibar
+        phibar = sn * phibar
+        y += (phi / rho) * w
+        w *= -(theta / rho)
+        w += v
+        xnorm = sqrt(y.dot(y))
+        test1 = phibar / bnorm
+        test2 = alfa * abs(sn * phi) / (anorm * phibar + EPS)
+        if test1 <= tol + tol * anorm * xnorm / bnorm or test2 <= tol:
+            return op._precondition(y), itn, True
+    return op._precondition(y), op.maxit, False
 
 
 def lower_bidiagonal_pair(alphas, betas):

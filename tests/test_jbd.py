@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irjbd.jbd import BreakdownError, jbd_expand, jbd_init
+from irjbd.jbd import BreakdownError, _reorth_tracked, jbd_expand, jbd_init
 from irjbd.oracle import stack_qr
 from irjbd.sparsemat import SparseMatrix, identity
 from irjbd.stackedls import StackedOperator
@@ -186,3 +186,67 @@ class TestVerifyState:
         before = state.Bdense.copy()
         verify_state(state, op)
         np.testing.assert_array_equal(state.Bdense, before)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+class TestSecondPassOnCancellation:
+    # a second Gram-Schmidt pass runs only when the first leaves less than
+    # 1/sqrt(2) of its input's norm; an input within 1e-10 of the span
+    # cancels, and one pass alone would leave it orthogonal only to
+    # eps * ||input|| / ||output||, about 1e-6
+
+    @staticmethod
+    def basis(rng, m, k):
+        Q, _ = np.linalg.qr(rng.standard_normal((m, k)))
+        return np.asfortranarray(Q)
+
+    @pytest.mark.parametrize("m, k", [(30, 1), (50, 10), (200, 25)])
+    def test_cancelling_input_gets_the_second_pass(self, rng, m, k):
+        for _ in range(20):
+            Q = self.basis(rng, m, k)
+            c = rng.standard_normal(k)
+            vec = Q @ c + 1e-10 * rng.standard_normal(m)
+            out, coefficients, square = _reorth_tracked(vec, Q, c[-1])
+            assert square == out.dot(out)
+            assert np.linalg.norm(Q.T @ out) <= 8 * EPS * np.linalg.norm(out)
+            np.testing.assert_allclose(coefficients, c, rtol=0, atol=1e-9)
+
+    def test_no_cancellation_is_exactly_one_pass(self, rng):
+        Q = self.basis(rng, 50, 10)
+        vec = rng.standard_normal(50)
+        seed = 0.3
+        once = vec - seed * Q[:, -1]
+        extra = Q.T.dot(once)
+        once = once - Q.dot(extra)
+        expected = np.zeros(10)
+        expected[-1] = seed
+        expected += extra
+        out, coefficients, square = _reorth_tracked(vec, Q, seed)
+        np.testing.assert_array_equal(out, once)
+        np.testing.assert_array_equal(coefficients, expected)
+        assert square == once.dot(once)
+
+    def test_set_pending_cancelling_input(self, rng):
+        for _ in range(10):
+            state, op, _, _ = expanded_state(rng, 40, 36, 30, 12)
+            c = rng.standard_normal(state.k)
+            t = state.preimages @ c + 1e-10 * rng.standard_normal(state.n)
+            alpha = state.set_pending(np.concatenate([op.apply(t), t]))
+            assert alpha >= state.breakdown_tol
+            vp = state.vp_next
+            assert np.linalg.norm(state.Vprime.T @ vp) <= 8 * EPS * np.linalg.norm(vp)
+            # the preimage still maps onto the pending vector
+            np.testing.assert_allclose(op.apply(state.t_next), vp, rtol=0, atol=1e-6)
+
+    def test_set_pending_no_cancellation_is_exactly_one_pass(self, rng):
+        state, op, _, _ = expanded_state(rng, 40, 36, 30, 12)
+        t = rng.standard_normal(state.n)
+        pending = np.concatenate([op.apply(t), t])
+        mp = state.m + state.p
+        right = state.right
+        once = pending - right.dot(right[:mp].T @ pending[:mp])
+        alpha = np.sqrt(once[:mp].dot(once[:mp]))
+        assert state.set_pending(pending) == alpha
+        np.testing.assert_array_equal(state.pending, once / alpha)

@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import irjbd.driver
 import irjbd.stackedls
 from irjbd.sparsemat import SparseMatrix, identity, second_order_L
 from irjbd.stackedls import StackedOperator, _lower_inverse, lsqr_solve, stack_norm_estimate
 
-from conftest import reference_stacked_products
+from conftest import reference_lsqr, reference_stacked_products, starve_inner_solves
 
 EPS = np.finfo(np.float64).eps
 
@@ -420,6 +421,221 @@ class TestFactoredPreconditioner:
         A, L = self.pair(rng)
         monkeypatch.setattr(irjbd.stackedls, "_lower_inverse", lambda a: np.full_like(a, np.inf))
         _assert_on_diagonal_path(monkeypatch, A, L, rng.standard_normal(75))
+
+
+def _regular_stack(seed, m, n, density):
+    """Random m x n A and n x n L of the given density, I added to L so that
+    the stack is regular whatever the draw; dense and sparse."""
+    gen = np.random.default_rng(seed)
+    Ad = gen.standard_normal((m, n)) * (gen.random((m, n)) < density)
+    Ld = gen.standard_normal((n, n)) * (gen.random((n, n)) < density) + np.eye(n)
+    return Ad, Ld, SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld)
+
+
+class TestAgainstReferenceLoop:
+    # x through M w and the recurrence for ||y|| change only the rounding
+    # of x and of the stopping test's ||y||: the iteration must stop where
+    # the y-based loop stops, with the same flag and the same x to 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), extra=st.integers(0, 12),
+           density=st.sampled_from([0.3, 0.6, 1.0]), factored=st.booleans(),
+           consistent=st.booleans())
+    def test_matches_y_based_loop(self, seed, n, extra, density, factored, consistent):
+        m = n + extra
+        _, _, A, L = _regular_stack(seed, m, n, density)
+        with pytest.MonkeyPatch.context() as patch:
+            if not factored:
+                patch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
+            op = StackedOperator(A, L)
+        assert (op._factor is not None) == factored
+        gen = np.random.default_rng(seed + 1)
+        rhs = op.apply(gen.standard_normal(n)) if consistent else gen.standard_normal(m + n)
+        ref, ref_iterations, ref_converged = reference_lsqr(op, rhs)
+        out = lsqr_solve(op, rhs)
+        assert out.iterations == ref_iterations
+        assert out.converged == ref_converged
+        assert np.linalg.norm(out.solution - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_three_dense_products_in_a_one_iteration_solve(self, rng, monkeypatch):
+        # M^T A^T u, M v and M^T A^T u again: no product forms x = M y at the end
+        A, L = TestFactoredPreconditioner.pair(rng)
+        op = StackedOperator(A, L)
+        calls = []
+        for name in ("_precondition", "_precondition_transpose"):
+            method = getattr(op, name)
+            monkeypatch.setattr(op, name, lambda v, method=method, name=name:
+                                calls.append(name) or method(v))
+        op.maxit = 1
+        lsqr_solve(op, op.apply(rng.standard_normal(30)))
+        assert calls == ["_precondition_transpose", "_precondition", "_precondition_transpose"]
+
+
+def _fused_entries(A, L):
+    """(offsets, row_ids, col_indices, values) of [A; L] in CSR order."""
+    offsets = np.concatenate([A.row_offsets, L.row_offsets[1:] + A.nnz])
+    row_ids = np.repeat(np.arange(A.nrows + L.nrows, dtype=np.int64), np.diff(offsets))
+    return (offsets, row_ids, np.concatenate([A.col_indices, L.col_indices]),
+            np.concatenate([A.values, L.values]))
+
+
+class TestEquilibratedGram:
+    # at n = 128 a row of at most 8 entries is short and adds its own entry
+    # pairs, as long as there are at least 256 short rows (2^22 / n^2); a
+    # longer row, and every row of a stack with fewer short rows, goes
+    # through a dense block
+
+    @staticmethod
+    def stack(rng, m, n, per_row_A, per_row_L):
+        """An m x n A over an n x n L, each row of the given number of
+        entries in random columns."""
+        blocks = []
+        for rows, per_row in ((m, per_row_A), (n, per_row_L)):
+            dense = np.zeros((rows, n))
+            for i in range(rows):
+                dense[i, rng.choice(n, size=per_row, replace=False)] = rng.standard_normal(per_row)
+            blocks.append(dense)
+        return blocks
+
+    @pytest.mark.parametrize("m, per_row_A, per_row_L",
+                             [(300, 3, 2), (300, 20, 12), (300, 3, 30), (40, 3, 2), (300, 128, 4)],
+                             ids=["short", "long", "both", "few-short", "dense-over-few-short"])
+    @pytest.mark.parametrize("holes", [False, True], ids=["full", "empty-rows-and-columns"])
+    def test_matches_dense_gram(self, rng, m, per_row_A, per_row_L, holes):
+        n = 128
+        Ad, Ld = self.stack(rng, m, n, per_row_A, per_row_L)
+        if holes:
+            Ad[::7] = 0.0
+            Ld[1::5] = 0.0
+            Ad[:, [0, 17, 40]] = 0.0
+            Ld[:, [0, 17, 40]] = 0.0
+        A, L = SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld)
+        op = StackedOperator(A, L)
+        S = np.vstack([A.to_dense(), L.to_dense()]) * op.scale
+        gram = op._equilibrated_gram(*_fused_entries(A, L))
+        assert gram.shape == (n, n) and gram.dtype == np.float64
+        assert np.max(np.abs(gram - S.T @ S)) <= 1e-14
+
+    def test_no_entries(self):
+        A, L = _zero_matrix(3, 2), _zero_matrix(1, 2)
+        op = StackedOperator(A, L)
+        gram = op._equilibrated_gram(*_fused_entries(A, L))
+        assert gram.dtype == np.float64
+        np.testing.assert_array_equal(gram, np.zeros((2, 2)))
+
+
+@st.composite
+def _degenerate_stacks(draw):
+    """(Ad, Ld, rhs) for a small stack with one kind of degenerate column.
+
+    Kinds: columns empty in A only; columns empty in both blocks or one
+    column repeated in both (a non-regular stack); one column scaled into
+    the subnormals or by 1e200.  p is below n about half the time, and
+    m + p may fall short of n.
+    """
+    n = draw(st.integers(2, 9))
+    p = draw(st.integers(0, n - 1)) if draw(st.booleans()) else draw(st.integers(n, n + 3))
+    m = draw(st.integers(0, 2 * n))
+    kind = draw(st.sampled_from(["empty-A", "empty", "repeated", "subnormal", "huge"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Ad = gen.standard_normal((m, n))
+    Ld = gen.standard_normal((p, n))
+    cols = gen.choice(n, size=draw(st.integers(1, max(1, n // 2))), replace=False)
+    j = int(cols[0])
+    if kind == "empty-A":
+        Ad[:, cols] = 0.0
+    elif kind == "empty":
+        Ad[:, cols] = 0.0
+        Ld[:, cols] = 0.0
+    elif kind == "repeated":
+        k = (j + 1) % n
+        Ad[:, k] = Ad[:, j]
+        Ld[:, k] = Ld[:, j]
+    else:
+        factor = 1e-310 if kind == "subnormal" else 1e200
+        Ad[:, j] *= factor
+        Ld[:, j] *= factor
+    stack = np.vstack([Ad, Ld])
+    if draw(st.booleans()):
+        rhs = stack @ gen.standard_normal(n)
+    else:
+        rhs = gen.standard_normal(m + p) * (1e200 if kind == "huge" else 1.0)
+    return Ad, Ld, rhs
+
+
+class TestDegenerateInputs:
+    """A degenerate stack gets a finite factor, a clean fall back to M = D
+    or a clean error; a converged solve fits like ``np.linalg.lstsq``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_degenerate_stacks())
+    def test_factor_fallback_or_error(self, case):
+        Ad, Ld, rhs = case
+        A, L = SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld)
+        m, n = Ad.shape
+        if m + len(Ld) < n:
+            with pytest.raises(ValueError, match="at least as many rows"):
+                StackedOperator(A, L)
+            return
+        op = StackedOperator(A, L)
+        assert np.all(np.isfinite(op.scale)) and np.all(op.scale > 0.0)
+        assert op._factor is None or np.all(np.isfinite(op._factor))
+        try:
+            out = lsqr_solve(op, rhs)
+        except OverflowError:
+            # x moves through M w, which can pass the float range's end only
+            # on a column of norm below 1e-290, whose entry of x no working
+            # precision fit determines
+            assert np.max(op.scale) > 1e290
+            return
+        assert np.all(np.isfinite(out.solution))
+        assert out.converged
+        if op._factor is None:
+            # the fall back is exactly the diagonal path
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
+                twin = StackedOperator(A, L)
+            ref = lsqr_solve(twin, rhs)
+            np.testing.assert_array_equal(out.solution, ref.solution)
+            assert out.iterations == ref.iterations
+        self.assert_matches_lstsq(op, np.vstack([Ad, Ld]), rhs, out.solution)
+
+    @staticmethod
+    def assert_matches_lstsq(op, stack, rhs, x):
+        """Compare x with lstsq on the equilibrated stack S D, whose columns
+        are O(1), all scaled by 1 / max |rhs|: the fit always, and y = D^-1 x
+        on the nonempty columns when S D restricted to them is well
+        conditioned.  An empty column keeps x = 0."""
+        scaled = stack * op.scale
+        empty = ~np.any(stack != 0.0, axis=0)
+        assert np.all(x[empty] == 0.0)
+        big = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
+        y = x / op.scale / big
+        y_ls = np.linalg.lstsq(scaled, rhs / big, rcond=None)[0]
+        fit = scaled @ y - scaled @ y_ls
+        assert np.linalg.norm(fit) <= 1e-9 * max(1.0, np.linalg.norm(rhs / big))
+        live = scaled[:, ~empty]
+        if live.shape[1] and np.linalg.cond(live) <= 1e6:
+            assert np.linalg.norm(y[~empty] - y_ls[~empty]) <= 1e-8 * max(
+                1.0, np.linalg.norm(y_ls))
+
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_starved_inner_solve(self, rng, monkeypatch, factored):
+        # a cap of one iteration: the factored operator still converges, the
+        # diagonal one reports the failure through its flag and counter
+        if not factored:
+            monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
+        starve_inner_solves(monkeypatch, 1)
+        Ad, Ld, A, L = _regular_stack(7, 40, 25, 0.3)
+        op = irjbd.driver.StackedOperator(A, L)
+        assert op.maxit == 1 and (op._factor is not None) == factored
+        rhs = rng.standard_normal(65)
+        out = lsqr_solve(op, rhs)
+        assert out.iterations == 1 and np.all(np.isfinite(out.solution))
+        assert out.converged == factored
+        assert op.failures == (0 if factored else 1)
+        if out.converged:
+            TestDegenerateInputs.assert_matches_lstsq(op, np.vstack([Ad, Ld]), rhs, out.solution)
 
 
 def _equilibrated_cholesky(S):
