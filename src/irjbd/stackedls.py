@@ -32,16 +32,9 @@ __all__ = ["StackedOperator", "LsqrOutcome", "lsqr_solve", "stack_norm_estimate"
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
-_HUGE = float(np.finfo(np.float64).max)
 
 # largest dense right preconditioner, in bytes, an operator keeps (n <= 512)
 _FACTOR_BYTES = 2 * 1024 * 1024
-
-_OVERFLOW = "least-squares solution overflows the float range"
-
-# dense-block multiply-adds (rows x n^2) below which short rows of [A; L]
-# join the Gram matrix's dense blocks instead of its same-row pairs
-_PAIR_WORK = 1 << 22
 
 
 def stack_norm_estimate(A, L):
@@ -161,11 +154,12 @@ class StackedOperator:
     an optional CSR tail (``_tail``); see ``_block_ell``.  Both products
     work in one scratch buffer (``_buf``) the size of ``_vals``, so one
     operator must not run two products at once.  ``scale`` holds
-    1 / ||column j of [A; L]|| (1 for a zero column, and at most the largest
-    double).  The right preconditioner M under which ``lsqr_solve`` iterates
-    is built here once: D R^-1 (D = diag(``scale``), R the Cholesky
-    factor of the Gram matrix of [A; L] D) when the n x n map fits under
-    ``_FACTOR_BYTES`` and R is numerically nonsingular, and D otherwise.
+    1 / ||column j of [A; L]||, and 1 for a column whose norm is zero or
+    subnormal: such a column counts as empty.  The right preconditioner M
+    under which ``lsqr_solve`` iterates is built here once: D R^-1
+    (D = diag(``scale``), R the Cholesky factor of the Gram matrix of
+    [A; L] D) when the n x n map fits under ``_FACTOR_BYTES`` and R is
+    numerically nonsingular, and D otherwise.
     ``rnorm_estimate`` is ``stack_norm_estimate(A, L)``, computed once.
     The operator also holds the inner-solve controls — ``tol``
     (``default_tol``, 10 eps) and ``maxit`` (``default_maxit(n)``, 10 n),
@@ -211,11 +205,12 @@ class StackedOperator:
             terms = terms.reshape(width, -1)
             self._groups.append((rows, vals.reshape(width, -1), terms, list(terms)))
         colnorm = _column_norms(col_indices, values, self.n)
-        # 1 / colnorm overflows for a subnormal norm: cap it at the largest double
+        # a column of subnormal norm counts as empty: its entries have lost
+        # bits, and 1 / colnorm, at or past the float range's end, would let
+        # M w and x overflow mid-solve.  It keeps scale 1, and its zero Gram
+        # diagonal falls back to M = D
         self.scale = np.ones(self.n)
-        with np.errstate(over="ignore"):
-            np.divide(1.0, colnorm, out=self.scale, where=colnorm > 0.0)
-        np.minimum(self.scale, _HUGE, out=self.scale)
+        np.divide(1.0, colnorm, out=self.scale, where=colnorm >= _TINY)
         self._factor = None
         if 8 * self.n * self.n <= _FACTOR_BYTES:
             self._factor = self._inverse_cholesky_factor(offsets, row_ids, col_indices,
@@ -241,7 +236,7 @@ class StackedOperator:
             diag = np.abs(np.diag(lower))
             if not diag.min() > sqrt(self.n * _EPS) * diag.max():
                 return None
-            # an inverse or a capped scale can overflow: that falls back below
+            # an inverse can overflow: that falls back below
             with np.errstate(over="ignore", invalid="ignore"):
                 factor = self.scale[:, None] * _lower_inverse(lower).T
         except np.linalg.LinAlgError:
@@ -252,41 +247,44 @@ class StackedOperator:
         """(S^T S) for S = [A; L] D, given by its entries in CSR order.
 
         A short row, of at most n // 16 entries, adds the products of its
-        own entry pairs, and all of those pairs are summed in one bincount.
-        The long rows, gathered in dense blocks of n rows, add block^T block
-        instead: a pair costs several times a dense product's flop, so with
-        A 600 x 512 over ``second_order_L(512)`` pairs alone ran 5x slower
-        than the blocks at 10% density and 32x slower at 30% (one BLAS
-        thread).  The short rows join the blocks too
-        when their blocks would cost fewer than ``_PAIR_WORK`` multiply-adds,
-        too few to repay the pairs' few dozen numpy calls: on a dense 80 x 64
-        A over ``second_order_L(64)`` the pairs took the Gram from 91 to
-        187 us.
+        own entry pairs, summed by bincount over chunks of 16 n entries: an
+        entry heads at most n // 16 pairs, so the temporaries stay O(n^2)
+        however tall the stack.  The long rows, gathered in dense blocks of
+        n rows, add block^T block instead: a pair costs several times a dense
+        product's flop, so with A 600 x 512 over ``second_order_L(512)``
+        pairs alone ran 5x slower than the blocks at 10% density and 32x
+        slower at 30% (one BLAS thread).
         """
         n = self.n
         unit = values * self.scale[col_indices]
         counts = np.diff(offsets)
         short = counts <= n // 16
-        if np.count_nonzero(short) * n * n < _PAIR_WORK:
-            gram = np.zeros((n, n))
-            ranks, cols, vals, nlong = row_ids, col_indices, unit, len(counts)
-        else:
-            # every ordered pair (a, b) of entries of one short row, a and b
-            # in storage order, rows in order
-            first = np.flatnonzero(short[row_ids])
-            rows = row_ids[first]
+        in_short = short[row_ids]
+        # every ordered pair (a, b) of entries of one short row, a and b in
+        # storage order: entry a of a row of w entries heads w pairs
+        first = np.flatnonzero(in_short)
+        gram = None
+        for lo in range(0, len(first), 16 * n):
+            entries = first[lo:lo + 16 * n]
+            rows = row_ids[entries]
             width = counts[rows]
-            a = np.repeat(first, width)
-            starts = np.cumsum(width) - width
-            b = np.repeat(offsets[rows] - starts, width) + np.arange(len(a))
-            # without pairs bincount returns integers, whatever the weights
-            gram = np.bincount(col_indices[a] * n + col_indices[b], weights=unit[a] * unit[b],
-                               minlength=n * n).reshape(n, n).astype(np.float64, copy=False)
-            # the entries of the long rows, their rows renumbered 0, 1, ... in order
-            long = np.flatnonzero(~short[row_ids])
-            ranks = (np.cumsum(~short) - 1)[row_ids[long]]
-            cols, vals = col_indices[long], unit[long]
-            nlong = len(counts) - int(np.count_nonzero(short))
+            a = np.repeat(entries, width)
+            heads = np.cumsum(width) - width   # where each entry's pairs start in a
+            b = np.repeat(offsets[rows] - heads, width) + np.arange(len(a))
+            part = np.bincount(col_indices[a] * n + col_indices[b], weights=unit[a] * unit[b],
+                               minlength=n * n)
+            # the first chunk's sums become the Gram matrix: a fresh n x n
+            # array of zeros to add them to costs more than the pairs
+            if gram is None:
+                gram = part
+            else:
+                gram += part
+        gram = np.zeros((n, n)) if gram is None else gram.reshape(n, n)
+        # the entries of the long rows, their rows renumbered 0, 1, ... in order
+        lengths = counts[~short]
+        nlong = len(lengths)
+        ranks = np.repeat(np.arange(nlong), lengths)
+        cols, vals = col_indices[~in_short], unit[~in_short]
         for top in range(0, nlong, n):
             lo, hi = np.searchsorted(ranks, [top, top + n])
             block = np.zeros((min(n, nlong - top), n))
@@ -375,9 +373,7 @@ def lsqr_solve(op, rhs):
     raised: ill conditioning can legitimately push the iteration count past
     n.  The iteration count and any non-convergence are added to the
     operator's counters.  A finite rhs whose squared norm overflows is
-    solved scaled by its largest entry; a non-finite rhs raises ValueError,
-    and a solution beyond the float range, which needs a column scaled near
-    the subnormals, raises OverflowError.
+    solved scaled by its largest entry; a non-finite rhs raises ValueError.
 
     Parameters
     ----------
@@ -396,105 +392,96 @@ def lsqr_solve(op, rhs):
     x = np.zeros(op.n)
 
     u = rhs.copy()
-    # overflow is handled here, not warned about: a finite rhs whose square
-    # overflows is solved rescaled, and M w, M v and x pass the float
-    # range's end only when the solution does (a column scaled near the
-    # subnormals), which raises OverflowError at the end
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         beta = sqrt(u.dot(u))
-        if not isfinite(beta):
-            if not np.all(np.isfinite(rhs)):
-                raise ValueError("rhs must be finite")
-            # only the square overflowed: solve for rhs / max |rhs| and scale back
-            big = float(np.max(np.abs(rhs)))
-            outcome = lsqr_solve(op, rhs / big)
-            outcome.solution *= big
-            if not np.all(np.isfinite(outcome.solution)):
-                raise OverflowError(_OVERFLOW)
-            return outcome
-        bnorm = beta
-        if beta == 0.0:
-            return LsqrOutcome(x, 0, True)
-        u /= beta
-        v = op._precondition_transpose(op.apply_transpose(u))
-        alfa = sqrt(v.dot(v))
-        if alfa == 0.0:
-            # rhs is orthogonal to the range: x = 0 is the least-squares solution
-            return LsqrOutcome(x, 0, True)
-        v /= alfa
-        # M w for the search direction w: w_1 = v_1, and each later
-        # w_i = v_i - (theta / rho) w_{i-1} is formed in place of M v_i
-        # once M v_i has fed [A; L]
-        mw = None
-        ratio = 0.0
+    if not isfinite(beta):
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("rhs must be finite")
+        # only the square overflowed: solve for rhs / max |rhs| and scale back
+        big = float(np.max(np.abs(rhs)))
+        outcome = lsqr_solve(op, rhs / big)
+        outcome.solution *= big
+        return outcome
+    bnorm = beta
+    if beta == 0.0:
+        return LsqrOutcome(x, 0, True)
+    u /= beta
+    v = op._precondition_transpose(op.apply_transpose(u))
+    alfa = sqrt(v.dot(v))
+    if alfa == 0.0:
+        # rhs is orthogonal to the range: x = 0 is the least-squares solution
+        return LsqrOutcome(x, 0, True)
+    v /= alfa
+    # M w for the search direction w: w_1 = v_1, and each later
+    # w_i = v_i - (theta / rho) w_{i-1} is formed in place of M v_i
+    # once M v_i has fed [A; L]
+    mw = None
+    ratio = 0.0
 
-        rhobar = alfa
-        phibar = beta
-        anorm = 0.0
-        # the right rotations of the norm recurrence and its running sum
-        cs2, sn2, z, xxnorm = -1.0, 0.0, 0.0, 0.0
-        converged = False
-        itn = 0
+    rhobar = alfa
+    phibar = beta
+    anorm = 0.0
+    # the right rotations of the norm recurrence and its running sum
+    cs2, sn2, z, xxnorm = -1.0, 0.0, 0.0, 0.0
+    converged = False
+    itn = 0
 
-        while itn < op.maxit:
-            itn += 1
-            mv = op._precondition(v)
-            # in place: negation is exact, so -alfa * u + Av rounds like Av - alfa * u
-            u *= -alfa
-            u += op.apply(mv)
-            beta = sqrt(u.dot(u))
-            if beta > 0.0:
-                u /= beta
-                anorm = sqrt(anorm**2 + alfa**2 + beta**2)
-                v *= -beta
-                v += op._precondition_transpose(op.apply_transpose(u))
-                alfa = sqrt(v.dot(v))
-                if alfa > 0.0:
-                    v /= alfa
+    while itn < op.maxit:
+        itn += 1
+        mv = op._precondition(v)
+        # in place: negation is exact, so -alfa * u + Av rounds like Av - alfa * u
+        u *= -alfa
+        u += op.apply(mv)
+        beta = sqrt(u.dot(u))
+        if beta > 0.0:
+            u /= beta
+            anorm = sqrt(anorm**2 + alfa**2 + beta**2)
+            v *= -beta
+            v += op._precondition_transpose(op.apply_transpose(u))
+            alfa = sqrt(v.dot(v))
+            if alfa > 0.0:
+                v /= alfa
 
-            # rotate out the subdiagonal of the growing bidiagonal factor
-            rho = sqrt(rhobar**2 + beta**2)
-            cs = rhobar / rho
-            sn = beta / rho
-            theta = sn * alfa
-            rhobar = -cs * alfa
-            phi = cs * phibar
-            phibar = sn * phibar
+        # rotate out the subdiagonal of the growing bidiagonal factor
+        rho = sqrt(rhobar**2 + beta**2)
+        cs = rhobar / rho
+        sn = beta / rho
+        theta = sn * alfa
+        rhobar = -cs * alfa
+        phi = cs * phibar
+        phibar = sn * phibar
 
-            if mw is not None:
-                mw *= -ratio
-                mv += mw
-            mw = mv
-            x += (phi / rho) * mw
-            ratio = theta / rho
+        if mw is not None:
+            mw *= -ratio
+            mv += mw
+        mw = mv
+        x += (phi / rho) * mw
+        ratio = theta / rho
 
-            # ||y|| by rotating the super-diagonal theta out from the right
-            delta = sn2 * rho
-            gambar = -cs2 * rho
-            rhs_z = phi - delta * z
-            zbar = rhs_z / gambar
-            xnorm = sqrt(xxnorm + zbar * zbar)
-            gamma = sqrt(gambar * gambar + theta * theta)
-            cs2 = gambar / gamma
-            sn2 = theta / gamma
-            z = rhs_z / gamma
-            xxnorm += z * z
+        # ||y|| by rotating the super-diagonal theta out from the right
+        delta = sn2 * rho
+        gambar = -cs2 * rho
+        rhs_z = phi - delta * z
+        zbar = rhs_z / gambar
+        xnorm = sqrt(xxnorm + zbar * zbar)
+        gamma = sqrt(gambar * gambar + theta * theta)
+        cs2 = gambar / gamma
+        sn2 = theta / gamma
+        z = rhs_z / gamma
+        xxnorm += z * z
 
-            rnorm = phibar
-            arnorm = alfa * abs(sn * phi)
-            test1 = rnorm / bnorm
-            test2 = arnorm / (anorm * rnorm + _EPS)
-            rtol = tol + tol * anorm * xnorm / bnorm
-            if test1 <= rtol or test2 <= tol:
-                converged = True
-                break
-        overflowed = not isfinite(x.dot(x)) and not np.all(np.isfinite(x))
+        rnorm = phibar
+        arnorm = alfa * abs(sn * phi)
+        test1 = rnorm / bnorm
+        test2 = arnorm / (anorm * rnorm + _EPS)
+        rtol = tol + tol * anorm * xnorm / bnorm
+        if test1 <= rtol or test2 <= tol:
+            converged = True
+            break
 
     # the zero-norm returns above take no iteration and converge, and the
     # rescaled one counts through its own call, so only this exit moves the
     # operator's counters
     op.iterations += itn
     op.failures += 0 if converged else 1
-    if overflowed:
-        raise OverflowError(_OVERFLOW)
     return LsqrOutcome(x, itn, converged)

@@ -65,10 +65,10 @@ def higher_is_better(root):
             if m.get("better") == "higher"}
 
 
-def run_once(root, workload, args, timeout):
+def run_once(root, workload, args):
     """One bench/run.py run from ``root``; returns its parsed result line."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, *args],
-                          cwd=root, capture_output=True, text=True, timeout=timeout)
+                          cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"bench/run.py in {root} exited {proc.returncode}: "
@@ -103,14 +103,13 @@ def summarize(runs, higher):
     return summary
 
 
-def alternate(parent, change, pairs, workload, args, timeout=None,
-              log=lambda line: print(line, flush=True)):
+def alternate(parent, change, pairs, workload, args, log=lambda line: print(line, flush=True)):
     """The runs of ``pairs`` alternated pairs, parent first in even pairs."""
     runs = []
     for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(parent if side == "parent" else change, workload, args, timeout)
+            result = run_once(parent if side == "parent" else change, workload, args)
             run = {"pair": pair, "side": side}
             run.update({name: m["value"] for name, m in result["metrics"].items()})
             run.update(correct=result["correct"], failed=result["failed"],
@@ -129,7 +128,6 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--label", help="key under 'workloads' (default: the workload)")
     parser.add_argument("--out", required=True, help="JSON file to write or update")
-    parser.add_argument("--timeout", type=float, help="seconds allowed per run")
     parser.add_argument("args", nargs=argparse.REMAINDER,
                         help="arguments for bench/run.py, after --")
     opts = parser.parse_args(argv)
@@ -141,9 +139,8 @@ def main(argv=None):
         print(f"alternate: refusing to run: {problem}", file=sys.stderr)
         return 2
     try:
-        runs = alternate(opts.parent, opts.change, opts.pairs, opts.workload, args,
-                         opts.timeout)
-    except (RuntimeError, subprocess.TimeoutExpired) as exc:
+        runs = alternate(opts.parent, opts.change, opts.pairs, opts.workload, args)
+    except RuntimeError as exc:
         print(f"alternate: {exc}", file=sys.stderr)
         return 1
     out = Path(opts.out)
