@@ -27,7 +27,7 @@ import numpy as np
 
 from .bidiag import inverse_norm_estimates, small_gsvd
 from .jbd import BreakdownError, jbd_expand, jbd_init
-from .restart import CouplingDefectError, multi_step_implicit_restart, thick_restart
+from .restart import CouplingDefectError, thick_restart
 from .shifts import ShiftSet, apply_adaptive_rule, select_exact_shifts
 from .stackedls import StackedOperator
 # not called here; bench/test_bench.py::test_tracer_restores_every_binding reads this binding
@@ -273,7 +273,9 @@ def irjbd_solve(A, L, cfg):
     ``cfg.tol`` or the restart budget runs out.  Each restart keeps
     ``cfg.kept_columns`` columns, a count that grows as wanted values
     converge, and takes the other kmax - kept unwanted values as shifts; in
-    implicit mode the adaptive rule may replace some of them.  Components
+    implicit mode the adaptive rule may replace some of them.  A restart is
+    one ``thick_restart`` call: it purges the exact shifts by truncation and
+    sweeps the replaced ones out of the truncated factor.  Components
     are recovered only on exit, most extreme first, and certified
     (``converged``) when the bound is below tol, c * s >= 10 eps and the
     recovered relative residual is at most tol.
@@ -341,15 +343,12 @@ def irjbd_solve(A, L, cfg):
         if cfg.restart_mode == "implicit":
             last_shifts = apply_adaptive_rule(last_shifts, ritz.small, l)
         # the rule replaces the shifts nearest the wanted values, a leading
-        # run of the nearest-first list: truncation purges the other, exact
-        # shifts, and only the replaced ones are swept
-        replaced = last_shifts.lambdas[last_shifts.replaced_flags]
+        # run of the nearest-first list: the restart truncates onto keep + r
+        # triplets, which purges the other, exact shifts, and sweeps only the
+        # r replaced ones
         try:
-            restarted = state
-            if keep + len(replaced) < cfg.kmax:
-                restarted = thick_restart(state, ritz.small, keep + len(replaced))
-            if len(replaced):
-                restarted = multi_step_implicit_restart(restarted, replaced, keep)
+            restarted = thick_restart(state, ritz.small, keep,
+                                      last_shifts.lambdas[last_shifts.replaced_flags])
         except (BreakdownError, CouplingDefectError) as exc:
             # a refused restart: the last extraction stands
             message = str(exc)

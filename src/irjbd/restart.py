@@ -1,48 +1,30 @@
 """Restarting the joint bidiagonalization at a smaller subspace size.
 
-Every restart truncates onto kept Ritz triplets and reduces the result back
-to canonical bidiagonal form, the Krylov-Schur restart (Stewart, 2001):
-``thick_restart`` keeps the leading triplets of an extreme-first
-extraction, which purges the other values as exact shifts would.  Shifts
-that are not Ritz values (those the adaptive rule replaced) still need
-``multi_step_implicit_restart``: one bulge-chasing sweep of the lower
-factor per shift, then one QR of Bbar P for the companion (one shift pair
-lambda^2 + mu^2 = 1 drives both factors).  Both restore the companion the
-same way, as the whole R factor of Bbar P, and both build their result
-with ``JbdState.restarted``, so it expands through the ordinary process
-code.
+A restart is one ``thick_restart`` call.  It truncates the state onto kept
+Ritz triplets and reduces the result back to canonical bidiagonal form, the
+Krylov-Schur restart (Stewart, 2001): the extraction comes extreme-first,
+so keeping its leading triplets purges the other values as exact shifts
+would.  Shifts that are not Ritz values (those the adaptive rule replaced)
+are kept through the truncation and then swept out of the reduced lower
+factor by ``accumulate_sweeps``, one bulge-chasing sweep per shift.  One QR
+of Bbar P then restores the companion (one shift pair lambda^2 + mu^2 = 1
+drives both factors), and one ``JbdState.restarted`` builds the result, so
+it expands through the ordinary process code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from .bidiag import givens
-from .jbd import BreakdownError
 
-__all__ = [
-    "CouplingDefectError",
-    "SweepRotations",
-    "accumulate_sweeps",
-    "multi_step_implicit_restart",
-    "thick_restart",
-]
+__all__ = ["CouplingDefectError", "accumulate_sweeps", "thick_restart"]
 
 
 class CouplingDefectError(RuntimeError):
     """The factor pair is too degraded to restart."""
-
-
-@dataclass
-class SweepRotations:
-    """A restart's transforms: G left of B, P right of both, Gbar left of Bbar."""
-
-    G: np.ndarray
-    P: np.ndarray
-    Gbar: np.ndarray
 
 
 def _chain_products(c, s):
@@ -140,22 +122,17 @@ def _signed_qr(M):
     return Q * signs, R * signs[:, None]
 
 
-def accumulate_sweeps(B, Bbar, shifts):
-    """Run one shifted sweep of B per shift, then restore the companion by one QR.
+def accumulate_sweeps(B, shifts):
+    """Run one shifted sweep of the (k+1) x k lower factor B per shift.
 
     The sweeps read only B's band, so B' is exactly lower bidiagonal; each
     sweep's two rotation chains reach G and P as one upper-Hessenberg
-    product apiece.  By the implicit-Q theorem Gbar and Bbar' are the QR
-    factors of Bbar P, and Bbar' is kept whole, as ``_reduce`` keeps it.
+    product apiece.  Returns B', G and P, with B' = G^T B P on the band.
     """
     B = np.asarray(B, dtype=np.float64)
-    Bbar = np.asarray(Bbar, dtype=np.float64)
     k = B.shape[1]
     if B.shape[0] != k + 1:
         raise ValueError("lower sweep expects a (k+1) x k factor")
-    if Bbar.shape != (k, k):
-        raise ValueError("upper sweep expects a square k x k factor")
-    _refuse_degraded(B, Bbar)
     d, e = B.diagonal().tolist(), B.diagonal(-1).tolist()
     # G and P stacked, P padded to k + 1 by a unit corner: an identity
     # rotation closes its k - 1 chain, so one batched product per sweep
@@ -167,12 +144,10 @@ def accumulate_sweeps(B, Bbar, shifts):
         left, right = _sweep(d, e, float(lam))
         chains = np.array([left, right + [(1.0, 0.0)]])
         acc = acc @ _chain_products(chains[..., 0], chains[..., 1])
-    P = acc[1, :k, :k]
-    Gbar, Bbarp = _signed_qr(Bbar @ P)
     Bp = np.zeros((k + 1, k))
     np.fill_diagonal(Bp, d)
     np.fill_diagonal(Bp[1:], e)
-    return Bp, Bbarp, SweepRotations(G=acc[0], P=P, Gbar=Gbar)
+    return Bp, acc[0], acc[1, :k, :k]
 
 
 def _reflector(x):
@@ -193,36 +168,6 @@ def _reflector(x):
     return v
 
 
-def _check_restartable(state, l):
-    """Raise ValueError unless the open, unexhausted state can shrink to l columns."""
-    k = state.k
-    if not 1 <= l < k:
-        raise ValueError(f"need 1 <= l < k, got l={l}, k={k}")
-    if state.exhausted or state.n_left != k + 1:
-        raise ValueError("cannot restart an exhausted or closed state")
-
-
-def multi_step_implicit_restart(state, shifts, l):
-    """Shrink a k-column state to l columns through k - l shifted sweeps.
-
-    The rotated bases are truncated to their leading blocks, and the new
-    pending right vector is the old one scaled by the corner entry of G plus
-    the first discarded rotated column.
-    """
-    _check_restartable(state, l)
-    k = state.k
-    shifts = np.asarray(shifts, dtype=np.float64)
-    if len(shifts) != k - l:
-        raise ValueError(f"need k - l = {k - l} shifts, got {len(shifts)}")
-
-    Bp, Bbarp, rot = accumulate_sweeps(state.Bdense, state.Bbardense, shifts)
-    right = state.right @ rot.P[:, : l + 1]
-    corner = state.alpha_next * rot.G[k, l]
-    return state.restarted(l, state.U @ rot.G[:, : l + 1], state.Uhat @ rot.Gbar[:, :l],
-                           right[:, :l], Bp[: l + 1, :l], Bbarp[:l, :l],
-                           corner * state.pending + Bp[l, l] * right[:, l])
-
-
 def _left_null_vector(P):
     """The unit q orthogonal to the k columns of an orthonormal (k+1) x k P.
 
@@ -239,8 +184,8 @@ def _left_null_vector(P):
     return q / sqrt(q.dot(q))
 
 
-def _reduce(B, Bbar, ritz, l):
-    """Truncate {B, Bbar} onto the l leading triplets of ``ritz`` and reduce it.
+def _reduce(ritz, l):
+    """Truncate the factor onto the l leading triplets of ``ritz`` and reduce it.
 
     The kept left singular vectors and B's left null vector span the new
     left space, into which the pending right vector couples through the last
@@ -248,11 +193,8 @@ def _reduce(B, Bbar, ritz, l):
     vector; then, bottom up, a right reflector clears row j+1 left of column
     j and a left reflector on rows <= j clears column j above row j.  The
     reflectors act on the (l+1) x l factor and accumulate in two square
-    transforms, which rotate the truncation maps once at the end.  The
-    companion is the R factor of Bbar P, kept whole: it is bidiagonal up to
-    the identity defect, the couplings need only a triangular one, and
-    dropping entries would break Vprime = Uhat Bbar.  Returns what
-    ``accumulate_sweeps`` does; G[k, l] is the coupling's norm.
+    transforms, which rotate the truncation maps once at the end.  Returns
+    B', G and P, with B' = G^T B P; G[k, l] is the coupling's norm.
     """
     k = ritz.k
     left = np.empty((k + 1, l + 1))
@@ -282,23 +224,46 @@ def _reduce(B, Bbar, ritz, l):
     Bp = np.zeros((l + 1, l))
     np.fill_diagonal(Bp, M.diagonal())
     np.fill_diagonal(Bp[1:], M.diagonal(-1))
-    P = ritz.W[:, :l] @ R
-    Gbar, Bbarp = _signed_qr(Bbar @ P)
-    return Bp, Bbarp, SweepRotations(G=left @ Q.T, P=P, Gbar=Gbar)
+    return Bp, left @ Q.T, ritz.W[:, :l] @ R
 
 
-def thick_restart(state, ritz, l):
-    """Truncate the state onto l kept Ritz triplets and reduce it to bidiagonal form.
+def thick_restart(state, ritz, keep, shifts=()):
+    """Restart the state at ``keep`` columns, sweeping the given shifts on the way.
 
-    The extraction comes extreme-first, so the wanted end is kept.  The
-    pending right vector keeps its direction; alpha is scaled by the norm of
-    its coupling into the kept left space.
+    ``ritz`` is the state's extraction, extreme-first, so the wanted end is
+    kept.  The state is truncated onto the keep + r leading triplets, r
+    being the number of ``shifts``, which purges the other values as exact
+    shifts would, and reduced to bidiagonal form.  With r > 0, one sweep per
+    shift then filters the reduced lower factor, and the rotated bases are
+    cut to their leading blocks.  The companion and its left transform are
+    the QR factors of Bbar P (the implicit-Q theorem), and the companion is
+    kept whole: it is bidiagonal up to the identity defect, the couplings
+    need only a triangular one, and dropping entries would break
+    Vprime = Uhat Bbar.  The pending right vector is the old one scaled by
+    alpha and the coupling G[k, keep], plus, after sweeps, B'[keep, keep]
+    times the first discarded rotated column.  Raises ValueError unless
+    1 <= keep < k and keep + r <= k on an open, unexhausted state with a
+    matching extraction, and CouplingDefectError on a degraded pair.
     """
-    _check_restartable(state, l)
-    if ritz.k != state.k:
+    k = state.k
+    shifts = np.asarray(shifts, dtype=np.float64)
+    if not 1 <= keep < k or keep + len(shifts) > k:
+        raise ValueError(f"need 1 <= keep < k and keep + {len(shifts)} shifts <= k, "
+                         f"got keep={keep}, k={k}")
+    if state.exhausted or state.n_left != k + 1:
+        raise ValueError("cannot restart an exhausted or closed state")
+    if ritz.k != k:
         raise ValueError("extraction size does not match the state")
-    _refuse_degraded(state.Bdense, state.Bbardense)
-    Bp, Bbarp, rot = _reduce(state.Bdense, state.Bbardense, ritz, l)
-    alpha = state.alpha_next * rot.G[state.k, l]
-    return state.restarted(l, state.U @ rot.G, state.Uhat @ rot.Gbar, state.right @ rot.P,
-                           Bp, Bbarp, alpha * state.pending)
+    Bbar = state.Bbardense
+    _refuse_degraded(state.Bdense, Bbar)
+    Bp, G, P = _reduce(ritz, keep + len(shifts))
+    if len(shifts):
+        Bp, Gs, Ps = accumulate_sweeps(Bp, shifts)
+        G, P = G @ Gs[:, : keep + 1], P @ Ps[:, : keep + 1]
+    right = state.right @ P
+    pending = state.alpha_next * G[k, keep] * state.pending
+    if len(shifts):
+        pending += Bp[keep, keep] * right[:, keep]
+    Gbar, Bbarp = _signed_qr(Bbar @ P[:, :keep])
+    return state.restarted(keep, state.U @ G[:, : keep + 1], state.Uhat @ Gbar,
+                           right[:, :keep], Bp[: keep + 1, :keep], Bbarp, pending)

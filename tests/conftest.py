@@ -8,7 +8,8 @@ from hypothesis import settings
 import irjbd.driver
 from irjbd.bidiag import givens
 from irjbd.jbd import jbd_expand, jbd_init
-from irjbd.restart import CouplingDefectError, SweepRotations
+from irjbd.restart import (CouplingDefectError, _reduce, _refuse_degraded, _signed_qr,
+                           accumulate_sweeps)
 from irjbd.sparsemat import SparseMatrix
 from irjbd.stackedls import StackedOperator, lsqr_solve
 
@@ -329,26 +330,51 @@ def verify_state(state, op=None, rng=None):
     )
 
 
-def rotation_orthogonality_defect(rot):
-    """Largest deviation from orthogonality of the factors of a SweepRotations."""
+def rotation_orthogonality_defect(transforms):
+    """Largest deviation from orthogonality of the transforms (G, P, Gbar)."""
     return max(
         float(np.max(np.abs(M.T @ M - np.eye(M.shape[1]))))
-        for M in (rot.G, rot.P, rot.Gbar)
+        for M in transforms
     )
 
 
-def rotation_band_defect(rot, nshifts):
-    """Largest entry of a SweepRotations factor below its lower bandwidth.
+def rotation_band_defect(transforms, nshifts):
+    """Largest entry of the transforms (G, P, Gbar) below their lower bandwidth.
 
-    ``nshifts`` sweeps give each factor a lower bandwidth of ``nshifts``.
+    ``nshifts`` sweeps give each transform a lower bandwidth of ``nshifts``.
     """
     worst = 0.0
-    for M in (rot.G, rot.P, rot.Gbar):
+    for M in transforms:
         i, j = np.indices(M.shape)
         below = i - j > nshifts
         if np.any(below):
             worst = max(worst, float(np.max(np.abs(M[below]))))
     return worst
+
+
+def swept_pair(B, Bbar, shifts):
+    """The chase of ``restart.thick_restart`` on a bare factor pair.
+
+    Refuses a degraded pair, sweeps B once per shift with
+    ``accumulate_sweeps`` and restores the companion by one QR of Bbar P, as
+    a restart does after its truncation.  Returns B', Bbar', G, P and Gbar.
+    """
+    _refuse_degraded(B, Bbar)
+    Bp, G, P = accumulate_sweeps(B, shifts)
+    Gbar, Bbarp = _signed_qr(Bbar @ P)
+    return Bp, Bbarp, G, P, Gbar
+
+
+def reduced_pair(Bbar, ritz, l):
+    """The truncation of ``restart.thick_restart`` on a bare factor pair.
+
+    Truncates onto the l leading triplets of ``ritz``, the extraction of
+    {B, Bbar}, reduces with ``_reduce`` and restores the companion by one QR
+    of Bbar P.  Returns B', Bbar', G, P and Gbar.
+    """
+    Bp, G, P = _reduce(ritz, l)
+    Gbar, Bbarp = _signed_qr(Bbar @ P)
+    return Bp, Bbarp, G, P, Gbar
 
 
 def _mix_columns(M, j, c, s):
@@ -405,14 +431,14 @@ def _reference_upper_sweep(Bbar, right_rotations, Gbacc, zero_tol):
 
 
 def reference_sweeps(B, Bbar, shifts):
-    """``restart.accumulate_sweeps`` with every rotation applied to dense arrays.
+    """``swept_pair`` with every rotation applied to dense arrays.
 
     Each plane rotation mixes whole rows or columns of the factors and of the
     three accumulators, and off-pattern entries are measured and zeroed
     through boolean masks.  Slow, but every step is visible: the scalar
     chase must reproduce B' bit for bit, and the companion, chased here
     rotation by rotation on its band, checks Gbar independently of the one
-    QR of Bbar P that ``accumulate_sweeps`` takes.
+    QR of Bbar P that the restart takes.
     """
     B = np.array(B, dtype=np.float64)
     Bbar = np.array(Bbar, dtype=np.float64)
@@ -446,7 +472,7 @@ def reference_sweeps(B, Bbar, shifts):
     for step, lam in enumerate(shifts):
         rights = _reference_lower_sweep(B, float(lam), Gacc, Pacc)
         _reference_upper_sweep(Bbar, rights, Gbacc, base_tol * (step + 1))
-    return B, Bbar, SweepRotations(G=Gacc, P=Pacc, Gbar=Gbacc)
+    return B, Bbar, Gacc, Pacc, Gbacc
 
 
 def _padded_ell(offsets, row_ids, col_indices, values):

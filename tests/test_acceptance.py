@@ -22,15 +22,14 @@ from irjbd.bidiag import small_gsvd
 from irjbd.driver import extract_ritz, residual_bound_pq
 from irjbd.jbd import jbd_expand, jbd_init
 from irjbd.oracle import dense_gsvd, stack_qr
-from irjbd.restart import (_reduce, accumulate_sweeps, multi_step_implicit_restart,
-                           thick_restart)
+from irjbd.restart import accumulate_sweeps, thick_restart
 from irjbd.shifts import apply_adaptive_rule, select_exact_shifts
 from irjbd.sparsemat import identity, read_matrix_market, second_order_L
 from irjbd.stackedls import StackedOperator
 
 from conftest import (bidiagonal_parts, cross_residual_norm, dense_joint_lanczos,
                       explicit_shifted_qr, first_difference, lower_bidiagonal_pair,
-                      verify_state)
+                      reduced_pair, swept_pair, verify_state)
 
 
 def _report(name, ok, detail=""):
@@ -218,7 +217,7 @@ class TestAcceptance:
             worst = max(worst, verify_state(state, op).max_defect())
             ritz = small_gsvd(state.Bdense, state.Bbardense)
             if trial % 2 == 0:
-                new = multi_step_implicit_restart(state, ritz.C[-4:], 6)
+                new = thick_restart(state, ritz, 6, ritz.C[-4:])
             else:
                 new = thick_restart(state, ritz, 6)
             worst = max(worst, verify_state(new, op).max_defect())
@@ -236,9 +235,9 @@ class TestAcceptance:
         for k in (3, 5, 8):
             alphas = 0.2 + rng.random(k)
             betas = 0.2 + rng.random(k)
-            B, Bbar = lower_bidiagonal_pair(alphas, betas)
+            B, _ = lower_bidiagonal_pair(alphas, betas)
             for lam in (0.0, 0.4, 0.85):
-                G = accumulate_sweeps(B, Bbar, [lam])[2].G
+                G = accumulate_sweeps(B, [lam])[1]
                 Qr, _ = explicit_shifted_qr(B @ B.T, lam**2)
                 signs = np.sign(np.diagonal(G.T @ Qr))
                 worst_a = max(worst_a, float(np.max(np.abs(G - Qr * signs[None, :]))))
@@ -255,8 +254,9 @@ class TestAcceptance:
             u1 /= np.linalg.norm(u1)
             state = jbd_init(op, u1, capacity=8)
             jbd_expand(state, op, 8)
-            shifts = small_gsvd(state.Bdense, state.Bbardense).C[-3:]
-            new = multi_step_implicit_restart(state, shifts, 5)
+            ritz = small_gsvd(state.Bdense, state.Bbardense)
+            shifts = ritz.C[-3:]
+            new = thick_restart(state, ritz, 5, shifts)
             expected = u1
             for lam in shifts:
                 expected = (QA @ QA.T - lam**2 * np.eye(20)) @ expected
@@ -283,12 +283,12 @@ class TestAcceptance:
             signs[1::2] = -1.0
             Bbar = Bhat * signs[None, :]
             ritz = small_gsvd(B, Bbar)
-            Bp, Bbarp, red = _reduce(B, Bbar, ritz, 3)
-            Bc, Bbarc, chase = accumulate_sweeps(B, Bbar, ritz.C[3:])
-            G, P, Gbar = chase.G[:, :4], chase.P[:, :3], chase.Gbar[:, :3]
+            Bp, Bbarp, rG, rP, rGbar = reduced_pair(Bbar, ritz, 3)
+            Bc, Bbarc, cG, cP, cGbar = swept_pair(B, Bbar, ritz.C[3:])
+            G, P, Gbar = cG[:, :4], cP[:, :3], cGbar[:, :3]
             sg, sp, sgbar = (np.where(np.sum(got * want, axis=0) < 0.0, -1.0, 1.0)
-                             for got, want in ((red.G, G), (red.P, P), (red.Gbar, Gbar)))
-            for got, want in ((red.G, G * sg), (red.P, P * sp), (red.Gbar, Gbar * sgbar),
+                             for got, want in ((rG, G), (rP, P), (rGbar, Gbar)))
+            for got, want in ((rG, G * sg), (rP, P * sp), (rGbar, Gbar * sgbar),
                               (Bp, sg[:, None] * Bc[:4, :3] * sp),
                               (Bbarp, sgbar[:, None] * Bbarc[:3, :3] * sp)):
                 worst_d = max(worst_d, float(np.max(np.abs(got - want))))

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from irjbd.bidiag import givens, inverse_norm_estimates, small_gsvd
 from irjbd.oracle import stack_qr
-from irjbd.restart import CouplingDefectError, accumulate_sweeps
+from irjbd.restart import CouplingDefectError, thick_restart
 
-from conftest import dense_joint_lanczos
+from conftest import dense_joint_lanczos, expanded_state
 
 
 def random_joint_factors(rng, m, p, n, k):
@@ -140,10 +140,12 @@ class TestSmallGsvd:
 
     def test_identity_defect_flagged(self, rng):
         # the joint identity is policed where its loss would be amplified:
-        # the restart sweeps refuse the pair
-        B, Bbar = random_joint_factors(rng, 14, 12, 10, 6)
+        # a restart that would sweep refuses the pair
+        state, _, _, _ = expanded_state(rng, 14, 12, 10, 6)
+        ritz = small_gsvd(state.Bdense, state.Bbardense)
+        state.Bbardense[...] *= 1.001
         with pytest.raises(CouplingDefectError, match="too degraded"):
-            accumulate_sweeps(B, 1.001 * Bbar, [0.5])
+            thick_restart(state, ritz, 4, [0.5])
 
     def test_strict_interlacing_of_squared_values(self, rng):
         # the same unreduced run, viewed at consecutive sizes

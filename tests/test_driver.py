@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import irjbd.driver
 import irjbd.jbd
+import irjbd.restart
 import irjbd.stackedls
 from irjbd.bidiag import SmallGsvd, small_gsvd
 from irjbd.driver import (GsvdComponent, RitzSet, SolverConfig, check_convergence,
@@ -388,36 +391,47 @@ class TestAdaptiveKeep:
 
     @staticmethod
     def spy_restarts(monkeypatch):
-        """Record every restart call the driver makes, with its sizes."""
+        """Record every restart call the driver makes, with its sizes.
+
+        Each entry is (k, keep, r) and how often the call ran the degraded-
+        pair check, the companion QR and the state build.
+        """
         calls = []
+        inner = Counter()
         real_thick = irjbd.driver.thick_restart
-        real_sweeps = irjbd.driver.multi_step_implicit_restart
 
-        def spy_thick(state, ritz, l):
-            calls.append(("thick", state.k, l))
-            return real_thick(state, ritz, l)
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                inner[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        def spy_sweeps(state, shifts, l):
-            calls.append(("sweeps", state.k, len(shifts), l))
-            return real_sweeps(state, shifts, l)
+        for name in ("_refuse_degraded", "_signed_qr"):
+            monkeypatch.setattr(irjbd.restart, name, counted(name, getattr(irjbd.restart, name)))
+        monkeypatch.setattr(irjbd.jbd.JbdState, "restarted",
+                            counted("restarted", irjbd.jbd.JbdState.restarted))
+
+        def spy_thick(state, ritz, keep, shifts=()):
+            inner.clear()
+            try:
+                return real_thick(state, ritz, keep, shifts)
+            finally:
+                calls.append((state.k, keep, len(shifts), dict(inner)))
 
         monkeypatch.setattr(irjbd.driver, "thick_restart", spy_thick)
-        monkeypatch.setattr(irjbd.driver, "multi_step_implicit_restart", spy_sweeps)
         return calls
 
     @staticmethod
     def expected_calls(res, kmax):
-        # every restart truncates the full state onto keep + r triplets, r
-        # being the shifts the adaptive rule replaced (none in thick mode),
-        # and only when r > 0 sweeps those r shifts down to keep
+        # one call per restart truncates the full state onto keep + r
+        # triplets, r being the shifts the adaptive rule replaced (none in
+        # thick mode), and sweeps those r shifts down to keep; it checks the
+        # pair, takes the companion QR and builds the state once each
+        once = {"_refuse_degraded": 1, "_signed_qr": 1, "restarted": 1}
         expected = []
         for rec in res.history[1:]:
             assert len(rec.shifts_used) == kmax - rec.kept
-            if rec.kept + rec.shifts_replaced < kmax:
-                expected.append(("thick", kmax, rec.kept + rec.shifts_replaced))
-            if rec.shifts_replaced:
-                expected.append(("sweeps", rec.kept + rec.shifts_replaced,
-                                 rec.shifts_replaced, rec.kept))
+            expected.append((kmax, rec.kept, rec.shifts_replaced, once))
         return expected
 
     @pytest.mark.parametrize("mode", ["implicit", "thick"])
@@ -448,11 +462,12 @@ class TestAdaptiveKeep:
         res = irjbd_solve(A, L, SolverConfig(target=3, kmax=12, tol=1e-8, maxit=10))
         assert res.restarts == 10
         assert calls == self.expected_calls(res, 12)
-        assert any(call[0] == "sweeps" for call in calls)
+        # some restarts both truncate and sweep
+        assert any(r and keep + r < k for k, keep, r, _ in calls)
 
     def test_every_shift_replaced_truncates_nothing(self, monkeypatch):
         # when the rule replaces every shift there is nothing to truncate:
-        # the sweeps run on the full state
+        # each restart keeps every triplet and sweeps every shift
         calls = self.spy_restarts(monkeypatch)
         monkeypatch.setattr(irjbd.driver, "apply_adaptive_rule", lambda shifts, ritz, l: ShiftSet(
             np.zeros(len(shifts)), np.ones(len(shifts), dtype=bool)))
@@ -460,7 +475,7 @@ class TestAdaptiveKeep:
         res = irjbd_solve(A, L, SolverConfig(target=3, kmax=10, tol=1e-8, seed=1, maxit=5))
         assert res.restarts == 5
         assert calls == self.expected_calls(res, 10)
-        assert {call[0] for call in calls} == {"sweeps"}
+        assert all(keep + r == k for k, keep, r, _ in calls)
 
     @given(st.integers(-12, 12).filter(bool), st.integers(0, 30), st.integers(0, 12))
     @settings(max_examples=200, deadline=None)

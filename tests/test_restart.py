@@ -9,12 +9,11 @@ from irjbd.bidiag import small_gsvd
 from irjbd.driver import SolverConfig, extract_ritz
 from irjbd.jbd import jbd_expand, jbd_init
 from irjbd.oracle import stack_qr
-from irjbd.restart import (CouplingDefectError, _left_null_vector, _reduce, accumulate_sweeps,
-                           multi_step_implicit_restart, thick_restart)
+from irjbd.restart import CouplingDefectError, _left_null_vector, accumulate_sweeps, thick_restart
 
 from conftest import (bidiagonal_parts, expanded_state, explicit_shifted_qr,
-                      lower_bidiagonal_pair, reference_sweeps, rotation_band_defect,
-                      rotation_orthogonality_defect, verify_state)
+                      lower_bidiagonal_pair, reduced_pair, reference_sweeps, rotation_band_defect,
+                      rotation_orthogonality_defect, swept_pair, verify_state)
 from test_bidiag import random_joint_factors
 
 EPS = float(np.finfo(np.float64).eps)
@@ -38,75 +37,75 @@ def assert_canonical_companion(Bbar):
 
 class TestLowerSweep:
     def test_zero_shift_similarity(self):
-        B, Bbar = lower_bidiagonal_pair([0.6, 0.8], [0.3, 0.2])
-        Bp, _, rot = accumulate_sweeps(B, Bbar, [0.0])
+        B, _ = lower_bidiagonal_pair([0.6, 0.8], [0.3, 0.2])
+        Bp, _, P = accumulate_sweeps(B, [0.0])
         lhs = Bp.T @ Bp
-        rhs = rot.P.T @ (B.T @ B) @ rot.P
+        rhs = P.T @ (B.T @ B) @ P
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_transform_consistency(self, rng):
-        B, Bbar = random_lower_pair(rng, 6)
+        B, _ = random_lower_pair(rng, 6)
         lam = 0.4
-        Bp, _, rot = accumulate_sweeps(B, Bbar, [lam])
-        np.testing.assert_allclose(Bp, rot.G.T @ B @ rot.P, atol=1e-13)
-        np.testing.assert_allclose(rot.G.T @ rot.G, np.eye(7), atol=1e-13)
-        np.testing.assert_allclose(rot.P.T @ rot.P, np.eye(6), atol=1e-13)
+        Bp, G, P = accumulate_sweeps(B, [lam])
+        np.testing.assert_allclose(Bp, G.T @ B @ P, atol=1e-13)
+        np.testing.assert_allclose(G.T @ G, np.eye(7), atol=1e-13)
+        np.testing.assert_allclose(P.T @ P, np.eye(6), atol=1e-13)
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
     def test_left_transform_matches_explicit_qr(self, rng, k):
         # accumulated G vs the Householder Q-factor of B B^T - lam^2 I,
         # equal up to a column sign diagonal
-        B, Bbar = random_lower_pair(rng, k)
+        B, _ = random_lower_pair(rng, k)
         for lam in (0.0, 0.35, 0.9):
-            G = accumulate_sweeps(B, Bbar, [lam])[2].G
+            G = accumulate_sweeps(B, [lam])[1]
             Qr, _ = explicit_shifted_qr(B @ B.T, lam**2)
             signs = np.sign(np.diagonal(G.T @ Qr))
             np.testing.assert_allclose(G, Qr * signs[None, :], atol=1e-12)
 
     def test_recombination_matches_shifted_qr_step(self, rng):
         # B' B'^T equals the R Q + shift recombination of the explicit step
-        B, Bbar = random_lower_pair(rng, 5)
+        B, _ = random_lower_pair(rng, 5)
         lam = 0.5
-        Bp, _, rot = accumulate_sweeps(B, Bbar, [lam])
+        Bp, G, _ = accumulate_sweeps(B, [lam])
         Qr, Rr = explicit_shifted_qr(B @ B.T, lam**2)
-        signs = np.sign(np.diagonal(rot.G.T @ Qr))
+        signs = np.sign(np.diagonal(G.T @ Qr))
         D = np.diag(signs)
         recombined = D @ Rr @ Qr @ D + lam**2 * np.eye(6)
         np.testing.assert_allclose(Bp @ Bp.T, recombined, atol=1e-12)
 
     def test_k4_stays_lower_bidiagonal(self, rng):
-        B, Bbar = random_lower_pair(rng, 4)
-        Bp, _, _ = accumulate_sweeps(B, Bbar, [0.6])
+        B, _ = random_lower_pair(rng, 4)
+        Bp, _, _ = accumulate_sweeps(B, [0.6])
         bidiagonal_parts(Bp, tol=0.0)
 
     def test_shift_out_of_range(self, rng):
         with pytest.raises(ValueError):
-            accumulate_sweeps(*random_lower_pair(rng, 4), [1.5])
+            accumulate_sweeps(random_lower_pair(rng, 4)[0], [1.5])
         # a square B is rejected before any sweep, even with no shifts
-        B, Bbar = random_lower_pair(rng, 4)
+        B, _ = random_lower_pair(rng, 4)
         with pytest.raises(ValueError, match=r"\(k\+1\) x k"):
-            accumulate_sweeps(B[:4], Bbar, [])
+            accumulate_sweeps(B[:4], [])
 
     def test_reduced_input_sweeps_cleanly(self):
         # composed exact-shift sweeps must tolerate a vanished coupling
         B, Bbar = lower_bidiagonal_pair([0.6, 0.0, 0.5], [0.3, 0.2, 0.4])
-        Bp, _, rot = accumulate_sweeps(B, Bbar, [0.3])
-        assert rotation_orthogonality_defect(rot) < 1e-13
-        assert rotation_band_defect(rot, 1) == 0.0
-        assert np.linalg.norm(Bp - rot.G.T @ B @ rot.P) < 1e-13
+        Bp, _, G, P, Gbar = swept_pair(B, Bbar, [0.3])
+        assert rotation_orthogonality_defect((G, P, Gbar)) < 1e-13
+        assert rotation_band_defect((G, P, Gbar), 1) == 0.0
+        assert np.linalg.norm(Bp - G.T @ B @ P) < 1e-13
 
 
 class TestCoupledSweep:
     def test_joint_identity_preserved(self, rng):
         B, Bbar = random_joint_factors(rng, 14, 12, 10, 6)
         lam = 0.45
-        Bp, Bbarp, _ = accumulate_sweeps(B, Bbar, [lam])
+        Bp, Bbarp, *_ = swept_pair(B, Bbar, [lam])
         gram = Bp.T @ Bp + Bbarp.T @ Bbarp
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-10)
 
     def test_k4_shape_matches_coupled_diagram(self, rng):
         B, Bbar = random_joint_factors(rng, 10, 9, 7, 4)
-        _, Bbarp, _ = accumulate_sweeps(B, Bbar, [0.3])
+        _, Bbarp, *_ = swept_pair(B, Bbar, [0.3])
         assert_canonical_companion(Bbarp)
 
     @pytest.mark.parametrize("rule, k, draw", [("exact", 20, 0), ("exact", 40, 54),
@@ -130,7 +129,7 @@ class TestCoupledSweep:
             shifts = small_gsvd(B, Bbar).C[k - k // 2:]
         else:
             shifts = rng.random(int(rng.integers(1, k + 1)))
-        Bp, Bbarp, _ = accumulate_sweeps(B, Bbar, shifts)
+        Bp, Bbarp, *_ = swept_pair(B, Bbar, shifts)
         assert (joint_identity_defect(Bp, Bbarp)
                 <= 8.0 * max(joint_identity_defect(B, Bbar), EPS))
 
@@ -139,13 +138,13 @@ class TestAccumulatedSweeps:
     def test_band_structure_and_orthogonality(self, rng):
         B, Bbar = random_joint_factors(rng, 16, 14, 12, 8)
         shifts = [0.2, 0.5, 0.7]
-        _, _, rot = accumulate_sweeps(B, Bbar, shifts)
-        assert rotation_orthogonality_defect(rot) < 1e-13
-        assert rotation_band_defect(rot, len(shifts)) == 0.0
+        transforms = swept_pair(B, Bbar, shifts)[2:]
+        assert rotation_orthogonality_defect(transforms) < 1e-13
+        assert rotation_band_defect(transforms, len(shifts)) == 0.0
 
     def test_factors_exactly_bidiagonal(self, rng):
         B, Bbar = random_joint_factors(rng, 16, 14, 12, 8)
-        Bp, Bbarp, _ = accumulate_sweeps(B, Bbar, [0.3, 0.6])
+        Bp, Bbarp, *_ = swept_pair(B, Bbar, [0.3, 0.6])
         bidiagonal_parts(Bp, tol=0.0)
         assert_canonical_companion(Bbarp)
 
@@ -175,38 +174,38 @@ class TestScalarChase:
         shifts = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
                                     max_size=k))
         try:
-            ref_B, ref_Bbar, ref = reference_sweeps(B, Bbar, shifts)
+            ref_B, ref_Bbar, ref_G, ref_P, ref_Gbar = reference_sweeps(B, Bbar, shifts)
         except CouplingDefectError as err:
             if "decoupled" not in str(err):
                 with pytest.raises(CouplingDefectError) as raised:
-                    accumulate_sweeps(B, Bbar, shifts)
+                    swept_pair(B, Bbar, shifts)
                 assert str(raised.value) == str(err)
                 return
             # the chase's per-rotation residue checks end valid pairs on
             # rounding; one QR of Bbar P, kept whole, restores the companion
             # instead.  Over 4,000 lanczos draws with random shift lists its
             # output defect stayed within 4.0x the input's
-            Bp, Bbarp, _ = accumulate_sweeps(B, Bbar, shifts)
+            Bp, Bbarp, *_ = swept_pair(B, Bbar, shifts)
             assert (joint_identity_defect(Bp, Bbarp)
                     <= 8.0 * max(joint_identity_defect(B, Bbar), EPS))
             return
-        Bp, Bbarp, rot = accumulate_sweeps(B, Bbar, shifts)
+        Bp, Bbarp, G, P, Gbar = swept_pair(B, Bbar, shifts)
         np.testing.assert_array_equal(Bp, ref_B)
-        for got, want in ((rot.G, ref.G), (rot.P, ref.P)):
+        for got, want in ((G, ref_G), (P, ref_P)):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
-        signs = np.where(np.sum(rot.Gbar * ref.Gbar, axis=0) < 0.0, -1.0, 1.0)
+        signs = np.where(np.sum(Gbar * ref_Gbar, axis=0) < 0.0, -1.0, 1.0)
         atol = 1e-10 if kind == "lanczos" else 1e-14
         np.testing.assert_allclose(Bbarp, ref_Bbar * signs[:, None], rtol=0.0, atol=atol)
-        np.testing.assert_allclose(rot.Gbar, ref.Gbar * signs, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(Gbar, ref_Gbar * signs, rtol=0.0, atol=atol)
 
 
 def reduced_and_chased(k, seed, l, smallest):
     """One random_joint_factors pair restarted to l columns both ways.
 
-    ``_reduce`` truncates onto the l leading triplets of the extraction at
-    the wanted end, and ``accumulate_sweeps`` chases the same pair with the
-    other k - l values as exact shifts.  Returns the input pair and both
-    (B', Bbar', transforms) triples.
+    ``reduced_pair`` truncates onto the l leading triplets of the
+    extraction at the wanted end, and ``swept_pair`` chases the same pair
+    with the other k - l values as exact shifts.  Returns the input pair and
+    both (B', Bbar', G, P, Gbar) tuples.
     """
     rng = np.random.default_rng(seed)
     B, Bbar = random_joint_factors(rng, k + 4, k + 3, k + 2, k)
@@ -214,7 +213,7 @@ def reduced_and_chased(k, seed, l, smallest):
     if smallest:
         ritz = replace(ritz, C=ritz.C[::-1], S=ritz.S[::-1], W=ritz.W[:, ::-1],
                        P=ritz.P[:, ::-1], Pbar=ritz.Pbar[:, ::-1])
-    return (B, Bbar), _reduce(B, Bbar, ritz, l), accumulate_sweeps(B, Bbar, ritz.C[l:])
+    return (B, Bbar), reduced_pair(Bbar, ritz, l), swept_pair(B, Bbar, ritz.C[l:])
 
 
 class TestReduction:
@@ -231,12 +230,13 @@ class TestReduction:
         # 60,000 draws the gap reached 6.0e-11 at the largest end and
         # 2.5e-9 at the smallest, and exceeded 4 |B'[l, l]| by 7.8e-11
         l = data.draw(st.integers(1, k - 1))
-        _, (Bp, Bbarp, red), (Bc, Bbarc, chase) = reduced_and_chased(k, seed, l, smallest)
-        G, P, Gbar = chase.G[:, : l + 1], chase.P[:, :l], chase.Gbar[:, :l]
+        (_, (Bp, Bbarp, rG, rP, rGbar),
+         (Bc, Bbarc, cG, cP, cGbar)) = reduced_and_chased(k, seed, l, smallest)
+        G, P, Gbar = cG[:, : l + 1], cP[:, :l], cGbar[:, :l]
         sg, sp, sgbar = (np.where(np.sum(got * want, axis=0) < 0.0, -1.0, 1.0)
-                         for got, want in ((red.G, G), (red.P, P), (red.Gbar, Gbar)))
+                         for got, want in ((rG, G), (rP, P), (rGbar, Gbar)))
         atol = 2e-10 + 4.0 * abs(Bc[l, l])
-        for got, want in ((red.G, G * sg), (red.P, P * sp), (red.Gbar, Gbar * sgbar),
+        for got, want in ((rG, G * sg), (rP, P * sp), (rGbar, Gbar * sgbar),
                           (Bp, sg[:, None] * Bc[: l + 1, :l] * sp),
                           (Bbarp, sgbar[:, None] * Bbarc[:l, :l] * sp)):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
@@ -252,7 +252,7 @@ class TestReduction:
         # input defect exceeded 1e-14); the clustered diagonal pair's 1,000
         # implicit restarts grew it at most 8x per restart, to 2.0e-13
         l = data.draw(st.integers(1, k - 1))
-        (B, Bbar), (Bp, Bbarp, _), _ = reduced_and_chased(k, seed, l, smallest)
+        (B, Bbar), (Bp, Bbarp, *_), _ = reduced_and_chased(k, seed, l, smallest)
         bidiagonal_parts(Bp, tol=0.0)
         assert np.all(Bp >= 0.0) and np.all(np.diagonal(Bbarp) >= 0.0)
         assert np.all(np.tril(Bbarp, -1) == 0.0)
@@ -280,37 +280,61 @@ class TestLeftNullVector:
             assert np.linalg.norm(P.T @ q) <= 8.0 * EPS
 
 
+def start_filter_error(new, QA, u1, values):
+    """Distance, up to sign, from the restarted start to u1 filtered at ``values``.
+
+    The filter is the product of (Q_A Q_A^T - v^2 I) over ``values``.
+    """
+    expected = u1
+    for v in values:
+        expected = (QA @ QA.T - v**2 * np.eye(len(u1))) @ expected
+    expected /= np.linalg.norm(expected)
+    got = new.U[:, 0]
+    return min(np.linalg.norm(got - expected), np.linalg.norm(got + expected))
+
+
 class TestMultiStepRestart:
+    """Restarts that sweep shifts, the paper's multi-step implicit restart."""
+
     def test_single_shift_filters_starting_vector(self, rng):
         state, op, Ad, Ld = expanded_state(rng, 16, 14, 10, 6)
         Q, _ = stack_qr(Ad, Ld)
-        QA = Q[:16]
-        lam = float(small_gsvd(state.Bdense, state.Bbardense).C[-1])
+        ritz = small_gsvd(state.Bdense, state.Bbardense)
+        lam = float(ritz.C[-1])
         u1 = state.U[:, 0].copy()
-        new = multi_step_implicit_restart(state, [lam], 5)
-        expected = (QA @ QA.T - lam**2 * np.eye(16)) @ u1
-        expected /= np.linalg.norm(expected)
-        got = new.U[:, 0]
-        assert min(np.linalg.norm(got - expected), np.linalg.norm(got + expected)) < 1e-8
+        new = thick_restart(state, ritz, 5, [lam])
+        assert start_filter_error(new, Q[:16], u1, [lam]) < 1e-8
 
     def test_multi_shift_polynomial_filter(self, rng):
         state, op, Ad, Ld = expanded_state(rng, 16, 14, 10, 7)
         Q, _ = stack_qr(Ad, Ld)
-        QA = Q[:16]
-        shifts = small_gsvd(state.Bdense, state.Bbardense).C[-3:]
+        ritz = small_gsvd(state.Bdense, state.Bbardense)
+        shifts = ritz.C[-3:]
         u1 = state.U[:, 0].copy()
-        new = multi_step_implicit_restart(state, shifts, 4)
-        expected = u1
-        for lam in shifts:
-            expected = (QA @ QA.T - lam**2 * np.eye(16)) @ expected
-        expected /= np.linalg.norm(expected)
-        got = new.U[:, 0]
-        assert min(np.linalg.norm(got - expected), np.linalg.norm(got + expected)) < 1e-8
+        new = thick_restart(state, ritz, 4, shifts)
+        assert start_filter_error(new, Q[:16], u1, shifts) < 1e-8
+
+    def test_truncation_and_sweeps_in_one_call(self, rng):
+        # keep + r < k: the call purges the trailing k - keep - r values by
+        # truncation and sweeps r non-Ritz shifts (the adaptive rule's 0 and
+        # another) out of the kept part, so the start is filtered at both
+        state, op, Ad, Ld = expanded_state(rng, 16, 14, 10, 7)
+        Q, _ = stack_qr(Ad, Ld)
+        ritz = small_gsvd(state.Bdense, state.Bbardense)
+        keep, shifts = 3, [0.0, 0.35]
+        u1 = state.U[:, 0].copy()
+        new = thick_restart(state, ritz, keep, shifts)
+        assert new.k == keep
+        purged = ritz.C[keep + len(shifts):]
+        assert start_filter_error(new, Q[:16], u1, list(purged) + shifts) < 1e-8
+        assert verify_state(new, op).max_defect() < 1e-9
+        jbd_expand(new, op, 7)
+        assert verify_state(new, op).max_defect() < 1e-9
 
     def test_restarted_state_passes_invariants(self, rng):
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
-        shifts = small_gsvd(state.Bdense, state.Bbardense).C[-3:]
-        new = multi_step_implicit_restart(state, shifts, 4)
+        ritz = small_gsvd(state.Bdense, state.Bbardense)
+        new = thick_restart(state, ritz, 4, ritz.C[-3:])
         assert verify_state(new, op).max_defect() < 1e-9
         jbd_expand(new, op, 7)
         assert verify_state(new, op).max_defect() < 1e-9
@@ -321,10 +345,11 @@ class TestMultiStepRestart:
         state, op, Ad, Ld = expanded_state(rng, 16, 14, 10, 6)
         Q, _ = stack_qr(Ad, Ld)
         QA = Q[:16]
-        shifts = small_gsvd(state.Bdense, state.Bbardense).C[-2:]
+        ritz = small_gsvd(state.Bdense, state.Bbardense)
+        shifts = ritz.C[-2:]
         u1 = state.U[:, 0].copy()
         l = 4
-        new = multi_step_implicit_restart(state, shifts, l)
+        new = thick_restart(state, ritz, l, shifts)
 
         filtered = u1
         for lam in shifts:
@@ -339,16 +364,26 @@ class TestMultiStepRestart:
             sv = np.linalg.svd(Mn.T @ Mf, compute_uv=False)
             assert np.max(np.abs(sv - 1.0)) < 1e-6
 
-    def test_no_shift_warns_and_returns_state(self, rng):
-        # keeping every column leaves no shift: refused like any l >= k
+    def test_refuses_what_cannot_restart(self, rng):
+        # keep < 1, keep + r > k, keep = k without a shift (nothing to
+        # purge), an extraction of another size and an exhausted state
         state, _, _, _ = expanded_state(rng, 16, 14, 10, 6)
-        with pytest.raises(ValueError, match="1 <= l < k"):
-            multi_step_implicit_restart(state, [], 6)
+        ritz = small_gsvd(state.Bdense, state.Bbardense)
+        for keep, shifts in ((0, [0.3]), (5, [0.3, 0.4]), (6, [])):
+            with pytest.raises(ValueError, match="1 <= keep < k"):
+                thick_restart(state, ritz, keep, shifts)
+        other = small_gsvd(state.Bdense[:6, :5], state.Bbardense[:5, :5])
+        with pytest.raises(ValueError, match="extraction size"):
+            thick_restart(state, other, 3)
+        state.exhausted = True
+        with pytest.raises(ValueError, match="exhausted"):
+            thick_restart(state, ritz, 3, [0.3])
 
     def test_shift_count_validation(self, rng):
         state, _, _, _ = expanded_state(rng, 16, 14, 10, 6)
+        ritz = small_gsvd(state.Bdense, state.Bbardense)
         with pytest.raises(ValueError):
-            multi_step_implicit_restart(state, [0.3, 0.4], 5)
+            thick_restart(state, ritz, 5, [0.3, 0.4])
 
 
 class TestThickRestart:
