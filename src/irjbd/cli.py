@@ -83,7 +83,7 @@ def _format_report(args, A, L, l_label, result, elapsed):
     put(f"adjust {args.adjust}")
     put(f"tol {args.tol:.17g}")
     put(f"maxit {args.maxit}")
-    put(f"lsqr_tol {StackedOperator.default_tol:.17g}")
+    put(f"lsqr_tol {StackedOperator.default_tol(args.tol):.17g}")
     put(f"lsqr_maxit {StackedOperator.default_maxit(A.ncols)}")
     put(f"restart_mode {args.restart_mode}")
     put(f"matrix_a {args.A} rows {A.nrows} cols {A.ncols} nnz {A.nnz}")

@@ -58,6 +58,11 @@ class SolverConfig:
     ``target`` is signed: +l asks for the l largest components, -l for the
     l smallest.
 
+    ``tol`` is the outer tolerance: a component's bound converges below it,
+    and its recovered relative residual must be at most it.  It also sets
+    the inner least-squares tolerance, ``StackedOperator.default_tol(tol)``
+    = max(10 eps, tol / 100); there is no separate knob for it.
+
     ``adjust`` is the base number of extra kept directions: a restart keeps
     l + adjust columns while no wanted value has converged, and one more per
     converged wanted value, up to half the kmax - l - adjust shifts (see
@@ -283,6 +288,7 @@ def irjbd_solve(A, L, cfg):
     Returns a SolveResult.
     """
     op = StackedOperator(A, L)
+    op.tol = op.default_tol(cfg.tol)
     l = cfg.l
 
     rng = np.random.default_rng(cfg.seed)

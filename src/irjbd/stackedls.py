@@ -14,9 +14,13 @@ then has orthonormal columns up to rounding and every solve converges in
 one or two iterations.  Otherwise, or when that factor is not numerically
 nonsingular, M = D.  Either way range([A; L] M) = range([A; L]).  The
 operator owns the inner-solve controls and counts the work of every solve
-made through it.  The per-iteration products with M and the norms call
-``ndarray.dot``: at n = 200 the ``@`` operator's dispatch costs about as
-much as the arithmetic, and the results are the same.
+made through it.  A solve need only be accurate relative to the outer
+tolerance ``tol`` of the GSVD, not to the last bit, so its stopping
+tolerance is ``StackedOperator.default_tol(tol)`` = max(10 eps, tol / 100);
+an operator built on its own starts at the floor, 10 eps.  The
+per-iteration products with M and the norms call ``ndarray.dot``: at
+n = 200 the ``@`` operator's dispatch costs about as much as the
+arithmetic, and the results are the same.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ __all__ = ["StackedOperator", "LsqrOutcome", "lsqr_solve", "stack_norm_estimate"
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+
+# the inner tolerance an operator starts at, and the lowest default_tol gives
+_TOL_FLOOR = 10.0 * _EPS
 
 # largest dense right preconditioner, in bytes, an operator keeps (n <= 512)
 _FACTOR_BYTES = 2 * 1024 * 1024
@@ -161,14 +168,12 @@ class StackedOperator:
     [A; L] D) when the n x n map fits under ``_FACTOR_BYTES`` and R is
     numerically nonsingular, and D otherwise.
     ``rnorm_estimate`` is ``stack_norm_estimate(A, L)``, computed once.
-    The operator also holds the inner-solve controls — ``tol``
-    (``default_tol``, 10 eps) and ``maxit`` (``default_maxit(n)``, 10 n),
-    either of which may be reset after construction — and two counters,
-    ``iterations`` and ``failures``, that every ``lsqr_solve`` through it
-    adds to.
+    The operator also holds the inner-solve controls — ``tol`` (10 eps;
+    ``irjbd_solve`` resets it to ``default_tol`` of its outer tolerance)
+    and ``maxit`` (``default_maxit(n)``, 10 n), either of which may be reset
+    after construction — and two counters, ``iterations`` and
+    ``failures``, that every ``lsqr_solve`` through it adds to.
     """
-
-    default_tol = 10.0 * _EPS
 
     def __init__(self, A, L):
         if A.ncols != L.ncols:
@@ -180,7 +185,7 @@ class StackedOperator:
         self.m = A.nrows
         self.p = L.nrows
         self.n = A.ncols
-        self.tol = self.default_tol
+        self.tol = _TOL_FLOOR
         self.maxit = self.default_maxit(self.n)
         self.iterations = 0
         self.failures = 0
@@ -215,6 +220,16 @@ class StackedOperator:
         if 8 * self.n * self.n <= _FACTOR_BYTES:
             self._factor = self._inverse_cholesky_factor(offsets, row_ids, col_indices,
                                                          values)
+
+    @staticmethod
+    def default_tol(tol):
+        """The inner tolerance for an outer tolerance ``tol``: max(10 eps, tol / 100).
+
+        The residual bounds of the outer iteration hold in finite precision,
+        so an inner solve need only be accurate relative to ``tol``; 10 eps
+        is the floor for a ``tol`` below about 2.2e-13.
+        """
+        return max(_TOL_FLOOR, tol / 100.0)
 
     @staticmethod
     def default_maxit(n):
@@ -368,7 +383,9 @@ def lsqr_solve(op, rhs):
     comes from the recurrence of Paige & Saunders (1982) that rotates the
     bidiagonal factor from the right.  It stops when either backward-error
     test (compatible-system or least-squares) of the preconditioned system
-    falls below ``op.tol``, which serves as both atol and btol.
+    falls below ``op.tol``, which serves as both atol and btol;
+    ``irjbd_solve`` sets it to ``StackedOperator.default_tol`` of its outer
+    tolerance.
     Non-convergence within ``op.maxit`` is reported through the flag, never
     raised: ill conditioning can legitimately push the iteration count past
     n.  The iteration count and any non-convergence are added to the

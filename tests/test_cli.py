@@ -115,12 +115,13 @@ class TestRuns:
     def test_thick_mode_and_inner_solver_flags(self, diag_matrix_file, capsys):
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "2",
                         "--kmax", "4", "--adjust", "1", "--restart-mode", "thick",
-                        "--seed", "3"])
+                        "--seed", "3", "--tol", "1e-6"])
         out = capsys.readouterr().out
         assert code == 0
         assert "restart_mode thick" in out
-        # the inner tolerance and cap are no knobs; the report keeps their lines
-        assert f"\nlsqr_tol {StackedOperator.default_tol:.17g}\n" in out
+        # the inner tolerance and cap are no knobs; the report keeps their
+        # lines, the tolerance the one derived from --tol: 1e-6 / 100
+        assert "\nlsqr_tol 1e-08\n" in out
         assert "\nlsqr_maxit 50\n" in out
 
     def test_partial_run_exits_two(self, diag_matrix_file, capsys):

@@ -285,6 +285,31 @@ class TestSolverLoop:
         np.testing.assert_allclose([c.c for c in res.components],
                                    ref.C[ref.nontrivial_slice()][:3], rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize("target", [3, -3])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_inner_tolerance_follows_tol(self, monkeypatch, target, tol):
+        # on the diagonal preconditioner, where an inner solve takes tens of
+        # iterations, the inner tolerance derived from tol saves some of
+        # them; the restarts, the values and the certification stay as with
+        # every inner solve run to 10 eps
+        monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
+        rng = np.random.default_rng(0)
+        Ad, Ld = rng.standard_normal((60, 40)), second_order_L(40).to_dense()
+        A, L = SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld)
+        cfg = SolverConfig(target=target, kmax=12, tol=tol, seed=1, maxit=300)
+        res = irjbd_solve(A, L, cfg)
+        monkeypatch.setattr(StackedOperator, "default_tol",
+                            staticmethod(lambda _: 10 * irjbd.driver.EPS))
+        floor = irjbd_solve(A, L, cfg)
+        assert res.status == floor.status == "converged"
+        ref = dense_gsvd(Ad, Ld)
+        want = ref.C[ref.nontrivial_slice()]
+        want = want[:3] if target > 0 else want[::-1][:3]
+        np.testing.assert_allclose([c.c for c in res.components], want, rtol=0, atol=1e-12)
+        assert all(c.relative_residual <= tol for c in res.components)
+        assert res.lsqr_iterations < floor.lsqr_iterations
+        assert res.restarts == floor.restarts
+
     def test_lsqr_counts_include_recovery(self, rng, monkeypatch):
         """The result counts every inner solve of the run; recovery adds none."""
         # every inner solve goes through the name bound in jbd (the driver's

@@ -778,6 +778,12 @@ def test_stack_norm_estimate_bounds_spectral_norm(rng):
     assert est >= true - 1e-12
 
 
+def test_inner_tolerance_rule():
+    # a hundredth of the outer tolerance, floored at 10 eps
+    assert StackedOperator.default_tol(1e-8) == 1e-10
+    assert StackedOperator.default_tol(1e-14) == 10 * EPS
+
+
 def test_operator_defaults_and_counters(rng, monkeypatch):
     # on the diagonal preconditioner, where a cap of 2 iterations fails
     monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
