@@ -92,6 +92,7 @@ def _format_report(args, A, L, l_label, result, elapsed):
     put(f"restarts {result.restarts}")
     put(f"lsqr_iterations_total {result.lsqr_iterations}")
     put(f"lsqr_failures {result.lsqr_failures}")
+    put(f"lsqr_defect {result.lsqr_defect:.6e}")
     put(f"components {len(result.components)}")
     for i, comp in enumerate(result.components, start=1):
         put(f"component {i} c {comp.c:.17g} s {comp.s:.17g} value {comp.value:.17g} "

@@ -21,7 +21,7 @@ recovered residual certifies a component.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -181,6 +181,8 @@ class SolveResult:
     non-convergences of every inner solve.  Only the expansion makes inner
     solves, and neither a refused restart nor recovery makes any, so a run
     with a history has ``lsqr_iterations == history[-1].lsqr_iters_total``.
+    ``lsqr_defect`` is the operator's ``defect``: a bound on how far
+    [A; L] M is from orthonormal columns, inf on the diagonal path.
     """
 
     components: list
@@ -192,6 +194,7 @@ class SolveResult:
     restarts: int = 0
     lsqr_iterations: int = 0
     lsqr_failures: int = 0
+    lsqr_defect: float = inf
 
 
 def residual_bound_pq(small, alpha_next, betabar):
@@ -309,7 +312,7 @@ def irjbd_solve(A, L, cfg):
         if state is None or state.k == 0:
             return SolveResult([], [], "breakdown", message=_note_failures(str(exc), op),
                                seed=cfg.seed, lsqr_iterations=op.iterations,
-                               lsqr_failures=op.failures)
+                               lsqr_failures=op.failures, lsqr_defect=op.defect)
         broken = exc
 
     # one extraction per pass, and a restart counts once its state is
@@ -398,6 +401,7 @@ def irjbd_solve(A, L, cfg):
         restarts=restarts,
         lsqr_iterations=op.iterations,
         lsqr_failures=op.failures,
+        lsqr_defect=op.defect,
     )
 
 

@@ -10,9 +10,13 @@ implemented natively on the operator and runs on [A; L] M for a right
 preconditioner M built once with the operator.  When the dense n x n map
 fits under ``_FACTOR_BYTES``, M = D R^-1, with D the scaling to unit column
 norms and R the Cholesky factor of the Gram matrix of [A; L] D: [A; L] M
-then has orthonormal columns up to rounding and every solve converges in
-one or two iterations.  Otherwise, or when that factor is not numerically
-nonsingular, M = D.  Either way range([A; L] M) = range([A; L]).  The
+then has orthonormal columns up to a defect F = ([A; L] M)^T [A; L] M - I,
+and every solve converges in one or two iterations.  The operator bounds
+||F||_2 once, as ``defect``, and a solve whose stopping test already passes
+on the bound that ``defect`` gives LSQR's second alpha stops after one
+iteration without the product pair that would compute it.  Otherwise, or
+when that factor is not numerically nonsingular, M = D and ``defect`` is
+inf.  Either way range([A; L] M) = range([A; L]).  The
 operator owns the inner-solve controls and counts the work of every solve
 made through it.  A solve need only be accurate relative to the outer
 tolerance ``tol`` of the GSVD, not to the last bit, so its stopping
@@ -26,7 +30,7 @@ arithmetic, and the results are the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, isfinite, sqrt
+from math import hypot, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -42,6 +46,9 @@ _TOL_FLOOR = 10.0 * _EPS
 
 # largest dense right preconditioner, in bytes, an operator keeps (n <= 512)
 _FACTOR_BYTES = 2 * 1024 * 1024
+
+# probe columns of the orthonormality defect estimate (fewer when n is smaller)
+_PROBES = 8
 
 
 def stack_norm_estimate(A, L):
@@ -166,7 +173,9 @@ class StackedOperator:
     under which ``lsqr_solve`` iterates is built here once: D R^-1
     (D = diag(``scale``), R the Cholesky factor of the Gram matrix of
     [A; L] D) when the n x n map fits under ``_FACTOR_BYTES`` and R is
-    numerically nonsingular, and D otherwise.
+    numerically nonsingular, and D otherwise.  ``defect`` bounds how far
+    [A; L] M is from orthonormal columns (``_orthonormality_defect``); it is
+    inf for M = D.
     ``rnorm_estimate`` is ``stack_norm_estimate(A, L)``, computed once.
     The operator also holds the inner-solve controls — ``tol`` (10 eps;
     ``irjbd_solve`` resets it to ``default_tol`` of its outer tolerance)
@@ -216,10 +225,12 @@ class StackedOperator:
         # diagonal falls back to M = D
         self.scale = np.ones(self.n)
         np.divide(1.0, colnorm, out=self.scale, where=colnorm >= _TINY)
-        self._factor = None
+        self._factor, self.defect = None, inf
         if 8 * self.n * self.n <= _FACTOR_BYTES:
             self._factor = self._inverse_cholesky_factor(offsets, row_ids, col_indices,
                                                          values)
+        if self._factor is not None:
+            self.defect = self._orthonormality_defect()
 
     @staticmethod
     def default_tol(tol):
@@ -257,6 +268,29 @@ class StackedOperator:
         except np.linalg.LinAlgError:
             return None
         return factor if np.all(np.isfinite(factor)) else None
+
+    def _orthonormality_defect(self):
+        """delta >= ||F||_2 for F = ([A; L] M)^T [A; L] M - I, with the
+        rounding of one LSQR product pair, or inf.
+
+        [A; L] M has orthonormal columns up to F.  est estimates ||F||_F by
+        Hutchinson's (1989) estimator on k = min(n, ``_PROBES``) orthonormal
+        fixed-seed probe columns Q: (n / k) ||F Q||_F^2 has mean ||F||_F^2
+        >= ||F||_2^2, and equals it when k = n.  F Q is formed by the
+        products LSQR makes, M^T [A; L]^T [A; L] M Q - Q, so est carries
+        their rounding and that of the Gram matrix, which R^-1 amplifies on
+        a graded stack.  delta = 2 est + 4 n eps: twice est for the spread of
+        the probes, plus a multiple of the n eps rounding of a product pair
+        that est need not show (at n = 1, F is 0 in exact arithmetic).
+        """
+        n = self.n
+        probes = np.linalg.qr(np.random.default_rng(0).standard_normal((n, min(n, _PROBES))))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = np.stack([self.apply_transpose(self.apply(column))
+                               for column in self._factor.dot(probes).T], axis=1)
+            residual = self._factor.T.dot(images) - probes
+            estimate = sqrt(float(np.vdot(residual, residual)) * n / probes.shape[1])
+        return 2.0 * estimate + 4.0 * n * _EPS if isfinite(estimate) else inf
 
     def _equilibrated_gram(self, offsets, row_ids, col_indices, values):
         """(S^T S) for S = [A; L] D, given by its entries in CSR order.
@@ -385,7 +419,14 @@ def lsqr_solve(op, rhs):
     test (compatible-system or least-squares) of the preconditioned system
     falls below ``op.tol``, which serves as both atol and btol;
     ``irjbd_solve`` sets it to ``StackedOperator.default_tol`` of its outer
-    tolerance.
+    tolerance.  The test runs once beta_{i+1} is known, before the product
+    pair that gives alpha_{i+1}: x_i and the compatible-system test do not
+    depend on alpha_{i+1}, and the least-squares test grows with it.  At the
+    first iteration alpha_2 <= ``op.defect`` / beta_2, because alpha_2 v_2 =
+    (I - v_1 v_1^T) F v_1 / beta_2 for the operator's defect F, so the test
+    is first tried with that bound in place of alpha_2.  If it passes, the
+    solve returns x_1, the x the full test would return, after one product
+    pair; otherwise the pair runs and the test is made as usual.
     Non-convergence within ``op.maxit`` is reported through the flag, never
     raised: ill conditioning can legitimately push the iteration count past
     n.  The iteration count and any non-convergence are added to the
@@ -453,18 +494,11 @@ def lsqr_solve(op, rhs):
         if beta > 0.0:
             u /= beta
             anorm = sqrt(anorm**2 + alfa**2 + beta**2)
-            v *= -beta
-            v += op._precondition_transpose(op.apply_transpose(u))
-            alfa = sqrt(v.dot(v))
-            if alfa > 0.0:
-                v /= alfa
 
         # rotate out the subdiagonal of the growing bidiagonal factor
         rho = sqrt(rhobar**2 + beta**2)
         cs = rhobar / rho
         sn = beta / rho
-        theta = sn * alfa
-        rhobar = -cs * alfa
         phi = cs * phibar
         phibar = sn * phibar
 
@@ -473,26 +507,45 @@ def lsqr_solve(op, rhs):
             mv += mw
         mw = mv
         x += (phi / rho) * mw
-        ratio = theta / rho
 
-        # ||y|| by rotating the super-diagonal theta out from the right
+        # ||y|| by rotating the super-diagonal theta out from the right; its
+        # first half needs only rho
         delta = sn2 * rho
         gambar = -cs2 * rho
         rhs_z = phi - delta * z
         zbar = rhs_z / gambar
         xnorm = sqrt(xxnorm + zbar * zbar)
+
+        # neither x nor test1 depends on the next alfa, and test2 grows with
+        # it: at the first iteration alfa_2 <= op.defect / beta_2, so a test
+        # that passes on that bound spares the second product pair
+        rnorm = phibar
+        test1 = rnorm / bnorm
+        rtol = tol + tol * anorm * xnorm / bnorm
+        if test1 <= rtol or itn == 1 and beta > 0.0 and (
+                op.defect / beta * abs(sn * phi) / (anorm * rnorm + _EPS) <= tol):
+            converged = True
+            break
+
+        if beta > 0.0:
+            v *= -beta
+            v += op._precondition_transpose(op.apply_transpose(u))
+            alfa = sqrt(v.dot(v))
+            if alfa > 0.0:
+                v /= alfa
+        theta = sn * alfa
+        rhobar = -cs * alfa
+        ratio = theta / rho
+
         gamma = sqrt(gambar * gambar + theta * theta)
         cs2 = gambar / gamma
         sn2 = theta / gamma
         z = rhs_z / gamma
         xxnorm += z * z
 
-        rnorm = phibar
         arnorm = alfa * abs(sn * phi)
-        test1 = rnorm / bnorm
         test2 = arnorm / (anorm * rnorm + _EPS)
-        rtol = tol + tol * anorm * xnorm / bnorm
-        if test1 <= rtol or test2 <= tol:
+        if test2 <= tol:
             converged = True
             break
 

@@ -33,6 +33,51 @@ def first_difference(n):
     return np.eye(n - 1, n, k=1) - np.eye(n - 1, n)
 
 
+def reflexive_blur(n, sigma, half_width):
+    """The dense n x n Gaussian blur with reflexive boundaries, and its eigenvalues.
+
+    Row i spreads over columns i - half_width .. i + half_width with weights
+    exp(-t^2 / (2 sigma^2)) summing to 1; a column past either end reflects
+    back about the half sample (column -1 is column 0).  Such a matrix is
+    diagonalized by the DCT-II basis cos(pi k (j + 1/2) / n), with
+    eigenvalue sum_t h_t cos(pi k t / n) for basis vector k (Ng, Chan &
+    Tang, 1999).  Needs half_width < n.
+    """
+    t = np.arange(-half_width, half_width + 1)
+    h = np.exp(-0.5 * (t / sigma) ** 2)
+    h /= h.sum()
+    A = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), len(t))
+    cols = rows + np.tile(t, n)
+    cols = np.where(cols < 0, -cols - 1, np.where(cols >= n, 2 * n - cols - 1, cols))
+    np.add.at(A, (rows, cols), np.tile(h, n))
+    eigenvalues = h @ np.cos(np.pi * np.outer(t, np.arange(n)) / n)
+    return A, eigenvalues
+
+
+def deblur_2d_pair(ny, nx, sigma_y, sigma_x, half_width=3, shift=0.1):
+    """(A, L, c) for 2-D deblurring on an ny x nx grid, the image row-major.
+
+    A = A_y kron A_x for ``reflexive_blur`` factors, and L = [I kron D_x;
+    D_y kron I], the 2-D first-difference gradient (its null space is the
+    constants), plus the rows ``shift`` I when shift is nonzero.  The DCT-II
+    basis diagonalizes A^T A, with eigenvalues a_i^2 a_j^2, and L^T L, with
+    mu_i + mu_j + shift^2 for the Neumann Laplacian's mu_k = 2 - 2
+    cos(pi k / n); so c_ij = |a_i a_j| / sqrt(a_i^2 a_j^2 + mu_i + mu_j +
+    shift^2).  c is returned in decreasing order.
+    """
+    Ay, ay = reflexive_blur(ny, sigma_y, half_width)
+    Ax, ax = reflexive_blur(nx, sigma_x, half_width)
+    blocks = [np.kron(np.eye(ny), first_difference(nx)), np.kron(first_difference(ny), np.eye(nx))]
+    if shift:
+        blocks.append(shift * np.eye(ny * nx))
+    mu_y = 2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)
+    mu_x = 2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx)
+    blur = np.abs(np.outer(ay, ax))
+    c = blur / np.sqrt(blur**2 + mu_y[:, None] + mu_x[None, :] + shift**2)
+    return np.kron(Ay, Ax), np.vstack(blocks), np.sort(c.ravel())[::-1]
+
+
 def dense_joint_lanczos(QA, QL, u1, k, reorth=True):
     """Explicit lower/upper Lanczos bidiagonalizations of the Q blocks.
 

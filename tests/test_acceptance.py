@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+import irjbd.jbd
 from irjbd import SolverConfig, SparseMatrix, irjbd_solve
 from irjbd.bidiag import small_gsvd
 from irjbd.driver import extract_ritz, residual_bound_pq
@@ -27,8 +28,8 @@ from irjbd.shifts import apply_adaptive_rule, select_exact_shifts
 from irjbd.sparsemat import identity, read_matrix_market, second_order_L
 from irjbd.stackedls import StackedOperator
 
-from conftest import (bidiagonal_parts, cross_residual_norm, dense_joint_lanczos,
-                      explicit_shifted_qr, first_difference, lower_bidiagonal_pair,
+from conftest import (bidiagonal_parts, cross_residual_norm, deblur_2d_pair,
+                      dense_joint_lanczos, explicit_shifted_qr, first_difference, lower_bidiagonal_pair,
                       reduced_pair, swept_pair, verify_state)
 
 
@@ -538,3 +539,39 @@ class TestAcceptance:
         ok = res.status == "converged" and bound < 1e-8 and 8 <= res.restarts <= 26
         _report("large-scale reproduction (5 largest, kmax 25)",
                 ok, f"restarts {res.restarts}, max bound {bound:.2e}")
+
+
+class TestDeblurring2D:
+    """The 2-D deblurring pair, whose values the DCT gives in closed form."""
+
+    @pytest.mark.parametrize("grid", [(4, 3, 1.3, 0.9), (5, 6, 0.8, 1.5), (8, 7, 1.3, 0.9)])
+    @pytest.mark.parametrize("shift", [0.1, 0.0])
+    def test_closed_form_matches_dense_gsvd(self, grid, shift):
+        ny, nx, sigma_y, sigma_x = grid
+        A, L, c = deblur_2d_pair(ny, nx, sigma_y, sigma_x, min(3, nx - 1), shift)
+        ref = dense_gsvd(A, L)
+        # without the shift the constants make c = 1 once
+        assert (c[0] == 1.0) == (shift == 0.0)
+        np.testing.assert_allclose(np.sort(ref.C)[::-1], c, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("mode", ["implicit", "thick"])
+    def test_largest_values_on_a_12_by_10_grid(self, mode, monkeypatch):
+        # n = 120 takes the factored path: every inner solve stops after one
+        # iteration on the defect bound, so it makes one M^T product only
+        A, L, c = deblur_2d_pair(12, 10, 1.3, 0.9)
+        solves, transposes = [], []
+        solve = irjbd.jbd.lsqr_solve
+        monkeypatch.setattr(irjbd.jbd, "lsqr_solve",
+                            lambda op, rhs: solves.append(1) or solve(op, rhs))
+        product = StackedOperator._precondition_transpose
+        monkeypatch.setattr(StackedOperator, "_precondition_transpose",
+                            lambda op, w: transposes.append(1) or product(op, w))
+        res = irjbd_solve(SparseMatrix.from_dense(A), SparseMatrix.from_dense(L),
+                          SolverConfig(target=3, kmax=15, restart_mode=mode))
+        err = float(np.max(np.abs(np.array([comp.c for comp in res.components]) - c[:3])))
+        ok = (res.status == "converged" and err <= 1e-10 and res.lsqr_defect < 1e-12
+              and res.lsqr_iterations == len(solves) == len(transposes))
+        _report(f"2-D deblurring, 3 largest, {mode} restart", ok,
+                f"status {res.status}, c error {err:.1e}, defect {res.lsqr_defect:.1e}, "
+                f"{len(solves)} inner solves, {res.lsqr_iterations} iterations, "
+                f"{len(transposes)} M^T products")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import irjbd.stackedls
 from irjbd.cli import build_parser, main, run_cli
 from irjbd.driver import SolverConfig
 from irjbd.sparsemat import SparseMatrix, write_matrix_market
@@ -123,6 +124,20 @@ class TestRuns:
         # lines, the tolerance the one derived from --tol: 1e-6 / 100
         assert "\nlsqr_tol 1e-08\n" in out
         assert "\nlsqr_maxit 50\n" in out
+
+    def test_defect_line(self, diag_matrix_file, monkeypatch, capsys):
+        # one line after lsqr_failures: the factored operator's defect, and
+        # inf on the diagonal path
+        args = ["--A", diag_matrix_file, "--L", "identity", "--target", "2", "--kmax", "5"]
+        assert run_cli(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = [ln.split()[0] for ln in lines].index("lsqr_failures")
+        key, value = lines[at + 1].split()
+        assert key == "lsqr_defect" and 0.0 < float(value) < 1e-12
+        assert lines[at + 2].startswith("components ")
+        monkeypatch.setattr(irjbd.stackedls, "_FACTOR_BYTES", 0)
+        assert run_cli(args) == 0
+        assert "\nlsqr_defect inf\n" in capsys.readouterr().out
 
     def test_partial_run_exits_two(self, diag_matrix_file, capsys):
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "2",

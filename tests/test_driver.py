@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -555,3 +556,54 @@ class TestTrivialComponentHandling:
         assert not comp.converged
         assert comp.reliability_warning
         assert res.status != "converged"
+
+
+_DEGENERATE_KINDS = ["A = 0", "L = 0", "empty", "shared-empty", "subnormal", "huge",
+                     "[I 0] over I"]
+
+
+def _degenerate_pair(kind, gen, n=30):
+    """(Ad, Ld) for a 30-column pair of one degenerate kind.
+
+    A is 40 x n and L n x n, both Gaussian, except: A = 0; L = 0; a few
+    columns of A empty; a few columns empty in both blocks; a few columns
+    scaled by 1e-310 into the subnormals in both; one column of A scaled
+    by 1e200; or A = [I_10 0] (10 x n) with L = I.
+    """
+    Ad, Ld = gen.standard_normal((40, n)), gen.standard_normal((n, n))
+    cols = gen.choice(n, size=3, replace=False)
+    if kind == "A = 0":
+        Ad[:] = 0.0
+    elif kind == "L = 0":
+        Ld[:] = 0.0
+    elif kind == "empty":
+        Ad[:, cols] = 0.0
+    elif kind == "shared-empty":
+        Ad[:, cols] = 0.0
+        Ld[:, cols] = 0.0
+    elif kind == "subnormal":
+        Ad[:, cols] *= 1e-310
+        Ld[:, cols] *= 1e-310
+    elif kind == "huge":
+        Ad[:, cols[0]] *= 1e200
+    else:
+        Ad, Ld = np.eye(10, n), np.eye(n)
+    return Ad, Ld
+
+
+class TestDegenerateSolves:
+    # every degenerate pair ends in a status label: no exception from deep
+    # inside the solver, and no warning from the operator's defect estimate
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(_DEGENERATE_KINDS), seed=st.integers(0, 2**32 - 1),
+           target=st.sampled_from([3, -3]), mode=st.sampled_from(["implicit", "thick"]))
+    def test_every_draw_ends_in_a_status(self, kind, seed, target, mode):
+        Ad, Ld = _degenerate_pair(kind, np.random.default_rng(seed))
+        A, L = SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = irjbd_solve(A, L, SolverConfig(target=target, kmax=12, maxit=50, seed=seed,
+                                                 restart_mode=mode))
+        assert res.status in ("converged", "unreliable", "maxit_exhausted", "breakdown")
+        assert res.lsqr_defect > 0.0

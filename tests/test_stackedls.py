@@ -457,18 +457,79 @@ class TestAgainstReferenceLoop:
         assert out.converged == ref_converged
         assert np.linalg.norm(out.solution - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    def test_three_dense_products_in_a_one_iteration_solve(self, rng, monkeypatch):
-        # M^T A^T u, M v and M^T A^T u again: no product forms x = M y at the end
+    def test_dense_products_in_a_one_iteration_solve(self, rng, monkeypatch):
+        # M^T A^T u and M v; the second pair's M^T A^T u only where the
+        # defect cannot certify the stop, and no product forms x = M y
+        A, L = TestFactoredPreconditioner.pair(rng)
+        rhs = rng.standard_normal(75)
+        solutions = []
+        for defect, extra in ((None, []), (np.inf, ["_precondition_transpose"])):
+            op = StackedOperator(A, L)
+            op.tol = 1e-10
+            if defect is not None:
+                op.defect = defect
+            calls = []
+            for name in ("_precondition", "_precondition_transpose"):
+                method = getattr(op, name)
+                monkeypatch.setattr(op, name, lambda v, method=method, name=name:
+                                    calls.append(name) or method(v))
+            out = lsqr_solve(op, rhs)
+            assert out.iterations == 1 and out.converged
+            assert calls == ["_precondition_transpose", "_precondition"] + extra
+            solutions.append(out.solution)
+        # x_1 does not depend on alpha_2: the early stop returns the same bits
+        np.testing.assert_array_equal(_bits(solutions[0]), _bits(solutions[1]))
+
+
+class TestOrthonormalityDefect:
+    @staticmethod
+    def first_alpha(op, rhs):
+        """(alpha_2, beta_2) of LSQR's first step on [A; L] M, as it computes them."""
+        u = rhs / np.linalg.norm(rhs)
+        v = op._precondition_transpose(op.apply_transpose(u))
+        alfa = np.linalg.norm(v)
+        v /= alfa
+        u = op.apply(op._precondition(v)) - alfa * u
+        beta = np.linalg.norm(u)
+        w = op._precondition_transpose(op.apply_transpose(u / beta)) - beta * v
+        return np.linalg.norm(w), beta
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), extra=st.integers(0, 12),
+           decades=st.sampled_from([0, 3, 7]))
+    def test_bounds_the_computed_second_alpha(self, seed, n, extra, decades):
+        # singular values graded down to 10^-decades: R^-1 amplifies the
+        # rounding of the Gram matrix, and with it F
+        m = n + extra
+        gen = np.random.default_rng(seed)
+        U = np.linalg.qr(gen.standard_normal((m + n, n)))[0]
+        V = np.linalg.qr(gen.standard_normal((n, n)))[0]
+        S = U * np.logspace(0, -decades, n) @ V.T
+        op = StackedOperator(SparseMatrix.from_dense(S[:m]), SparseMatrix.from_dense(S[m:]))
+        if op._factor is None:
+            assert op.defect == np.inf
+            return
+        K = S @ op._factor
+        assert op.defect >= np.linalg.norm(K.T @ K - np.eye(n), 2)
+        for rhs in (gen.standard_normal(m + n), S @ gen.standard_normal(n)
+                    + 1e-9 * gen.standard_normal(m + n)):
+            alfa, beta = self.first_alpha(op, rhs)
+            assert alfa * beta <= op.defect
+            # a stop on the bound is a stop the full test makes as well
+            assert lsqr_solve(op, rhs).iterations == reference_lsqr(op, rhs)[1]
+
+    def test_infinite_on_the_diagonal_path(self, rng, monkeypatch):
+        A, L = TestFactoredPreconditioner.pair(rng)
+        assert StackedOperator(A, L).defect < 1e-12
+        assert _diagonal_twin(monkeypatch, A, L).defect == np.inf
+
+    def test_non_finite_estimate_is_infinite(self, rng):
         A, L = TestFactoredPreconditioner.pair(rng)
         op = StackedOperator(A, L)
-        calls = []
-        for name in ("_precondition", "_precondition_transpose"):
-            method = getattr(op, name)
-            monkeypatch.setattr(op, name, lambda v, method=method, name=name:
-                                calls.append(name) or method(v))
-        op.maxit = 1
-        lsqr_solve(op, op.apply(rng.standard_normal(30)))
-        assert calls == ["_precondition_transpose", "_precondition", "_precondition_transpose"]
+        op._factor = op._factor * 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert op._orthonormality_defect() == np.inf
 
 
 def _fused_entries(A, L):
