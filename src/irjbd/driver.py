@@ -21,14 +21,14 @@ recovered residual certifies a component.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
 from .bidiag import inverse_norm_estimates, small_gsvd
 from .jbd import BreakdownError, jbd_expand, jbd_init
 from .restart import CouplingDefectError, thick_restart
-from .shifts import ShiftSet, apply_adaptive_rule, select_exact_shifts
+from .shifts import ShiftSet, apply_adaptive_rule
 from .stackedls import StackedOperator
 # not called here; bench/test_bench.py::test_tracer_restores_every_binding reads this binding
 from .stackedls import lsqr_solve  # noqa: F401
@@ -243,11 +243,24 @@ def check_convergence(ritz, cfg):
 
 
 def compute_residual(comp, A, L, rnorm):
-    """Norm of the stacked three-block residual and its relative form."""
+    """Norm of the stacked three-block residual and its relative form.
+
+    The plain sum of squares serves whenever it is finite.  Only when the
+    squares overflow (a pair of scale near 1e155 or above) is the sum taken
+    again with every entry divided by the largest one.
+    """
     r1 = A.matvec(comp.x) - comp.c * comp.y
     r2 = L.matvec(comp.x) - comp.s * comp.z
     r3 = comp.s * A.matvec_transpose(comp.y) - comp.c * L.matvec_transpose(comp.z)
-    total = sqrt(float(r1 @ r1) + float(r2 @ r2) + float(r3 @ r3))
+    with np.errstate(over="ignore"):
+        square = float(r1 @ r1) + float(r2 @ r2) + float(r3 @ r3)
+    total = sqrt(square)
+    if not isfinite(square):
+        r = np.concatenate((r1, r2, r3))
+        scale = float(np.max(np.abs(r)))
+        if isfinite(scale):
+            r /= scale
+            total = scale * sqrt(float(r @ r))
     return total, total / rnorm
 
 
@@ -348,7 +361,8 @@ def irjbd_solve(A, L, cfg):
             break
 
         keep = cfg.kept_columns(int(np.count_nonzero(ritz.converged[:l])))
-        last_shifts = select_exact_shifts(ritz.small, cfg.kmax - keep)
+        # the state holds kmax columns here, so these are kmax - keep shifts
+        last_shifts = ShiftSet(ritz.small.C[keep:])
         if cfg.restart_mode == "implicit":
             last_shifts = apply_adaptive_rule(last_shifts, ritz.small, l)
         # the rule replaces the shifts nearest the wanted values, a leading

@@ -1,12 +1,14 @@
-"""Shift selection for implicit restarts.
+"""Shifts of implicit restarts, and the rule that replaces the bad ones.
 
 Unwanted Ritz values make the best shifts: filtering the starting vector
 with them strips exactly the directions the next subspace should not waste
-dimensions on.  A shift that lands too close to a *wanted* value would strip
-a wanted direction instead, so such shifts are adaptively replaced by the
-most harmless value available: the end of [0, 1] beyond the unwanted values.
-Both functions take the Ritz values extreme-first (wanted values leading),
-so neither needs to know which end of the spectrum is wanted.
+dimensions on.  A restart that keeps ``keep`` columns takes the exact shifts
+straight off the extraction, ``ShiftSet(ritz.C[keep:])``: the Ritz values
+come extreme-first (wanted values leading), so these are the unwanted ones,
+nearest-first, whichever end of the spectrum is wanted.  A shift that lands
+too close to a *wanted* value would strip a wanted direction instead, so
+``apply_adaptive_rule`` replaces such shifts by the most harmless value
+available: the end of [0, 1] beyond the unwanted values.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["ShiftSet", "select_exact_shifts", "apply_adaptive_rule"]
+__all__ = ["ShiftSet", "apply_adaptive_rule"]
 
 _RELGAP_TOL = 1e-3
 
@@ -39,19 +41,6 @@ class ShiftSet:
         return len(self.lambdas)
 
 
-def select_exact_shifts(ritz, nshifts):
-    """Pick the ``nshifts`` unwanted Ritz values, the trailing ones, as shifts.
-
-    They come nearest-first: the value next to the wanted ones leads.
-    """
-    k = ritz.k
-    if nshifts > k:
-        raise ValueError(f"requested {nshifts} shifts but only {k} Ritz values exist")
-    if nshifts < 0:
-        raise ValueError("nshifts must be nonnegative")
-    return ShiftSet(np.array(ritz.C[k - nshifts:], dtype=np.float64))
-
-
 def apply_adaptive_rule(shifts, ritz, l_effective):
     """Replace shifts too close to the boundary wanted Ritz value.
 
@@ -59,7 +48,8 @@ def apply_adaptive_rule(shifts, ritz, l_effective):
     ``ritz.C[l_effective - 1]``; shifts within ``_RELGAP_TOL`` are bad and get
     replaced by the end of [0, 1] on the side of the unwanted values: 0 when
     ``ritz.C`` decreases, 1 when it increases.  Applying the rule twice
-    changes nothing.
+    changes nothing.  On nearest-first shifts beyond the anchor the gap
+    grows along the list, so the replaced shifts are a leading run of it.
     """
     k = ritz.k
     if not 1 <= l_effective <= k:
@@ -70,11 +60,5 @@ def apply_adaptive_rule(shifts, ritz, l_effective):
 
     anchor = float(ritz.C[l_effective - 1])
     replacement = 1.0 if ritz.C[-1] > ritz.C[0] else 0.0
-    lam = shifts.lambdas.copy()
-    flags = shifts.replaced_flags.copy()
-    for i in range(len(lam)):
-        relgap = abs((anchor - lam[i]) / anchor)
-        if relgap < _RELGAP_TOL:
-            lam[i] = replacement
-            flags[i] = True
-    return ShiftSet(lam, flags)
+    bad = np.abs((anchor - shifts.lambdas) / anchor) < _RELGAP_TOL
+    return ShiftSet(np.where(bad, replacement, shifts.lambdas), shifts.replaced_flags | bad)

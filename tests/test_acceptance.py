@@ -24,7 +24,6 @@ from irjbd.driver import extract_ritz, residual_bound_pq
 from irjbd.jbd import jbd_expand, jbd_init
 from irjbd.oracle import dense_gsvd, stack_qr
 from irjbd.restart import accumulate_sweeps, thick_restart
-from irjbd.shifts import apply_adaptive_rule, select_exact_shifts
 from irjbd.sparsemat import identity, read_matrix_market, second_order_L
 from irjbd.stackedls import StackedOperator
 

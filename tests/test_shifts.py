@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irjbd.shifts import ShiftSet, apply_adaptive_rule, select_exact_shifts
+from irjbd.shifts import ShiftSet, apply_adaptive_rule
 
 
 class FakeRitz:
@@ -20,29 +20,40 @@ RITZ5 = FakeRitz([0.9, 0.7, 0.5, 0.3, 0.1])
 RITZ5_SMALLEST = FakeRitz(RITZ5.C[::-1])
 
 
+def _rule_by_loop(shifts, ritz, l_effective):
+    """The adaptive rule one shift at a time: the reference for the vectorized rule."""
+    anchor = float(ritz.C[l_effective - 1])
+    replacement = 1.0 if ritz.C[-1] > ritz.C[0] else 0.0
+    lam = shifts.lambdas.copy()
+    flags = shifts.replaced_flags.copy()
+    for i in range(len(lam)):
+        if abs((anchor - lam[i]) / anchor) < 1e-3:
+            lam[i] = replacement
+            flags[i] = True
+    return lam, flags
+
+
 class TestExactShifts:
-    def test_largest_takes_trailing_values(self):
-        out = select_exact_shifts(RITZ5, 2)
+    # a restart that keeps ``keep`` columns takes ShiftSet(C[keep:]) as its
+    # exact shifts; the rule leaves distant ones in place, nearest-first
+    def test_largest_keeps_trailing_values(self):
+        out = apply_adaptive_rule(ShiftSet(RITZ5.C[3:]), RITZ5, 2)
         np.testing.assert_array_equal(out.lambdas, [0.3, 0.1])
 
-    def test_smallest_takes_leading_values(self):
+    def test_smallest_keeps_leading_values(self):
         # nearest-first in both modes: the value next to the wanted ones leads
-        out = select_exact_shifts(RITZ5_SMALLEST, 2)
+        out = apply_adaptive_rule(ShiftSet(RITZ5_SMALLEST.C[3:]), RITZ5_SMALLEST, 2)
         np.testing.assert_array_equal(out.lambdas, [0.7, 0.9])
 
     def test_shifts_inside_unit_interval(self):
-        out = select_exact_shifts(RITZ5, 4)
+        out = apply_adaptive_rule(ShiftSet(RITZ5.C[1:]), RITZ5, 1)
         assert np.all(out.lambdas > 0.0) and np.all(out.lambdas < 1.0)
-
-    def test_too_many_requested(self):
-        with pytest.raises(ValueError):
-            select_exact_shifts(RITZ5, 6)
 
     def test_bad_mode(self):
         # values that are neither decreasing nor increasing name no wanted end
         unordered = FakeRitz([0.5, 0.9, 0.1])
         with pytest.raises(ValueError, match="extreme first"):
-            apply_adaptive_rule(select_exact_shifts(unordered, 1), unordered, 1)
+            apply_adaptive_rule(ShiftSet(unordered.C[2:]), unordered, 1)
 
 
 class TestAdaptiveRule:
@@ -67,8 +78,7 @@ class TestAdaptiveRule:
         np.testing.assert_array_equal(out.lambdas, [1.0])
 
     def test_count_preserved(self):
-        shifts = select_exact_shifts(RITZ5, 3)
-        out = apply_adaptive_rule(shifts, RITZ5, 2)
+        out = apply_adaptive_rule(ShiftSet(RITZ5.C[2:]), RITZ5, 2)
         assert len(out) == 3
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4))
@@ -80,9 +90,38 @@ class TestAdaptiveRule:
         nshifts = int(gen.integers(1, k))
         # either mode: largest-first or smallest-first values
         ritz = FakeRitz(C if gen.random() < 0.5 else C[::-1])
-        first = apply_adaptive_rule(select_exact_shifts(ritz, nshifts), ritz, l_eff)
+        first = apply_adaptive_rule(ShiftSet(ritz.C[k - nshifts:]), ritz, l_eff)
         second = apply_adaptive_rule(first, ritz, l_eff)
         np.testing.assert_array_equal(first.lambdas, second.lambdas)
+
+    @given(k=st.integers(2, 12), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_replaced_shifts_are_a_leading_run(self, k, data):
+        # the restart truncates onto keep + r triplets, r being the replaced
+        # shifts: that purges the rest only if they lead the nearest-first list
+        l_eff = data.draw(st.integers(1, k - 1))
+        keep = data.draw(st.integers(l_eff, k - 1))
+        anchor = data.draw(st.floats(1e-3, 0.999))
+        # relative steps away from the anchor, some inside the rule's 1e-3
+        steps = np.array(data.draw(st.lists(
+            st.one_of(st.floats(0.0, 2e-3), st.floats(0.0, 0.2)),
+            min_size=k - 1, max_size=k - 1)))
+        if data.draw(st.booleans()):
+            # largest mode: decreasing values, the unwanted ones toward 0
+            wanted = anchor + (1.0 - anchor) * np.sort(steps[: l_eff - 1])[::-1] / 0.2
+            unwanted = np.maximum(anchor * (1.0 - np.cumsum(steps[l_eff - 1:])), 0.0)
+        else:
+            # smallest mode: increasing values, the unwanted ones toward 1
+            wanted = anchor * (1.0 - np.sort(steps[: l_eff - 1])[::-1] / 0.2)
+            unwanted = np.minimum(anchor * (1.0 + np.cumsum(steps[l_eff - 1:])), 1.0)
+        ritz = FakeRitz(np.concatenate((wanted, [anchor], unwanted)))
+        shifts = ShiftSet(ritz.C[keep:])
+        out = apply_adaptive_rule(shifts, ritz, l_eff)
+        lam, flags = _rule_by_loop(shifts, ritz, l_eff)
+        np.testing.assert_array_equal(out.lambdas, lam)
+        np.testing.assert_array_equal(out.replaced_flags, flags)
+        r = int(np.count_nonzero(out.replaced_flags))
+        assert out.replaced_flags[:r].all() and not out.replaced_flags[r:].any()
 
 
 def test_shift_set_snaps_rounding_overshoot():
