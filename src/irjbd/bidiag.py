@@ -93,19 +93,14 @@ def inverse_norm_estimates(B, Bhat):
 
     ``B_lead`` is the leading k x k block of B.  These feed the conditioning
     diagnostic that warns when the cheap residual bounds may not be trusted;
-    only the smallest singular value of each block is needed.  A
-    numerically singular block maps to +inf.
+    only the smallest singular value of each block is needed, and one
+    batched LAPACK call gives both.  A numerically singular block maps to
+    +inf; at k = 0 both estimates are 0.
     """
     Bd = np.asarray(B, dtype=np.float64)
-    Bhatd = np.asarray(Bhat, dtype=np.float64)
     k = Bd.shape[1]
-
-    def inv_norm(mat):
-        if mat.shape[0] == 0:
-            return 0.0
-        smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
-        if smin <= 0.0:
-            return float("inf")
-        return 1.0 / smin
-
-    return inv_norm(Bd[:k, :k]), inv_norm(Bhatd)
+    if k == 0:
+        return 0.0, 0.0
+    blocks = np.stack([Bd[:k, :k], np.asarray(Bhat, dtype=np.float64)])
+    smin = np.linalg.svd(blocks, compute_uv=False)[:, -1]
+    return tuple(float("inf") if s <= 0.0 else 1.0 / float(s) for s in smin)

@@ -84,8 +84,8 @@ class SolverConfig:
             raise ValueError(f"kmax={self.kmax} too small for {self.l} components")
         if self.adjust < 0:
             raise ValueError("adjust must be nonnegative")
-        if self.tol < EPS:
-            raise ValueError(f"tol={self.tol} below machine precision is meaningless")
+        if not (isfinite(self.tol) and self.tol >= EPS):
+            raise ValueError(f"tol={self.tol} must be finite and at least machine precision")
         if self.maxit < 0:
             raise ValueError("maxit must be nonnegative")
         if self.restart_mode not in ("implicit", "thick"):

@@ -23,8 +23,10 @@ compound across restarts until the basis leaves range([A; L]) entirely;
 running the recurrence on preimages and applying the operator once per step
 pins the basis to the range at the cost of one extra pair of matvecs.
 Each right vector is stored stacked on its preimage, (v; t) with m+p+n
-rows, so one product orthogonalizes or rotates both.  ``_gram_schmidt``
-serves all three bases.  It takes coefficients with ``@``, which reads
+rows, so one product orthogonalizes or rotates both.  ``_gram_schmidt`` is
+one call per basis and step: on U and Uhat it takes the recurrence seed off
+first and returns the new column of B or Bbar; on Vprime it runs over the
+leading m+p rows.  It takes coefficients with ``@``, which reads
 Vprime's strided row block in place where ``ndarray.dot`` would copy it
 (2.9 us against 5.3 us at 415 of 615 rows and 25 columns, numpy 2.4, one
 BLAS thread), and costs about 0.5 us more than ``ndarray.dot`` on a
@@ -56,58 +58,42 @@ class BreakdownError(RuntimeError):
         )
 
 
-def _cancels(after, before):
-    """Whether a Gram-Schmidt pass cancelled: ||after||^2 < ||before||^2 / 2.
-
-    The test of Daniel, Gragg, Kaufman & Stewart (1976) with eta = 1/sqrt(2),
-    on squared norms.  A pass that keeps more than 1/sqrt(2) of its input's
-    norm leaves the output orthogonal to the basis to working precision, so
-    a second pass is taken only after one that does not.
-    """
-    return after < 0.5 * before
-
-
-def _gram_schmidt(vec, basis, coefficients, rows):
+def _gram_schmidt(vec, basis, rows=None, seed=None):
     """Classical Gram-Schmidt on the leading ``rows`` entries of ``vec``.
 
-    The coefficients come from those rows, and the same combination of the
-    basis comes off the whole column, so a right vector and its preimage
-    move together.  A second pass follows only when the first cancels
-    (``_cancels``).  Each pass adds its coefficients to ``coefficients`` in
-    place.  Returns the vector and the squared norm of its leading rows.
+    ``seed``, the recurrence-predicted coefficient of the last basis column,
+    comes off first when the basis has columns.  The coefficients come from
+    the leading rows, and the same combination of the basis comes off the
+    whole column, so a right vector and its preimage move together.  A
+    second pass follows only when the first cancels, ||after||^2 <
+    ||before||^2 / 2: the test of Daniel, Gragg, Kaufman & Stewart (1976)
+    with eta = 1/sqrt(2), on squared norms.  A pass that keeps more than
+    1/sqrt(2) of its input's norm leaves the output orthogonal to the basis
+    to working precision.
+
+    The returned coefficients are the seed plus both passes' corrections,
+    the true projections of the input.  Committing those (instead of the
+    bare prediction) keeps the stored factors consistent with the stored
+    vectors, which stops relation errors inherited from a restart from
+    compounding through later columns.  Returns the vector, the
+    coefficients and the squared norm of the vector's leading rows.
     """
+    seeded = seed is not None and basis.shape[1] > 0
+    if seeded:
+        vec = vec - seed * basis[:, -1]
     head = vec[:rows]
     before = head.dot(head)
-    extra = head @ basis[:rows]
-    vec = vec - basis.dot(extra)
-    coefficients += extra
+    coefficients = head @ basis[:rows]
+    vec = vec - basis.dot(coefficients)
+    if seeded:
+        coefficients[-1] += seed
     head = vec[:rows]
     square = head.dot(head)
-    if _cancels(square, before):
+    if square < 0.5 * before:
         extra = head @ basis[:rows]
         vec -= basis.dot(extra)
         coefficients += extra
         square = head.dot(head)
-    return vec, square
-
-
-def _reorth_tracked(vec, basis, seed):
-    """Gram-Schmidt that also returns the total projection coefficients.
-
-    ``seed`` is the recurrence-predicted coefficient of the last basis
-    column, subtracted first; ``_gram_schmidt`` then takes the rest of the
-    projection out.  Its corrections accumulate on top of the seed, so the
-    returned coefficients are the true projections of the input.
-    Committing those (instead of the bare prediction) keeps the stored
-    factors consistent with the stored vectors, which stops relation errors
-    inherited from a restart from compounding through later columns.
-    Returns the vector, the coefficients and the vector's squared norm.
-    """
-    coefficients = np.zeros(basis.shape[1])
-    if basis.shape[1]:
-        coefficients[-1] = seed
-        vec = vec - seed * basis[:, -1]
-    vec, square = _gram_schmidt(vec, basis, coefficients, len(vec))
     return vec, coefficients, square
 
 
@@ -225,8 +211,7 @@ class JbdState:
         k = 0).  Returns alpha, and leaves the state untouched when alpha is
         below ``breakdown_tol``.
         """
-        pending, square = _gram_schmidt(pending, self.right, np.zeros(self.k),
-                                        self.m + self.p)
+        pending, _, square = _gram_schmidt(pending, self.right, self.m + self.p)
         alpha = sqrt(square)
         if alpha < self.breakdown_tol:
             return alpha
@@ -288,16 +273,16 @@ def _expand_one(state, op):
 
     # companion left vector paired with the pending right vector; the signed
     # diagonal keeps all runs on the alternating-sign convention
-    candh, uhat_coefficients, square = _reorth_tracked(vp[m:], state._Uhat[:, :k],
-                                                       state.betabar)
+    candh, uhat_coefficients, square = _gram_schmidt(vp[m:], state._Uhat[:, :k],
+                                                     seed=state.betabar)
     anorm = sqrt(square)
     if anorm < state.breakdown_tol:
         raise BreakdownError("alphahat", k + 1, anorm)
     abar = anorm if k % 2 == 0 else -anorm
 
     # next left vector from the upper block of the pending right vector
-    cand, u_coefficients, square = _reorth_tracked(vp[:m], state._U[:, : k + 1],
-                                                   state.alpha_next)
+    cand, u_coefficients, square = _gram_schmidt(vp[:m], state._U[:, : k + 1],
+                                                 seed=state.alpha_next)
     beta = sqrt(square)
 
     # commit column k

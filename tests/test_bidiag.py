@@ -172,6 +172,20 @@ class TestInverseNormEstimates:
         np.testing.assert_allclose(inv_lead, ref_lead, rtol=1e-12)
         np.testing.assert_allclose(inv_hat, ref_hat, rtol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 16, 39])
+    def test_one_batched_call_equals_two_separate_calls(self, rng, k):
+        # both blocks go through one np.linalg.svd call on their stack; the
+        # estimates are bitwise those of one call per block
+        for _ in range(10):
+            B = np.asfortranarray(np.tril(np.triu(rng.standard_normal((k + 1, k)), -1)))
+            Bhat = np.asfortranarray(np.triu(rng.standard_normal((k, k))))
+            inv_lead, inv_hat = inverse_norm_estimates(B, Bhat)
+            assert inv_lead == 1.0 / float(np.linalg.svd(B[:k, :k], compute_uv=False)[-1])
+            assert inv_hat == 1.0 / float(np.linalg.svd(Bhat, compute_uv=False)[-1])
+
+    def test_empty_pair_is_zero(self):
+        assert inverse_norm_estimates(np.zeros((1, 0)), np.zeros((0, 0))) == (0.0, 0.0)
+
     def test_singular_block_maps_to_inf(self):
         B = np.array([[0.0, 0.0], [0.5, 1.0], [0.0, 0.5]])
         Bhat = np.array([[1.0, 0.0], [0.0, 0.0]])

@@ -243,6 +243,14 @@ class TestErrorPaths:
         assert code == 1
         assert "bad configuration" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_bad_configuration(self, diag_matrix_file, capsys, tol):
+        code = run_cli(["--A", diag_matrix_file, "--L", "identity",
+                        "--target", "1", "--kmax", "4", "--tol", tol])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bad configuration" in err
+
     def test_lsqr_maxit_is_no_flag(self, diag_matrix_file, capsys):
         # the inner iteration cap is fixed at 10 n
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "1",

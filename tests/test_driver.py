@@ -108,6 +108,13 @@ class TestCheckConvergence:
         with pytest.raises(ValueError):
             SolverConfig(target=2, kmax=5, tol=1e-17)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # nan would run the whole restart budget; inf would label every
+        # component converged at the first extraction
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(target=2, kmax=5, tol=tol)
+
 
 class TestResiduals:
     def test_exact_component_has_zero_residual(self):

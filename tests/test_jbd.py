@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irjbd.jbd import BreakdownError, _reorth_tracked, jbd_expand, jbd_init
+from irjbd.jbd import BreakdownError, _gram_schmidt, jbd_expand, jbd_init
 from irjbd.oracle import stack_qr
 from irjbd.sparsemat import SparseMatrix, identity
 from irjbd.stackedls import StackedOperator
@@ -208,7 +208,7 @@ class TestSecondPassOnCancellation:
             Q = self.basis(rng, m, k)
             c = rng.standard_normal(k)
             vec = Q @ c + 1e-10 * rng.standard_normal(m)
-            out, coefficients, square = _reorth_tracked(vec, Q, c[-1])
+            out, coefficients, square = _gram_schmidt(vec, Q, seed=c[-1])
             assert square == out.dot(out)
             assert np.linalg.norm(Q.T @ out) <= 8 * EPS * np.linalg.norm(out)
             np.testing.assert_allclose(coefficients, c, rtol=0, atol=1e-9)
@@ -223,10 +223,50 @@ class TestSecondPassOnCancellation:
         expected = np.zeros(10)
         expected[-1] = seed
         expected += extra
-        out, coefficients, square = _reorth_tracked(vec, Q, seed)
+        out, coefficients, square = _gram_schmidt(vec, Q, seed=seed)
         np.testing.assert_array_equal(out, once)
         np.testing.assert_array_equal(coefficients, expected)
         assert square == once.dot(once)
+
+    def test_seed_is_skipped_on_an_empty_basis(self, rng):
+        # the companion basis is empty at the first step
+        vec = rng.standard_normal(20)
+        out, coefficients, square = _gram_schmidt(vec, np.empty((20, 0), order="F"), seed=0.7)
+        np.testing.assert_array_equal(out, vec)
+        assert coefficients.shape == (0,)
+        assert square == vec.dot(vec)
+
+    @staticmethod
+    def right_basis(rng, rows, extra, k):
+        """Vprime-shaped: orthonormal leading rows over unconstrained preimage rows."""
+        return np.asfortranarray(np.vstack([TestSecondPassOnCancellation.basis(rng, rows, k),
+                                            rng.standard_normal((extra, k))]))
+
+    def test_leading_rows_no_cancellation_is_exactly_one_pass(self, rng):
+        # coefficients from the leading rows alone, no seed taken off, and the
+        # trailing (preimage) rows move by exactly the basis times those
+        # coefficients, as the leading rows do
+        rows, extra, k = 40, 15, 8
+        basis = self.right_basis(rng, rows, extra, k)
+        vec = rng.standard_normal(rows + extra)
+        out, coefficients, square = _gram_schmidt(vec, basis, rows)
+        np.testing.assert_array_equal(coefficients, vec[:rows] @ basis[:rows])
+        np.testing.assert_array_equal(out, vec - basis.dot(coefficients))
+        assert square == out[:rows].dot(out[:rows])
+
+    def test_leading_rows_cancelling_input(self, rng):
+        rows, extra, k = 40, 15, 8
+        for _ in range(10):
+            basis = self.right_basis(rng, rows, extra, k)
+            c = rng.standard_normal(k)
+            vec = basis @ c + 1e-10 * rng.standard_normal(rows + extra)
+            out, coefficients, square = _gram_schmidt(vec, basis, rows)
+            head = out[:rows]
+            assert square == head.dot(head)
+            assert np.linalg.norm(basis[:rows].T @ head) <= 8 * EPS * np.linalg.norm(head)
+            np.testing.assert_allclose(coefficients, c, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(out[rows:], vec[rows:] - basis[rows:] @ coefficients,
+                                       rtol=0, atol=1e-13)
 
     def test_set_pending_cancelling_input(self, rng):
         for _ in range(10):
