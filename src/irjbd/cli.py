@@ -158,13 +158,19 @@ def run_cli(argv=None):
     elapsed = time.perf_counter() - start
 
     report = _format_report(args, A, L, l_label, result, elapsed)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
-    if args.history:
-        _write_history(args.history, result.history)
+    try:
+        if args.out:
+            what, path = "report", args.out
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(report)
+        else:
+            sys.stdout.write(report)
+        if args.history:
+            what, path = "history", args.history
+            _write_history(path, result.history)
+    except OSError as exc:
+        print(f"error: cannot write {what} to {path}: {exc}", file=sys.stderr)
+        return 1
 
     return _STATUS_EXIT.get(result.status, 2)
 

@@ -88,6 +88,8 @@ class SolverConfig:
             raise ValueError(f"tol={self.tol} must be finite and at least machine precision")
         if self.maxit < 0:
             raise ValueError("maxit must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.restart_mode not in ("implicit", "thick"):
             raise ValueError("restart_mode must be 'implicit' or 'thick'")
 

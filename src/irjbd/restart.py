@@ -6,10 +6,11 @@ Krylov-Schur restart (Stewart, 2001): the extraction comes extreme-first,
 so keeping its leading triplets purges the other values as exact shifts
 would.  Shifts that are not Ritz values (those the adaptive rule replaced)
 are kept through the truncation and then swept out of the reduced lower
-factor by ``accumulate_sweeps``, one bulge-chasing sweep per shift.  One QR
-of Bbar P then restores the companion (one shift pair lambda^2 + mu^2 = 1
-drives both factors), and one ``JbdState.restarted`` builds the result, so
-it expands through the ordinary process code.
+factor by ``accumulate_sweeps``, one bulge-chasing sweep per shift, each
+rotation turning two columns of G or P as it is made.  One QR of Bbar P
+then restores the companion (one shift pair lambda^2 + mu^2 = 1 drives
+both factors), and one ``JbdState.restarted`` builds the result, so it
+expands through the ordinary process code.
 """
 
 from __future__ import annotations
@@ -27,28 +28,14 @@ class CouplingDefectError(RuntimeError):
     """The factor pair is too degraded to restart."""
 
 
-def _chain_products(c, s):
-    """Products R_0 R_1 ... R_{n-2} of plane-rotation chains on (j, j+1), batched.
-
-    ``c`` and ``s`` hold one chain per leading index.  R_j mixes columns j
-    and j+1 of whatever it multiplies from the right, with the block
-    [[c_j, -s_j], [s_j, c_j]].  Each product is upper Hessenberg with s on
-    the subdiagonal, and entry (i, j) on or above the diagonal is
-    c_{i-1} c_j prod_{i <= l < j} (-s_l), taking c_{-1} = c_{n-1} = 1; one
-    cumprod over a triangle of -s builds it in O(n^2) numpy work.
-    """
-    n = c.shape[-1] + 1
-    one = np.ones(c.shape[:-1] + (1,))
-    runs = np.cumprod(np.where(np.tri(n, dtype=bool), 1.0,
-                               np.concatenate((one, -s), axis=-1)[..., None, :]), axis=-1)
-    H = np.triu(runs * np.concatenate((one, c), axis=-1)[..., :, None]
-                * np.concatenate((c, one), axis=-1)[..., None, :])
-    idx = np.arange(n - 1)
-    H[..., idx + 1, idx] = s
-    return H
+def _rotate(M, j, c, s):
+    """Mix columns j and j+1 of M in place by the block [[c, -s], [s, c]]."""
+    x = M[:, j].copy()
+    M[:, j] = c * x + s * M[:, j + 1]
+    M[:, j + 1] = c * M[:, j + 1] - s * x
 
 
-def _sweep(d, e, lam):
+def _sweep(d, e, lam, G, P):
     """One shifted sweep on the lower bidiagonal entries, in place.
 
     ``d``/``e`` are the diagonal and subdiagonal of the (k+1) x k lower
@@ -56,30 +43,28 @@ def _sweep(d, e, lam):
     LAPACK's dbdsqr does.  The opening rotation annihilates the (2,1) entry
     of B B^T - lam^2 I — only the first column of that product is ever
     formed — and the remaining rotations chase the bulge back to lower
-    bidiagonal form; a vanishing coupling in B is tolerated.
-
-    Returns the (c, s) chains of the left and the right rotations, in
-    application order.
+    bidiagonal form; a vanishing coupling in B is tolerated.  Each left
+    rotation turns two columns of G, and each right rotation two of P, as
+    the chase makes it.
     """
     k = len(d)
     c, s, _ = givens(d[0] * d[0] - lam * lam, d[0] * e[0])
     d[0], e[0] = c * d[0] + s * e[0], -s * d[0] + c * e[0]
     if k > 1:
         bulge, d[1] = s * d[1], c * d[1]
-    left, right = [(c, s)], []
+    _rotate(G, 0, c, s)
     for j in range(k - 1):
         # annihilate the superdiagonal bulge (j, j+1) from the right
         c, s, d[j] = givens(d[j], bulge)
         e[j], d[j + 1] = c * e[j] + s * d[j + 1], -s * e[j] + c * d[j + 1]
         bulge, e[j + 1] = s * e[j + 1], c * e[j + 1]
-        right.append((c, s))
+        _rotate(P, j, c, s)
         # annihilate the subdiagonal bulge (j+2, j) from the left
         c, s, e[j] = givens(e[j], bulge)
         d[j + 1], e[j + 1] = c * d[j + 1] + s * e[j + 1], -s * d[j + 1] + c * e[j + 1]
         if j + 2 < k:
             bulge, d[j + 2] = s * d[j + 2], c * d[j + 2]
-        left.append((c, s))
-    return left, right
+        _rotate(G, j + 1, c, s)
 
 
 def _refuse_degraded(B, Bbar):
@@ -125,29 +110,24 @@ def _signed_qr(M):
 def accumulate_sweeps(B, shifts):
     """Run one shifted sweep of the (k+1) x k lower factor B per shift.
 
-    The sweeps read only B's band, so B' is exactly lower bidiagonal; each
-    sweep's two rotation chains reach G and P as one upper-Hessenberg
-    product apiece.  Returns B', G and P, with B' = G^T B P on the band.
+    The sweeps read only B's band, so B' is exactly lower bidiagonal; G and
+    P start as identities and take each rotation as the chase makes it.
+    Returns B', G and P, with B' = G^T B P on the band.
     """
     B = np.asarray(B, dtype=np.float64)
     k = B.shape[1]
     if B.shape[0] != k + 1:
         raise ValueError("lower sweep expects a (k+1) x k factor")
     d, e = B.diagonal().tolist(), B.diagonal(-1).tolist()
-    # G and P stacked, P padded to k + 1 by a unit corner: an identity
-    # rotation closes its k - 1 chain, so one batched product per sweep
-    # updates both
-    acc = np.stack([np.eye(k + 1)] * 2)
+    G, P = np.eye(k + 1), np.eye(k)
     for lam in shifts:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"shift {lam} outside [0, 1]")
-        left, right = _sweep(d, e, float(lam))
-        chains = np.array([left, right + [(1.0, 0.0)]])
-        acc = acc @ _chain_products(chains[..., 0], chains[..., 1])
+        _sweep(d, e, float(lam), G, P)
     Bp = np.zeros((k + 1, k))
     np.fill_diagonal(Bp, d)
     np.fill_diagonal(Bp[1:], e)
-    return Bp, acc[0], acc[1, :k, :k]
+    return Bp, G, P
 
 
 def _reflector(x):

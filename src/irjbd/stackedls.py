@@ -187,6 +187,9 @@ class StackedOperator:
     def __init__(self, A, L):
         if A.ncols != L.ncols:
             raise ValueError(f"A has {A.ncols} columns but L has {L.ncols}")
+        if A.nrows == 0 or A.ncols == 0:
+            raise ValueError(f"A is {A.nrows} x {A.ncols}: the pair needs a row of A "
+                             f"and a column")
         if A.nrows + L.nrows < A.ncols:
             raise ValueError("stacked operator must have at least as many rows as columns")
         self.A = A

@@ -251,6 +251,34 @@ class TestErrorPaths:
         assert code == 1
         assert "bad configuration" in err
 
+    def test_negative_seed_is_bad_configuration(self, diag_matrix_file, capsys):
+        code = run_cli(["--A", diag_matrix_file, "--L", "identity",
+                        "--target", "1", "--kmax", "4", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: bad configuration: seed must be nonnegative\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("size, regularizer", [("0 8", "second-order"), ("5 0", "identity")])
+    def test_pair_without_rows_or_columns(self, tmp_path, capsys, size, regularizer):
+        path = tmp_path / "a.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size} 0\n")
+        code = run_cli(["--A", str(path), "--L", regularizer, "--target", "2", "--kmax", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: A is {size.replace(' ', ' x ')}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("flag, what", [("--out", "report"), ("--history", "history")])
+    def test_unwritable_output_path(self, diag_matrix_file, tmp_path, capsys, flag, what):
+        path = str(tmp_path / "missing" / "out.txt")
+        code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "1",
+                        "--kmax", "4", flag, path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot write {what} to {path}: ")
+        assert err.count("\n") == 1
+
     def test_lsqr_maxit_is_no_flag(self, diag_matrix_file, capsys):
         # the inner iteration cap is fixed at 10 n
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "1",

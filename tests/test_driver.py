@@ -115,6 +115,11 @@ class TestCheckConvergence:
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(target=2, kmax=5, tol=tol)
 
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng would raise it from inside the solve instead
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SolverConfig(target=2, kmax=5, seed=-1)
+
 
 class TestResiduals:
     def test_exact_component_has_zero_residual(self):

@@ -57,14 +57,14 @@ def _block(draw, nrows, ncols, zero, long_row):
 
 @st.composite
 def _stacks(draw):
-    """(A, L, x, y) for a random conformable stack with m + p >= n."""
+    """(A, L, x, y) for a random conformable stack with m >= 1 and m + p >= n."""
     n = draw(st.integers(1, 6))
-    m = draw(st.integers(0, 8))
+    m = draw(st.integers(1, 8))
     p = draw(st.integers(max(0, n - m), 8))
     zero_A = draw(st.integers(0, 3)) == 0
-    long_row = draw(st.booleans())
-    A = _block(draw, m, n, zero_A, long_row)
-    L = _block(draw, p, n, False, long_row and m == 0)
+    long_row = draw(st.sampled_from([None, "A", "L"]))
+    A = _block(draw, m, n, zero_A, long_row == "A")
+    L = _block(draw, p, n, False, long_row == "L")
     x = draw(arrays(np.float64, n, elements=_ENTRIES))
     y = draw(arrays(np.float64, m + p, elements=_ENTRIES))
     return A, L, x, y
@@ -211,6 +211,13 @@ class TestApply:
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
             StackedOperator(identity(3), identity(4))
+
+    @pytest.mark.parametrize("m, n", [(0, 8), (5, 0), (0, 0)])
+    def test_no_rows_in_A_or_no_columns(self, m, n):
+        # the solve starts from a unit vector in R^m and equilibrates n
+        # columns: either size zero is an error naming the shape
+        with pytest.raises(ValueError, match=f"A is {m} x {n}"):
+            StackedOperator(_zero_matrix(m, n), identity(n))
 
 
 class TestLsqr:
@@ -635,6 +642,10 @@ class TestDegenerateInputs:
         Ad, Ld, rhs = case
         A, L = SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld)
         m, n = Ad.shape
+        if m == 0:
+            with pytest.raises(ValueError, match=f"A is 0 x {n}"):
+                StackedOperator(A, L)
+            return
         if m + len(Ld) < n:
             with pytest.raises(ValueError, match="at least as many rows"):
                 StackedOperator(A, L)
