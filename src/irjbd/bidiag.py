@@ -91,11 +91,11 @@ def small_gsvd(B, Bbar):
 def inverse_norm_estimates(B, Bhat):
     """Spectral norms of the inverted leading blocks, (||B_lead^-1||, ||Bhat^-1||).
 
-    ``B_lead`` is the leading k x k block of B.  These feed the conditioning
-    diagnostic that warns when the cheap residual bounds may not be trusted;
-    only the smallest singular value of each block is needed, and one
-    batched LAPACK call gives both.  A numerically singular block maps to
-    +inf; at k = 0 both estimates are 0.
+    ``B_lead`` is the leading k x k block of B.  Their product is the
+    conditioning diagnostic ``diag_product`` that each extraction records;
+    it decides no label.  Only the smallest singular value of each block is
+    needed, and one batched LAPACK call gives both.  A numerically singular
+    block maps to +inf; at k = 0 both estimates are 0.
     """
     Bd = np.asarray(B, dtype=np.float64)
     k = Bd.shape[1]

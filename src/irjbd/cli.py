@@ -8,6 +8,7 @@ a small CSV meant for external plotting of per-restart convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 import time
@@ -88,7 +89,6 @@ def _format_report(args, A, L, l_label, result, elapsed):
     put(f"restart_mode {args.restart_mode}")
     put(f"matrix_a {args.A} rows {A.nrows} cols {A.ncols} nnz {A.nnz}")
     put(f"matrix_l {l_label} rows {L.nrows} cols {L.ncols} nnz {L.nnz}")
-    put(f"reliability_warning {int(result.reliability_warning)}")
     put(f"restarts {result.restarts}")
     put(f"lsqr_iterations_total {result.lsqr_iterations}")
     put(f"lsqr_failures {result.lsqr_failures}")
@@ -97,7 +97,7 @@ def _format_report(args, A, L, l_label, result, elapsed):
     for i, comp in enumerate(result.components, start=1):
         put(f"component {i} c {comp.c:.17g} s {comp.s:.17g} value {comp.value:.17g} "
             f"bound {comp.bound:.6e} relres {comp.relative_residual:.6e} "
-            f"converged {int(comp.converged)} warning {int(comp.reliability_warning)}")
+            f"converged {int(comp.converged)}")
     if args.vectors:
         for i, comp in enumerate(result.components, start=1):
             for name, vec in (("x", comp.x), ("y", comp.y), ("z", comp.z)):
@@ -107,15 +107,14 @@ def _format_report(args, A, L, l_label, result, elapsed):
     return "\n".join(lines) + "\n"
 
 
-def _write_history(path, history):
-    with open(path, "w", encoding="ascii") as fh:
-        # columns are only ever appended, so existing parsers keep working
-        fh.write("restart,max_bound,diag_product,lsqr_iters,kept,shifts_replaced\n")
-        for rec in history:
-            max_bound = float(np.max(rec.bounds)) if len(rec.bounds) else float("nan")
-            fh.write(f"{rec.restart_index},{max_bound:.17g},"
-                     f"{rec.diag_product:.17g},{rec.lsqr_iters_total},"
-                     f"{rec.kept},{rec.shifts_replaced}\n")
+def _write_history(fh, history):
+    # columns are only ever appended, so existing parsers keep working
+    fh.write("restart,max_bound,diag_product,lsqr_iters,kept,shifts_replaced\n")
+    for rec in history:
+        max_bound = float(np.max(rec.bounds)) if len(rec.bounds) else float("nan")
+        fh.write(f"{rec.restart_index},{max_bound:.17g},"
+                 f"{rec.diag_product:.17g},{rec.lsqr_iters_total},"
+                 f"{rec.kept},{rec.shifts_replaced}\n")
 
 
 def run_cli(argv=None):
@@ -149,28 +148,29 @@ def run_cli(argv=None):
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return 1
 
-    start = time.perf_counter()
-    try:
-        result = irjbd_solve(A, L, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    elapsed = time.perf_counter() - start
+    # the outputs are opened before the solve, so an unwritable path costs no solve
+    with contextlib.ExitStack() as stack:
+        files = {}
+        for what, path in (("report", args.out), ("history", args.history)):
+            if path:
+                try:
+                    files[what] = stack.enter_context(open(path, "w", encoding="ascii"))
+                except OSError as exc:
+                    print(f"error: cannot write {what} to {path}: {exc}", file=sys.stderr)
+                    return 1
 
-    report = _format_report(args, A, L, l_label, result, elapsed)
-    try:
-        if args.out:
-            what, path = "report", args.out
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(report)
-        else:
-            sys.stdout.write(report)
-        if args.history:
-            what, path = "history", args.history
-            _write_history(path, result.history)
-    except OSError as exc:
-        print(f"error: cannot write {what} to {path}: {exc}", file=sys.stderr)
-        return 1
+        start = time.perf_counter()
+        try:
+            result = irjbd_solve(A, L, cfg)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        elapsed = time.perf_counter() - start
+
+        files.get("report", sys.stdout).write(
+            _format_report(args, A, L, l_label, result, elapsed))
+        if "history" in files:
+            _write_history(files["history"], result.history)
 
     return _STATUS_EXIT.get(result.status, 2)
 

@@ -11,11 +11,12 @@ so its norm is bounded without ever forming x, y or z:
 
 The vectors themselves are recovered only after the bounds have converged,
 and from stored columns alone: the state keeps a preimage basis T with
-[A; L] T = Vprime, so x = T w costs no inner solve.  In floating point the
-bounds acquire an extra term of order ||Blead^-1|| * ||Bhat^-1|| * eps, so
-the solver tracks that product and raises a reliability warning once it
-could swamp the tolerance.  The bound stops the iteration, but only the
-recovered residual certifies a component.
+[A; L] T = Vprime, so x = T w costs no inner solve.  The bound stops the
+iteration, but only the recovered relative residual (``compute_residual``),
+which reads the same at every common scale of {A, L}, certifies a
+component.  Each extraction also records ||Blead^-1|| * ||Bhat^-1||
+(``diag_product``), the conditioning of the projected pair, as a
+diagnostic that decides nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "SolveResult",
     "residual_bound_pq",
     "extract_ritz",
-    "check_convergence",
     "recover_component",
     "compute_residual",
     "irjbd_solve",
@@ -122,7 +122,6 @@ class RitzSet:
     bounds: np.ndarray
     converged: np.ndarray
     diag_product: float
-    reliability_warning: bool
 
     @property
     def k(self):
@@ -138,11 +137,9 @@ class GsvdComponent:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    residual_norm: float = np.nan
     relative_residual: float = np.nan
     bound: float = np.nan
     converged: bool = False
-    reliability_warning: bool = False
 
     @property
     def value(self):
@@ -190,7 +187,6 @@ class SolveResult:
     components: list
     history: list
     status: str
-    reliability_warning: bool = False
     message: str = ""
     seed: int = 0
     restarts: int = 0
@@ -215,55 +211,32 @@ def extract_ritz(state, cfg):
     The one place the wanted end is decided: for a negative target C, S and
     the columns of W, P and Pbar are reversed, so the wanted components lead
     in both modes and the shifts, the kept set and the output order need no
-    mode.  Bounds are those of ``residual_bound_pq``.
+    mode.  Bounds are those of ``residual_bound_pq``; a component's bound
+    converges when it falls below tol.
     """
     sg = small_gsvd(state.Bdense, state.Bbardense)
     if cfg.target < 0:
         sg = replace(sg, C=sg.C[::-1], S=sg.S[::-1], W=sg.W[:, ::-1], P=sg.P[:, ::-1],
                      Pbar=sg.Pbar[:, ::-1])
     inv_lead, inv_hat = inverse_norm_estimates(state.Bdense, state.Bbardense)
-    return RitzSet(
-        small=sg,
-        bounds=residual_bound_pq(sg, state.alpha_next, state.betabar),
-        converged=np.zeros(state.k, dtype=bool),
-        diag_product=inv_lead * inv_hat,
-        reliability_warning=False,
-    )
-
-
-def check_convergence(ritz, cfg):
-    """Flag converged components and assess bound reliability.
-
-    A component's bound converges when it falls below tol.  When the
-    conditioning product is large enough that its eps-level term could
-    exceed tol, the bounds may underestimate the true residuals and a
-    reliability warning is raised; it decides no label.
-    """
-    ritz.converged = ritz.bounds < cfg.tol
-    ritz.reliability_warning = ritz.diag_product * EPS > cfg.tol
-    return ritz
+    bounds = residual_bound_pq(sg, state.alpha_next, state.betabar)
+    return RitzSet(small=sg, bounds=bounds, converged=bounds < cfg.tol,
+                   diag_product=inv_lead * inv_hat)
 
 
 def compute_residual(comp, A, L, rnorm):
-    """Norm of the stacked three-block residual and its relative form.
+    """Relative norm of the stacked three-block residual of a component.
 
-    The plain sum of squares serves whenever it is finite.  Only when the
-    squares overflow (a pair of scale near 1e155 or above) is the sum taken
-    again with every entry divided by the largest one.
+    Each block is measured against its own scale: A x - c y and L x - s z
+    against ||(c y; s z)|| = 1, and s A^T y - c L^T z against ``rnorm``, an
+    upper bound on ||[A; L]||_2.  A common scale of {A, L} scales x by its
+    inverse and leaves y and z, so no block moves with it, and each is of
+    order 1, so no square overflows.
     """
     r1 = A.matvec(comp.x) - comp.c * comp.y
     r2 = L.matvec(comp.x) - comp.s * comp.z
-    r3 = comp.s * A.matvec_transpose(comp.y) - comp.c * L.matvec_transpose(comp.z)
-    with np.errstate(over="ignore"):
-        square = float(r1 @ r1) + float(r2 @ r2) + float(r3 @ r3)
-    total = sqrt(square)
-    if not isfinite(square):
-        r = np.concatenate((r1, r2, r3))
-        scale = float(np.max(np.abs(r)))
-        if isfinite(scale):
-            r /= scale
-            total = scale * sqrt(float(r @ r))
-    return total, total / rnorm
+    r3 = (comp.s * A.matvec_transpose(comp.y) - comp.c * L.matvec_transpose(comp.z)) / rnorm
+    return sqrt(float(r1 @ r1) + float(r2 @ r2) + float(r3 @ r3))
 
 
 def recover_component(state, op, ritz, index):
@@ -283,8 +256,7 @@ def recover_component(state, op, ritz, index):
         z=state.Uhat @ sg.Pbar[:, index],
         bound=float(ritz.bounds[index]),
     )
-    comp.residual_norm, comp.relative_residual = compute_residual(comp, op.A, op.L,
-                                                                  op.rnorm_estimate)
+    comp.relative_residual = compute_residual(comp, op.A, op.L, op.rnorm_estimate)
     return comp
 
 
@@ -334,7 +306,7 @@ def irjbd_solve(A, L, cfg):
     # extracted; every exit but convergence and the budget is a breakdown
     status, message = "breakdown", ""
     while True:
-        ritz = check_convergence(extract_ritz(state, cfg), cfg)
+        ritz = extract_ritz(state, cfg)
         history.append(ConvergenceRecord(
             restart_index=restarts,
             bounds=ritz.bounds[:l].copy(),
@@ -389,9 +361,7 @@ def irjbd_solve(A, L, cfg):
     uncertified = []
     for idx in range(min(l, ritz.k)):
         comp = recover_component(state, op, ritz, idx)
-        trivial = comp.c * comp.s < 10.0 * EPS
-        comp.reliability_warning = ritz.reliability_warning or trivial
-        if trivial:
+        if comp.c * comp.s < 10.0 * EPS:
             reason = f"c*s = {comp.c * comp.s:.1e} is below 10*eps"
         elif not comp.relative_residual <= cfg.tol:
             reason = (f"recovered relative residual {comp.relative_residual:.1e} "
@@ -411,7 +381,6 @@ def irjbd_solve(A, L, cfg):
         components=components,
         history=history,
         status=status,
-        reliability_warning=bool(ritz.reliability_warning),
         message=_note_failures(message, op),
         seed=cfg.seed,
         restarts=restarts,

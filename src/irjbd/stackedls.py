@@ -55,9 +55,9 @@ def stack_norm_estimate(A, L):
     """Cheap upper bound on the spectral norm of the stacked matrix [A; L]."""
     a1, ai, l1, li = A.norm1(), A.norminf(), L.norm1(), L.norminf()
     sq = a1 * ai + l1 * li
-    if isfinite(sq):
+    if _TINY <= sq < inf:
         return sqrt(sq)
-    # the products overflow: take the square roots first
+    # the products overflow or underflow: take the square roots first
     return hypot(sqrt(a1) * sqrt(ai), sqrt(l1) * sqrt(li))
 
 

@@ -72,7 +72,7 @@ def _pairs200_matrix(index, n=200):
     return SparseMatrix.from_coo(m, n, rows, cols, vals)
 
 
-def _warning_regime_matrix(sigma_min, n=24):
+def _ill_conditioned_matrix(sigma_min, n=24):
     """Square A with singular values 1 .. 0.3 and a last one of ``sigma_min``.
 
     With L = I the smallest value is about sigma_min, and the conditioning
@@ -398,35 +398,36 @@ class TestAcceptance:
         ok = (not comp.converged) and res.status != "converged"
         _report("smallest-mode chaser of the zero component never flags converged",
                 ok, f"status {res.status}, c {comp.c:.2e}, "
-                    f"warning {comp.reliability_warning}")
+                    f"relres {comp.relative_residual:.1e}")
 
-    def test_reliability_warning_regime(self):
+    def test_ill_conditioned_diag_product_exceeds_tol_over_eps(self):
         # engineered pair whose conditioning diagnostic must exceed tol / eps;
         # the reported bound is deliberately NOT asserted against the true
         # residual here
-        res = irjbd_solve(_warning_regime_matrix(1e-9), identity(24),
+        res = irjbd_solve(_ill_conditioned_matrix(1e-9), identity(24),
                           SolverConfig(target=-2, kmax=10, tol=1e-8, seed=1, maxit=200))
         diag = res.history[-1].diag_product
-        ok = res.reliability_warning and diag > 1e-8 / np.finfo(float).eps
-        _report("conditioning warning fires when the diagnostic swamps tol",
+        ok = diag > 1e-8 / np.finfo(float).eps
+        _report("the conditioning diagnostic exceeds tol / eps on the ill-conditioned pair",
                 ok, f"diag {diag:.2e}, status {res.status}")
 
-    def test_warning_regime_certified_by_residual(self):
-        # the diagnostic warns, but the recovered residuals are within tol, so
-        # the value near 1e-13 is certified in both restart modes
-        A = _warning_regime_matrix(1e-13)
+    def test_ill_conditioned_pair_certified_by_residual(self):
+        # the diagnostic exceeds tol / eps, but the recovered residuals are
+        # within tol, so the value near 1e-13 is certified in both restart modes
+        A = _ill_conditioned_matrix(1e-13)
         details = []
         ok = True
         for mode in ("implicit", "thick"):
             res = irjbd_solve(A, identity(24), SolverConfig(
                 target=-2, kmax=10, tol=1e-8, seed=1, maxit=200, restart_mode=mode))
             worst = max(comp.relative_residual for comp in res.components)
-            ok = ok and (res.status == "converged" and res.reliability_warning
+            ok = ok and (res.status == "converged"
+                         and res.history[-1].diag_product > 1e-8 / np.finfo(float).eps
                          and res.restarts <= 20 and len(res.components) == 2
                          and worst <= 1e-8)
             details.append(f"{mode}: {res.status}, {res.restarts} restarts, "
                            f"relres {worst:.1e}")
-        _report("warning regime at sigma_min 1e-13 converges with the warning set",
+        _report("ill-conditioned pair at sigma_min 1e-13 converges",
                 ok, "; ".join(details))
 
     def test_tiny_values_accurate_to_the_stored_pair(self):
@@ -437,7 +438,7 @@ class TestAcceptance:
         worst = 0.0
         ok = True
         for sigma_min in (1e-9, 1e-11, 1e-13):
-            A = _warning_regime_matrix(sigma_min)
+            A = _ill_conditioned_matrix(sigma_min)
             sigma = np.linalg.svd(A.to_dense(), compute_uv=False)[::-1][:2]
             want = sigma / np.sqrt(1.0 + sigma**2)
             for mode in ("implicit", "thick"):
@@ -454,7 +455,7 @@ class TestAcceptance:
 
     def test_benign_smallest_pair_converged(self):
         # the three smallest values of the first pairs200 pair; its diagnostic
-        # warns, but nothing is wrong with the recovered components
+        # exceeds tol / eps, but nothing is wrong with the recovered components
         A = _pairs200_matrix(0)
         L = second_order_L(200)
         res = irjbd_solve(A, L, SolverConfig(target=-3, kmax=25, tol=1e-8, seed=2))

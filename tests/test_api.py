@@ -30,3 +30,11 @@ def test_bench_and_readme_names_are_public():
     used = {"irjbd_solve", "SolverConfig", "SparseMatrix", "read_matrix_market",
             "write_matrix_market", "second_order_L"}
     assert used <= set(irjbd.__all__)
+
+
+def test_component_and_result_fields():
+    assert [f.name for f in fields(irjbd.GsvdComponent)] == [
+        "c", "s", "x", "y", "z", "relative_residual", "bound", "converged"]
+    assert [f.name for f in fields(irjbd.SolveResult)] == [
+        "components", "history", "status", "message", "seed", "restarts",
+        "lsqr_iterations", "lsqr_failures", "lsqr_defect"]

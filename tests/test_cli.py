@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import irjbd.cli
 import irjbd.stackedls
 from irjbd.cli import build_parser, main, run_cli
 from irjbd.driver import SolverConfig
@@ -270,7 +271,13 @@ class TestErrorPaths:
         assert captured.err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize("flag, what", [("--out", "report"), ("--history", "history")])
-    def test_unwritable_output_path(self, diag_matrix_file, tmp_path, capsys, flag, what):
+    def test_unwritable_output_path(self, diag_matrix_file, tmp_path, monkeypatch, capsys,
+                                    flag, what):
+        # the path is checked before the solve, which must not run
+        def no_solve(*args):
+            raise AssertionError("the solve ran before the output paths were checked")
+
+        monkeypatch.setattr(irjbd.cli, "irjbd_solve", no_solve)
         path = str(tmp_path / "missing" / "out.txt")
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "1",
                         "--kmax", "4", flag, path])

@@ -11,9 +11,8 @@ import irjbd.jbd
 import irjbd.restart
 import irjbd.stackedls
 from irjbd.bidiag import SmallGsvd, small_gsvd
-from irjbd.driver import (GsvdComponent, RitzSet, SolverConfig, check_convergence,
-                          compute_residual, extract_ritz, irjbd_solve, recover_component,
-                          residual_bound_pq)
+from irjbd.driver import (GsvdComponent, SolverConfig, compute_residual, extract_ritz,
+                          irjbd_solve, recover_component, residual_bound_pq)
 from irjbd.jbd import jbd_init
 from irjbd.oracle import dense_gsvd, stack_qr
 from irjbd.shifts import ShiftSet
@@ -79,30 +78,15 @@ class TestResidualBounds:
         assert residual_bound_pq(sg, alpha, betabar).tolist() == scalar
 
 
-class TestCheckConvergence:
-    def _ritz(self, bounds, diag_product):
-        k = len(bounds)
-        sg = small_gsvd(np.vstack([np.diag(np.linspace(0.9, 0.5, k)), np.zeros(k)]),
-                        np.diag(np.sqrt(1 - np.linspace(0.9, 0.5, k) ** 2)))
-        return RitzSet(small=sg, bounds=np.asarray(bounds, dtype=float),
-                       converged=np.zeros(k, dtype=bool), diag_product=diag_product,
-                       reliability_warning=False)
-
-    def test_flags_follow_tolerance(self):
-        cfg = SolverConfig(target=2, kmax=5, tol=1e-8)
-        ritz = check_convergence(self._ritz([1e-9, 1e-7], 10.0), cfg)
-        assert ritz.converged.tolist() == [True, False]
-
-    def test_warning_when_conditioning_swamps_tolerance(self):
-        # 1e14 * eps is about 2e-2, far above a 1e-8 tolerance
-        cfg = SolverConfig(target=2, kmax=5, tol=1e-8)
-        ritz = check_convergence(self._ritz([1e-9, 1e-9], 1e14), cfg)
-        assert ritz.reliability_warning
-
-    def test_no_warning_for_modest_conditioning(self):
-        cfg = SolverConfig(target=2, kmax=5, tol=1e-8)
-        ritz = check_convergence(self._ritz([1e-9, 1e-9], 1e3), cfg)
-        assert not ritz.reliability_warning
+class TestConvergenceFlags:
+    def test_flags_follow_tolerance(self, rng):
+        # a tolerance between the bounds flags exactly those below it
+        state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
+        bounds = np.sort(extract_ritz(state, SolverConfig(target=2, kmax=7)).bounds)
+        tol = float(np.sqrt(bounds[2] * bounds[3]))
+        ritz = extract_ritz(state, SolverConfig(target=2, kmax=7, tol=tol))
+        assert ritz.converged.tolist() == [b < tol for b in ritz.bounds]
+        assert np.count_nonzero(ritz.converged) == 3
 
     def test_tolerance_below_machine_precision_rejected(self):
         with pytest.raises(ValueError):
@@ -129,17 +113,7 @@ class TestResiduals:
         comp = GsvdComponent(c=float(ref.C[0]), s=float(ref.S[0]), x=ref.X[:, 0],
                              y=ref.PA[:, 0], z=ref.PL[:, 0])
         A, L = SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld)
-        norm, rel = compute_residual(comp, A, L, StackedOperator(A, L).rnorm_estimate)
-        assert norm < 1e-12 and rel < 1e-12
-
-    def test_overflowing_squares_are_rescaled(self):
-        # the squares of a 1e200 residual overflow; the norm does not
-        A, L = SparseMatrix.from_dense([[1e200]]), SparseMatrix.from_dense([[1.0]])
-        comp = GsvdComponent(c=0.6, s=0.8, x=np.ones(1), y=np.zeros(1), z=np.zeros(1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            norm, rel = compute_residual(comp, A, L, 1e200)
-        assert norm == 1e200 and rel == 1.0
+        assert compute_residual(comp, A, L, StackedOperator(A, L).rnorm_estimate) < 1e-12
 
     def test_first_two_blocks_vanish_on_recovered_components(self, rng):
         Ad, Ld, A, L = gaussian_pair(rng, 12, 11, 8)
@@ -175,7 +149,7 @@ class TestRecovery:
     def test_left_vectors_are_unit(self, rng):
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
         cfg = SolverConfig(target=2, kmax=7, tol=1e-8)
-        ritz = check_convergence(extract_ritz(state, cfg), cfg)
+        ritz = extract_ritz(state, cfg)
         for i in range(3):
             comp = recover_component(state, op, ritz, i)
             np.testing.assert_allclose(np.linalg.norm(comp.y), 1.0, atol=1e-12)
@@ -185,7 +159,7 @@ class TestRecovery:
         # x comes from the kept preimages: [A; L] x = Vprime w with no LSQR call
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
         cfg = SolverConfig(target=2, kmax=7, tol=1e-8)
-        ritz = check_convergence(extract_ritz(state, cfg), cfg)
+        ritz = extract_ritz(state, cfg)
         before = (op.iterations, op.failures)
         for i in range(ritz.k):
             comp = recover_component(state, op, ritz, i)
@@ -567,15 +541,14 @@ class TestTrivialComponentHandling:
 
     def test_zero_value_chaser_never_flags_converged(self, rng):
         # large nontrivial values force the smallest-mode run to hunt the
-        # trivial zero component; whatever it finds there must carry the
-        # reliability warning and must not be reported as converged
+        # trivial zero component; whatever it finds there must not be
+        # reported as converged
         Ad, Ld, p0 = self.rank_deficient_pair(rng, sigma_floor=3.0)
         A, L = SparseMatrix.from_dense(Ad), SparseMatrix.from_dense(Ld)
         res = irjbd_solve(A, L, SolverConfig(target=-1, kmax=8, tol=1e-8, seed=0,
                                              maxit=40))
         comp = res.components[0]
         assert not comp.converged
-        assert comp.reliability_warning
         assert res.status != "converged"
 
 
@@ -662,14 +635,22 @@ class TestCommonScale:
         assert res.restarts == ref.restarts
         assert res.lsqr_iterations == ref.lsqr_iterations
         assert [comp.c for comp in res.components] == [comp.c for comp in ref.components]
-        if k != -40:
-            assert res.status == ref.status
+        assert res.status == ref.status
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "compute_residual divides all three blocks by ||[A; L]||, but only "
-        "s A^T y - c L^T z scales with the pair: at 2^-40 the recovered "
-        "relative residual reads 1.3e-5 and the run ends unreliable"))
     @pytest.mark.parametrize("mode", ["implicit", "thick"])
     @pytest.mark.parametrize("target", [3, -3])
     def test_status_at_tiny_scale(self, scaled_pair_run, target, mode):
+        # each residual block is measured against its own scale, so the
+        # recovered relative residual, and with it the status, does not move
         assert scaled_pair_run(-40, target, mode).status == scaled_pair_run(0, target, mode).status
+
+    @pytest.mark.parametrize("mode", ["implicit", "thick"])
+    @pytest.mark.parametrize("target", [3, -3])
+    @pytest.mark.parametrize("k", [-1000, -540, 520, 1000])
+    def test_status_and_restarts_at_extreme_scale(self, scaled_pair_run, k, target, mode):
+        # near the ends of the float range the norm estimate's products
+        # underflow or the residual's squares would overflow; the last bits
+        # of c may differ there, so only the label and the restarts are held
+        ref, res = scaled_pair_run(0, target, mode), scaled_pair_run(k, target, mode)
+        assert res.status == ref.status
+        assert res.restarts == ref.restarts

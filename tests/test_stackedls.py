@@ -850,6 +850,18 @@ def test_stack_norm_estimate_bounds_spectral_norm(rng):
     assert est >= true - 1e-12
 
 
+def test_stack_norm_estimate_survives_underflow(rng):
+    # at 2^-600 the products of the 1- and inf-norms underflow to zero; the
+    # estimate still bounds the norm, which scales exactly by the power of two
+    Ad = rng.standard_normal((60, 40))
+    Ld = rng.standard_normal((40, 40))
+    alpha = 2.0 ** -600
+    est = stack_norm_estimate(SparseMatrix.from_dense(alpha * Ad),
+                              SparseMatrix.from_dense(alpha * Ld))
+    assert est > 0.0
+    assert est >= alpha * np.linalg.norm(np.vstack([Ad, Ld]), 2)
+
+
 def test_inner_tolerance_rule():
     # a hundredth of the outer tolerance, floored at 10 eps
     assert StackedOperator.default_tol(1e-8) == 1e-10
