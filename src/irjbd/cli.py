@@ -8,8 +8,8 @@ a small CSV meant for external plotting of per-restart convergence.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
+import os
 import sys
 import time
 
@@ -107,14 +107,27 @@ def _format_report(args, A, L, l_label, result, elapsed):
     return "\n".join(lines) + "\n"
 
 
-def _write_history(fh, history):
+def _format_history(history):
     # columns are only ever appended, so existing parsers keep working
-    fh.write("restart,max_bound,diag_product,lsqr_iters,kept,shifts_replaced\n")
+    lines = ["restart,max_bound,diag_product,lsqr_iters,kept,shifts_replaced"]
     for rec in history:
         max_bound = float(np.max(rec.bounds)) if len(rec.bounds) else float("nan")
-        fh.write(f"{rec.restart_index},{max_bound:.17g},"
-                 f"{rec.diag_product:.17g},{rec.lsqr_iters_total},"
-                 f"{rec.kept},{rec.shifts_replaced}\n")
+        lines.append(f"{rec.restart_index},{max_bound:.17g},"
+                     f"{rec.diag_product:.17g},{rec.lsqr_iters_total},"
+                     f"{rec.kept},{rec.shifts_replaced}")
+    return "\n".join(lines) + "\n"
+
+
+def _check_writable(path):
+    """Raise OSError unless ``path`` can be opened for writing.
+
+    An existing file is opened for appending, so it keeps its contents; a
+    file the check creates is removed again.
+    """
+    fresh = not os.path.lexists(path)
+    open(path, "a", encoding="ascii").close()
+    if fresh:
+        os.remove(path)
 
 
 def run_cli(argv=None):
@@ -148,30 +161,39 @@ def run_cli(argv=None):
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return 1
 
-    # the outputs are opened before the solve, so an unwritable path costs no solve
-    with contextlib.ExitStack() as stack:
-        files = {}
-        for what, path in (("report", args.out), ("history", args.history)):
-            if path:
-                try:
-                    files[what] = stack.enter_context(open(path, "w", encoding="ascii"))
-                except OSError as exc:
-                    print(f"error: cannot write {what} to {path}: {exc}", file=sys.stderr)
-                    return 1
-
-        start = time.perf_counter()
+    if args.out and args.history and os.path.realpath(args.out) == os.path.realpath(args.history):
+        print(f"error: --out and --history name the same file: {args.out}", file=sys.stderr)
+        return 1
+    # the output paths are checked before the solve, so an unwritable one
+    # costs no solve, and written after it, so a failed solve leaves them be
+    outputs = [(what, path) for what, path in (("report", args.out),
+                                               ("history", args.history)) if path]
+    for what, path in outputs:
         try:
-            result = irjbd_solve(A, L, cfg)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _check_writable(path)
+        except OSError as exc:
+            print(f"error: cannot write {what} to {path}: {exc}", file=sys.stderr)
             return 1
-        elapsed = time.perf_counter() - start
 
-        files.get("report", sys.stdout).write(
-            _format_report(args, A, L, l_label, result, elapsed))
-        if "history" in files:
-            _write_history(files["history"], result.history)
+    start = time.perf_counter()
+    try:
+        result = irjbd_solve(A, L, cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    elapsed = time.perf_counter() - start
 
+    texts = {"report": _format_report(args, A, L, l_label, result, elapsed),
+             "history": _format_history(result.history)}
+    if not args.out:
+        sys.stdout.write(texts["report"])
+    for what, path in outputs:
+        try:
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(texts[what])
+        except OSError as exc:
+            print(f"error: cannot write {what} to {path}: {exc}", file=sys.stderr)
+            return 1
     return _STATUS_EXIT.get(result.status, 2)
 
 

@@ -12,19 +12,19 @@ fits under ``_FACTOR_BYTES``, M = D R^-1, with D the scaling to unit column
 norms and R the Cholesky factor of the Gram matrix of [A; L] D: [A; L] M
 then has orthonormal columns up to a defect F = ([A; L] M)^T [A; L] M - I,
 and every solve converges in one or two iterations.  The operator bounds
-||F||_2 once, as ``defect``, and a solve whose stopping test already passes
-on the bound that ``defect`` gives LSQR's second alpha stops after one
-iteration without the product pair that would compute it.  Otherwise, or
-when that factor is not numerically nonsingular, M = D and ``defect`` is
-inf.  Either way range([A; L] M) = range([A; L]).  The
-operator owns the inner-solve controls and counts the work of every solve
-made through it.  A solve need only be accurate relative to the outer
-tolerance ``tol`` of the GSVD, not to the last bit, so its stopping
-tolerance is ``StackedOperator.default_tol(tol)`` = max(10 eps, tol / 100);
-an operator built on its own starts at the floor, 10 eps.  The
-per-iteration products with M and the norms call ``ndarray.dot``: at
-n = 200 the ``@`` operator's dispatch costs about as much as the
-arithmetic, and the results are the same.
+||F||_2 once, as ``defect``, and a solve whose first stopping test passes
+on the bounds ``defect`` gives beta_2 and rho_1 returns after its first
+product with [A; L]^T, with no forward product.  Otherwise, or when that
+factor is not numerically nonsingular, M = D and ``defect`` is inf.  Either
+way range([A; L] M) = range([A; L]).  The operator owns the inner-solve
+controls and counts the work of every solve made through it.  A solve need
+only be accurate relative to the outer tolerance ``tol`` of the GSVD, not
+to the last bit, so its stopping tolerance is
+``StackedOperator.default_tol(tol)`` = max(10 eps, tol / 100); an operator
+built on its own starts at the floor, 10 eps.  The per-iteration products
+with M and the norms call ``ndarray.dot``: at n = 200 the ``@`` operator's
+dispatch costs about as much as the arithmetic, and the results are the
+same.
 """
 
 from __future__ import annotations
@@ -422,14 +422,18 @@ def lsqr_solve(op, rhs):
     test (compatible-system or least-squares) of the preconditioned system
     falls below ``op.tol``, which serves as both atol and btol;
     ``irjbd_solve`` sets it to ``StackedOperator.default_tol`` of its outer
-    tolerance.  The test runs once beta_{i+1} is known, before the product
-    pair that gives alpha_{i+1}: x_i and the compatible-system test do not
-    depend on alpha_{i+1}, and the least-squares test grows with it.  At the
-    first iteration alpha_2 <= ``op.defect`` / beta_2, because alpha_2 v_2 =
-    (I - v_1 v_1^T) F v_1 / beta_2 for the operator's defect F, so the test
-    is first tried with that bound in place of alpha_2.  If it passes, the
-    solve returns x_1, the x the full test would return, after one product
-    pair; otherwise the pair runs and the test is made as usual.
+    tolerance.  The compatible-system test runs once beta_{i+1} is known,
+    before the product pair that gives alpha_{i+1}, on which it does not
+    depend.  The first least-squares test is decided before the first
+    forward product: u_1 and v_1 are unit, so rho_1^2 = ||[A; L] M v_1||^2
+    is within delta = ``op.defect`` of 1, beta_2^2 = rho_1^2 - alpha_1^2 and
+    alpha_2 <= delta / beta_2, and the test delta alpha_1 / (beta_2 rho_1^2)
+    <= tol holds whenever delta alpha_1 <= tol (1 - delta) sqrt(1 - delta -
+    alpha_1^2).  The solve then returns x = alpha_1 beta_1 M v_1, LSQR's x_1
+    with rho_1^2 taken as 1 (within delta / (1 - delta), relative), as one
+    iteration.  The exit never passes for M = D (delta = inf), nor at the
+    10 eps floor once delta alpha_1 > 10 eps, nor when 1 - alpha_1^2 <=
+    delta, a rhs almost in the range.
     Non-convergence within ``op.maxit`` is reported through the flag, never
     raised: ill conditioning can legitimately push the iteration count past
     n.  The iteration count and any non-convergence are added to the
@@ -486,8 +490,13 @@ def lsqr_solve(op, rhs):
     cs2, sn2, z, xxnorm = -1.0, 0.0, 0.0, 0.0
     converged = False
     itn = 0
+    # the first test on the defect's bounds for beta_2 and rho_1 (see above)
+    gap = 1.0 - op.defect - alfa * alfa
+    if op.maxit > 0 and gap > 0.0 and op.defect * alfa <= tol * (1.0 - op.defect) * sqrt(gap):
+        x = (alfa * bnorm) * op._precondition(v)
+        itn, converged = 1, True
 
-    while itn < op.maxit:
+    while not converged and itn < op.maxit:
         itn += 1
         mv = op._precondition(v)
         # in place: negation is exact, so -alfa * u + Av rounds like Av - alfa * u
@@ -519,14 +528,11 @@ def lsqr_solve(op, rhs):
         zbar = rhs_z / gambar
         xnorm = sqrt(xxnorm + zbar * zbar)
 
-        # neither x nor test1 depends on the next alfa, and test2 grows with
-        # it: at the first iteration alfa_2 <= op.defect / beta_2, so a test
-        # that passes on that bound spares the second product pair
+        # neither x nor test1 depends on the next alfa, so test1 comes first
         rnorm = phibar
         test1 = rnorm / bnorm
         rtol = tol + tol * anorm * xnorm / bnorm
-        if test1 <= rtol or itn == 1 and beta > 0.0 and (
-                op.defect / beta * abs(sn * phi) / (anorm * rnorm + _EPS) <= tol):
+        if test1 <= rtol:
             converged = True
             break
 

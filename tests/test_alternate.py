@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -58,9 +59,11 @@ def test_alternated_pairs_and_summary(tmp_path):
     time = row["summary"]["time_to_solution_s"]
     assert time == {"parent_median": 2.0, "parent_q1": 2.0, "parent_q3": 2.0,
                     "change_median": 1.5, "change_q1": 1.5, "change_q3": 1.5,
-                    "change_wins": 4, "pairs": 4}
+                    "change_wins": 4, "pairs": 4, "median_gap": -0.5, "claim_holds": True}
     # a tie wins for neither side
-    assert row["summary"]["restarts"]["change_wins"] == 0
+    restarts = row["summary"]["restarts"]
+    assert restarts["change_wins"] == 0 and restarts["median_gap"] == 0
+    assert restarts["claim_holds"] is False
 
     # a second label is added beside the first
     proc, _, _ = _alternate(tmp_path, parent, change, "--pairs", "1", "--label", "held-out")
@@ -75,3 +78,32 @@ def test_refuses_differing_bench_trees(tmp_path):
     assert proc.returncode == 2
     assert "refusing" in proc.stderr and "run.py" in proc.stderr
     assert not log.exists() and not out.exists()
+
+
+def _summarize(parent, change, higher=()):
+    spec = importlib.util.spec_from_file_location("alternate", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    runs = [{"pair": pair, "side": side, "t": value}
+            for pair, values in enumerate(zip(parent, change))
+            for side, value in zip(("parent", "change"), values)]
+    return module.summarize(runs, set(higher))["t"]
+
+
+def test_claim_needs_nine_tenths_and_a_gap_past_the_spread():
+    parent = [1.00, 1.02, 1.04, 1.06, 1.08, 1.00, 1.02, 1.04, 1.06, 1.08]
+    # 10 wins and a median gap of 0.1 against a parent spread of 0.04
+    row = _summarize(parent, [v - 0.1 for v in parent])
+    assert row["change_wins"] == 10 and row["claim_holds"] is True
+    assert abs(row["median_gap"] + 0.1) < 1e-12
+    assert row["parent_q3"] - row["parent_q1"] < 0.1
+    # 9 wins of 10 still hold; 8 do not, whatever the gap
+    assert _summarize(parent, [v - 0.1 for v in parent[:9]] + [9.0])["claim_holds"] is True
+    assert _summarize(parent, [v - 0.1 for v in parent[:8]] + [9.0, 9.0])["claim_holds"] is False
+    # every pair won, but by less than the parent's own spread
+    row = _summarize(parent, [v - 0.01 for v in parent])
+    assert row["change_wins"] == 10 and row["claim_holds"] is False
+    # a metric that is better higher: the gap must be positive
+    row = _summarize(parent, [v + 0.1 for v in parent], higher=["t"])
+    assert row["change_wins"] == 10 and row["claim_holds"] is True
+    assert _summarize(parent, [v - 0.1 for v in parent], higher=["t"])["claim_holds"] is False

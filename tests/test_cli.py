@@ -286,6 +286,38 @@ class TestErrorPaths:
         assert err.startswith(f"error: cannot write {what} to {path}: ")
         assert err.count("\n") == 1
 
+    def test_failed_solve_leaves_the_outputs_be(self, tmp_path, capsys):
+        # the solve rejects an A without rows after the paths are checked:
+        # an existing report and history keep their bytes, and no file is made
+        path = tmp_path / "a.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n0 8 0\n")
+        report, history = tmp_path / "report.txt", tmp_path / "history.csv"
+        report.write_text("an earlier report\n")
+        code = run_cli(["--A", str(path), "--L", "second-order", "--target", "2", "--kmax", "5",
+                        "--out", str(report), "--history", str(history)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: A is 0 x 8: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert report.read_text() == "an earlier report\n"
+        assert not history.exists()
+
+    def test_out_and_history_name_one_file(self, diag_matrix_file, tmp_path, monkeypatch,
+                                           capsys):
+        def no_solve(*args):
+            raise AssertionError("the solve ran with one file for both outputs")
+
+        monkeypatch.setattr(irjbd.cli, "irjbd_solve", no_solve)
+        path = tmp_path / "out.txt"
+        path.write_text("an earlier report\n")
+        code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "1",
+                        "--kmax", "4", "--out", str(path), "--history", f"{tmp_path}/./out.txt"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: --out and --history name the same file: {path}\n"
+        assert captured.out == ""
+        assert path.read_text() == "an earlier report\n"
+
     def test_lsqr_maxit_is_no_flag(self, diag_matrix_file, capsys):
         # the inner iteration cap is fixed at 10 n
         code = run_cli(["--A", diag_matrix_file, "--L", "identity", "--target", "1",

@@ -465,8 +465,9 @@ class TestAgainstReferenceLoop:
         assert np.linalg.norm(out.solution - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_dense_products_in_a_one_iteration_solve(self, rng, monkeypatch):
-        # M^T A^T u and M v; the second pair's M^T A^T u only where the
-        # defect cannot certify the stop, and no product forms x = M y
+        # M^T A^T u and M v, and no product forms x = M y; the second pair's
+        # M^T A^T u only where the defect cannot certify the stop before the
+        # first forward product
         A, L = TestFactoredPreconditioner.pair(rng)
         rhs = rng.standard_normal(75)
         solutions = []
@@ -484,8 +485,10 @@ class TestAgainstReferenceLoop:
             assert out.iterations == 1 and out.converged
             assert calls == ["_precondition_transpose", "_precondition"] + extra
             solutions.append(out.solution)
-        # x_1 does not depend on alpha_2: the early stop returns the same bits
-        np.testing.assert_array_equal(_bits(solutions[0]), _bits(solutions[1]))
+        # the certified exit takes x_1 with rho_1^2 = 1, within delta of LSQR's
+        delta = StackedOperator(A, L).defect
+        err = np.linalg.norm(solutions[0] - solutions[1])
+        assert err <= delta / (1.0 - delta) * np.linalg.norm(solutions[1])
 
 
 class TestOrthonormalityDefect:
@@ -501,25 +504,32 @@ class TestOrthonormalityDefect:
         w = op._precondition_transpose(op.apply_transpose(u / beta)) - beta * v
         return np.linalg.norm(w), beta
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), extra=st.integers(0, 12),
-           decades=st.sampled_from([0, 3, 7]))
-    def test_bounds_the_computed_second_alpha(self, seed, n, extra, decades):
-        # singular values graded down to 10^-decades: R^-1 amplifies the
-        # rounding of the Gram matrix, and with it F
+    @staticmethod
+    def graded_stack(seed, n, extra, decades):
+        """(S, op, gen): an (2n + extra) x n stack S whose singular values are
+        graded down to 10^-decades, its operator and the generator after it."""
         m = n + extra
         gen = np.random.default_rng(seed)
         U = np.linalg.qr(gen.standard_normal((m + n, n)))[0]
         V = np.linalg.qr(gen.standard_normal((n, n)))[0]
         S = U * np.logspace(0, -decades, n) @ V.T
         op = StackedOperator(SparseMatrix.from_dense(S[:m]), SparseMatrix.from_dense(S[m:]))
+        return S, op, gen
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), extra=st.integers(0, 12),
+           decades=st.sampled_from([0, 3, 7]))
+    def test_bounds_the_computed_second_alpha(self, seed, n, extra, decades):
+        # singular values graded down to 10^-decades: R^-1 amplifies the
+        # rounding of the Gram matrix, and with it F
+        S, op, gen = self.graded_stack(seed, n, extra, decades)
         if op._factor is None:
             assert op.defect == np.inf
             return
         K = S @ op._factor
         assert op.defect >= np.linalg.norm(K.T @ K - np.eye(n), 2)
-        for rhs in (gen.standard_normal(m + n), S @ gen.standard_normal(n)
-                    + 1e-9 * gen.standard_normal(m + n)):
+        for rhs in (gen.standard_normal(len(S)), S @ gen.standard_normal(n)
+                    + 1e-9 * gen.standard_normal(len(S))):
             alfa, beta = self.first_alpha(op, rhs)
             assert alfa * beta <= op.defect
             # a stop on the bound is a stop the full test makes as well
@@ -537,6 +547,76 @@ class TestOrthonormalityDefect:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert op._orthonormality_defect() == np.inf
+
+
+def _count_products(monkeypatch, op):
+    """The names of the products with [A; L] that ``op`` makes, in order."""
+    calls = []
+    for name in ("apply", "apply_transpose"):
+        method = getattr(op, name)
+        monkeypatch.setattr(op, name, lambda v, method=method, name=name:
+                            calls.append(name) or method(v))
+    return calls
+
+
+class TestCertifiedExit:
+    # u_1 and v_1 are unit vectors, so ||[A; L] M v_1||^2 = rho_1^2 lies in
+    # [1 - delta, 1 + delta] and beta_2^2 = rho_1^2 - alpha_1^2: the first
+    # iteration's test is decided on alpha_1 and delta alone, before the
+    # first forward product
+
+    def test_certified_solve_makes_one_transpose_product(self, rng, monkeypatch):
+        A, L = TestFactoredPreconditioner.pair(rng)
+        op = StackedOperator(A, L)
+        op.tol = 1e-10
+        calls = _count_products(monkeypatch, op)
+        out = lsqr_solve(op, rng.standard_normal(75))
+        assert out.iterations == 1 and out.converged
+        assert calls == ["apply_transpose"]
+        assert op.iterations == 1 and op.failures == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), extra=st.integers(0, 12),
+           decades=st.sampled_from([0, 3, 7]), noise=st.sampled_from([None, 1e-3, 1e-9]))
+    def test_exit_certifies_only_what_the_loop_certifies(self, seed, n, extra, decades,
+                                                         noise):
+        # rhs = S g plus noise lies nearly in the range: alpha_1 -> 1 as the
+        # noise shrinks, and once 1 - alpha_1^2 <= delta the exit must refuse
+        S, op, gen = TestOrthonormalityDefect.graded_stack(seed, n, extra, decades)
+        op.tol = StackedOperator.default_tol(1e-8)
+        if noise is None:
+            rhs = gen.standard_normal(len(S))
+        else:
+            rhs = S @ gen.standard_normal(n) + noise * gen.standard_normal(len(S))
+        u = rhs / np.sqrt(rhs.dot(rhs))
+        v = op._precondition_transpose(op.apply_transpose(u))
+        alfa = np.sqrt(v.dot(v))
+        ref, ref_iterations, ref_converged = reference_lsqr(op, rhs)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_products(patch, op)
+            out = lsqr_solve(op, rhs)
+        assert out.iterations == ref_iterations and out.converged == ref_converged
+        delta = op.defect
+        if "apply" not in calls:
+            assert 1.0 - alfa**2 > delta
+            assert ref_iterations == 1 and calls == ["apply_transpose"]
+            err = np.linalg.norm(out.solution - ref)
+            assert err <= delta / (1.0 - delta) * np.linalg.norm(ref)
+
+    def test_loop_runs_at_the_floor(self, rng):
+        # at tol = 10 eps the defect of n = 30 (about 3e-14) cannot certify:
+        # the solve makes its forward product and matches the reference loop
+        A, L = TestFactoredPreconditioner.pair(rng)
+        op = StackedOperator(A, L)
+        assert op.tol == 10 * EPS and op.defect > op.tol
+        for rhs in (rng.standard_normal(75), op.apply(rng.standard_normal(30))):
+            ref, ref_iterations, ref_converged = reference_lsqr(op, rhs)
+            with pytest.MonkeyPatch.context() as patch:
+                calls = _count_products(patch, op)
+                out = lsqr_solve(op, rhs)
+            assert calls[:2] == ["apply_transpose", "apply"]
+            assert out.iterations == ref_iterations and out.converged == ref_converged
+            assert np.linalg.norm(out.solution - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def _fused_entries(A, L):

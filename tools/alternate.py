@@ -15,7 +15,10 @@ Every metric of each run's result line (the last line of its output) is
 collected, and the summary gives per side the median and quartiles
 (``statistics.quantiles(n=4)``) and the number of pairs the change won, a
 pair being won when the change's value is lower (higher for a metric that
-``BENCHMARK.json`` marks ``"better": "higher"``).  The summary goes into
+``BENCHMARK.json`` marks ``"better": "higher"``).  ``median_gap`` is the
+change's median less the parent's, and ``claim_holds`` is true when the
+change won at least nine tenths of the pairs and its median is better than
+the parent's by more than the parent's q3 - q1.  The summary goes into
 ``--out`` under ``workloads[<label>]`` as ``{"args", "summary", "runs"}``;
 other labels already in that file are kept.  Exit code 0 on success, 2 on
 bad arguments or differing bench trees, 1 when a run fails.
@@ -84,7 +87,8 @@ def quartiles(values):
 
 
 def summarize(runs, higher):
-    """Per metric: each side's median and quartiles and the change's wins."""
+    """Per metric: each side's median and quartiles, the change's wins, the
+    signed gap change_median - parent_median and whether a gain is shown."""
     pairs = sorted({r["pair"] for r in runs})
     by = {(r["pair"], r["side"]): r for r in runs}
     names = [k for k in runs[0] if k not in ("pair", "side", "correct", "failed", "attempted")]
@@ -99,6 +103,9 @@ def summarize(runs, higher):
         row["change_wins"] = sum(sign * by[p, "change"][name] < sign * by[p, "parent"][name]
                                  for p in pairs)
         row["pairs"] = len(pairs)
+        row["median_gap"] = row["change_median"] - row["parent_median"]
+        row["claim_holds"] = (10 * row["change_wins"] >= 9 * len(pairs)
+                              and -sign * row["median_gap"] > row["parent_q3"] - row["parent_q1"])
         summary[name] = row
     return summary
 
