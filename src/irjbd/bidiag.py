@@ -7,7 +7,8 @@ triangular and bidiagonal up to that identity's defect.  Approximate GSVD
 data is read off from their SVDs, which share a single right-vector matrix
 W exactly when that identity holds; extraction therefore computes one
 LAPACK SVD (of B) and derives the companion's singular data through W,
-keeping the shared-W structure exact by construction.
+keeping the shared-W structure exact by construction; a restart takes B's
+left null vector from the same SVD.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class SmallGsvd:
 
     ``C`` is nonincreasing, ``S`` nondecreasing, and C**2 + S**2 = 1 to the
     accuracy of the pair's joint identity.  ``W`` is shared between both
-    factors; ``P``/``Pbar`` hold the corresponding left vectors.
+    factors; ``P``/``Pbar`` hold the corresponding left vectors, and
+    ``null`` B's unit left null vector (None for a square B).
     """
 
     C: np.ndarray
@@ -47,6 +49,7 @@ class SmallGsvd:
     W: np.ndarray
     P: np.ndarray
     Pbar: np.ndarray
+    null: np.ndarray | None = None
 
     @property
     def k(self):
@@ -57,7 +60,8 @@ def small_gsvd(B, Bbar):
     """Extract joint GSVD data from the factor pair {B, Bbar}.
 
     ``B`` may be (k+1) x k or k x k; ``Bbar`` is the signed k x k companion
-    with B.T B + Bbar.T Bbar = I.  The SVD of B supplies C, W and P; then
+    with B.T B + Bbar.T Bbar = I.  The full SVD of B supplies C, W, P and,
+    for a (k+1) x k B, the left null vector as U's last column; then
     S_i = ||Bbar w_i|| and pbar_i = Bbar w_i / S_i (zero where S_i
     vanishes), which keeps a single W shared by both factors.  Each w_i is
     sign-fixed so its largest-magnitude entry is positive, making the output
@@ -71,8 +75,8 @@ def small_gsvd(B, Bbar):
         raise ValueError(f"factor pair disagrees on k: B has {k} columns, "
                          f"companion is {Bbar.shape}")
 
-    P, C, Wt = np.linalg.svd(B, full_matrices=False)
-    W = Wt.T
+    U, C, Wt = np.linalg.svd(B, full_matrices=True)
+    P, W = U[:, :k], Wt.T
 
     # deterministic signs: dominant entry of each w positive
     if k:
@@ -85,22 +89,21 @@ def small_gsvd(B, Bbar):
     Pbar = np.zeros_like(BW)
     live = S > 0.0
     Pbar[:, live] = BW[:, live] / S[live]
-    return SmallGsvd(C=C, S=S, W=W, P=P, Pbar=Pbar)
+    return SmallGsvd(C=C, S=S, W=W, P=P, Pbar=Pbar, null=U[:, k] if len(U) > k else None)
 
 
-def inverse_norm_estimates(B, Bhat):
-    """Spectral norms of the inverted leading blocks, (||B_lead^-1||, ||Bhat^-1||).
+def inverse_norm_estimates(B, S):
+    """Spectral norms of the inverted blocks, (||B_lead^-1||, ||Bbar^-1||).
 
-    ``B_lead`` is the leading k x k block of B.  Their product is the
-    conditioning diagnostic ``diag_product`` that each extraction records;
-    it decides no label.  Only the smallest singular value of each block is
-    needed, and one batched LAPACK call gives both.  A numerically singular
-    block maps to +inf; at k = 0 both estimates are 0.
+    ``B_lead`` is the leading k x k block of B, and ``S`` the pair's
+    ``small_gsvd`` values, Bbar's singular values up to the joint identity's
+    defect.  Their product is the conditioning diagnostic ``diag_product``
+    that each extraction records; it decides no label.  A numerically
+    singular block maps to +inf; at k = 0 both estimates are 0.
     """
     Bd = np.asarray(B, dtype=np.float64)
     k = Bd.shape[1]
     if k == 0:
         return 0.0, 0.0
-    blocks = np.stack([Bd[:k, :k], np.asarray(Bhat, dtype=np.float64)])
-    smin = np.linalg.svd(blocks, compute_uv=False)[:, -1]
+    smin = (np.linalg.svd(Bd[:k, :k], compute_uv=False)[-1], np.min(S))
     return tuple(float("inf") if s <= 0.0 else 1.0 / float(s) for s in smin)

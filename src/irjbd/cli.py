@@ -22,6 +22,7 @@ from .stackedls import StackedOperator
 __all__ = ["main", "run_cli", "build_parser"]
 
 _STATUS_EXIT = {"converged": 0, "unreliable": 2, "maxit_exhausted": 2, "breakdown": 2}
+_BUILTIN_L = {"identity": identity, "second-order": second_order_L}
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
 
@@ -63,15 +64,7 @@ def build_parser():
     return parser
 
 
-def _load_regularizer(spec, ncols):
-    if spec == "identity":
-        return identity(ncols), "identity"
-    if spec == "second-order":
-        return second_order_L(ncols), "second-order"
-    return read_matrix_market(spec), spec
-
-
-def _format_report(args, A, L, l_label, result, elapsed):
+def _format_report(args, A, L, result, elapsed):
     lines = []
     put = lines.append
     put("irjbd report")
@@ -88,7 +81,7 @@ def _format_report(args, A, L, l_label, result, elapsed):
     put(f"lsqr_maxit {StackedOperator.default_maxit(A.ncols)}")
     put(f"restart_mode {args.restart_mode}")
     put(f"matrix_a {args.A} rows {A.nrows} cols {A.ncols} nnz {A.nnz}")
-    put(f"matrix_l {l_label} rows {L.nrows} cols {L.ncols} nnz {L.nnz}")
+    put(f"matrix_l {args.L} rows {L.nrows} cols {L.ncols} nnz {L.nnz}")
     put(f"restarts {result.restarts}")
     put(f"lsqr_iterations_total {result.lsqr_iterations}")
     put(f"lsqr_failures {result.lsqr_failures}")
@@ -130,6 +123,13 @@ def _check_writable(path):
         os.remove(path)
 
 
+def _same_file(a, b):
+    """Whether a and b name one file: by inode when both exist (hard links count)."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def run_cli(argv=None):
     parser = build_parser()
     try:
@@ -145,7 +145,7 @@ def run_cli(argv=None):
         print(f"error: cannot read A from {args.A}: {exc}", file=sys.stderr)
         return 1
     try:
-        L, l_label = _load_regularizer(args.L, A.ncols)
+        L = _BUILTIN_L[args.L](A.ncols) if args.L in _BUILTIN_L else read_matrix_market(args.L)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read L from {args.L}: {exc}", file=sys.stderr)
         return 1
@@ -161,14 +161,20 @@ def run_cli(argv=None):
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return 1
 
-    if args.out and args.history and os.path.realpath(args.out) == os.path.realpath(args.history):
-        print(f"error: --out and --history name the same file: {args.out}", file=sys.stderr)
-        return 1
     # the output paths are checked before the solve, so an unwritable one
-    # costs no solve, and written after it, so a failed solve leaves them be
-    outputs = [(what, path) for what, path in (("report", args.out),
-                                               ("history", args.history)) if path]
-    for what, path in outputs:
+    # costs no solve, and written after it, so a failed solve leaves them be;
+    # neither may name the other output or an input file
+    outputs = [(what, flag, path) for what, flag, path in (
+        ("report", "--out", args.out), ("history", "--history", args.history)) if path]
+    named = [(flag, path) for _, flag, path in outputs] + [("--A", args.A)]
+    if args.L not in _BUILTIN_L:
+        named.append(("--L", args.L))
+    for i, (flag, path) in enumerate(named[:len(outputs)]):
+        for other, other_path in named[i + 1:]:
+            if _same_file(path, other_path):
+                print(f"error: {flag} and {other} name the same file: {path}", file=sys.stderr)
+                return 1
+    for what, _, path in outputs:
         try:
             _check_writable(path)
         except OSError as exc:
@@ -183,11 +189,11 @@ def run_cli(argv=None):
         return 1
     elapsed = time.perf_counter() - start
 
-    texts = {"report": _format_report(args, A, L, l_label, result, elapsed),
+    texts = {"report": _format_report(args, A, L, result, elapsed),
              "history": _format_history(result.history)}
     if not args.out:
         sys.stdout.write(texts["report"])
-    for what, path in outputs:
+    for what, _, path in outputs:
         try:
             with open(path, "w", encoding="ascii") as fh:
                 fh.write(texts[what])

@@ -14,9 +14,9 @@ and from stored columns alone: the state keeps a preimage basis T with
 [A; L] T = Vprime, so x = T w costs no inner solve.  The bound stops the
 iteration, but only the recovered relative residual (``compute_residual``),
 which reads the same at every common scale of {A, L}, certifies a
-component.  Each extraction also records ||Blead^-1|| * ||Bhat^-1||
+component.  Each extraction also records ||Blead^-1|| * ||Bbar^-1||
 (``diag_product``), the conditioning of the projected pair, as a
-diagnostic that decides nothing.
+diagnostic that decides nothing; ||Bbar^-1|| is 1 / min(S).
 """
 
 from __future__ import annotations
@@ -209,16 +209,16 @@ def extract_ritz(state, cfg):
     """Approximate GSVD data of the current state, extreme-first, with bounds.
 
     The one place the wanted end is decided: for a negative target C, S and
-    the columns of W, P and Pbar are reversed, so the wanted components lead
-    in both modes and the shifts, the kept set and the output order need no
-    mode.  Bounds are those of ``residual_bound_pq``; a component's bound
-    converges when it falls below tol.
+    the columns of W, P and Pbar (not ``null``) are reversed, so the wanted
+    components lead in both modes and the shifts, the kept set and the
+    output order need no mode.  Bounds are those of ``residual_bound_pq``; a
+    component's bound converges when it falls below tol.
     """
     sg = small_gsvd(state.Bdense, state.Bbardense)
     if cfg.target < 0:
         sg = replace(sg, C=sg.C[::-1], S=sg.S[::-1], W=sg.W[:, ::-1], P=sg.P[:, ::-1],
                      Pbar=sg.Pbar[:, ::-1])
-    inv_lead, inv_hat = inverse_norm_estimates(state.Bdense, state.Bbardense)
+    inv_lead, inv_hat = inverse_norm_estimates(state.Bdense, sg.S)
     bounds = residual_bound_pq(sg, state.alpha_next, state.betabar)
     return RitzSet(small=sg, bounds=bounds, converged=bounds < cfg.tol,
                    diag_product=inv_lead * inv_hat)

@@ -148,38 +148,22 @@ def _reflector(x):
     return v
 
 
-def _left_null_vector(P):
-    """The unit q orthogonal to the k columns of an orthonormal (k+1) x k P.
-
-    For B = P C W^T that is B's left null vector.  q is the unit vector e_j
-    with both classical Gram-Schmidt passes against P taken out, j the row
-    of P of least norm: (I - P P^T) e_j has squared norm 1 - ||P[j]||^2 >=
-    1 / (k + 1), so the second pass leaves q orthogonal to P to working
-    precision, and q[j] > 0.
-    """
-    j = int(np.einsum("ij,ij->i", P, P).argmin())
-    q = P.dot(-P[j])
-    q[j] += 1.0
-    q -= P.dot(P.T.dot(q))
-    return q / sqrt(q.dot(q))
-
-
 def _reduce(ritz, l):
     """Truncate the factor onto the l leading triplets of ``ritz`` and reduce it.
 
-    The kept left singular vectors and B's left null vector span the new
-    left space, into which the pending right vector couples through the last
-    row of that map.  One reflector turns the coupling onto the last left
-    vector; then, bottom up, a right reflector clears row j+1 left of column
-    j and a left reflector on rows <= j clears column j above row j.  The
-    reflectors act on the (l+1) x l factor and accumulate in two square
-    transforms, which rotate the truncation maps once at the end.  Returns
-    B', G and P, with B' = G^T B P; G[k, l] is the coupling's norm.
+    The kept left singular vectors and B's left null vector (``ritz.null``)
+    span the new left space, into which the pending right vector couples
+    through the last row of that map.  One reflector turns the coupling onto
+    the last left vector; then, bottom up, a right reflector clears row j+1
+    left of column j and a left reflector on rows <= j clears column j above
+    row j.  The reflectors act on the (l+1) x l factor and accumulate in two
+    square transforms, which rotate the truncation maps once at the end.
+    Returns B', G and P, with B' = G^T B P; G[k, l] is the coupling's norm.
     """
     k = ritz.k
     left = np.empty((k + 1, l + 1))
     left[:, :l] = ritz.P[:, :l]
-    left[:, l] = _left_null_vector(ritz.P)
+    left[:, l] = ritz.null
     # one array holds the factor M, the left transform Q to its right and
     # the right transform R below it, so a left reflector on rows of M turns
     # the matching rows of Q, and a right reflector on columns of M those of

@@ -125,15 +125,11 @@ class SparseMatrix:
         return cls(nrows, ncols, offsets, cols, values)
 
     @classmethod
-    def from_dense(cls, array, keep_zeros=False):
+    def from_dense(cls, array):
         array = np.asarray(array, dtype=np.float64)
         if array.ndim != 2:
             raise ValueError("expected a 2-d array")
-        if keep_zeros:
-            rows, cols = np.indices(array.shape)
-            rows, cols = rows.ravel(), cols.ravel()
-        else:
-            rows, cols = np.nonzero(array)
+        rows, cols = np.nonzero(array)
         return cls.from_coo(array.shape[0], array.shape[1], rows, cols, array[rows, cols])
 
     def to_dense(self):
@@ -320,25 +316,23 @@ def read_matrix_market(path):
         if len(data) != sizes[2]:
             _mm_fail(len(lines), f"expected {sizes[2]} entries, found {len(data)}")
         rows, cols, vals = data["row"] - 1, data["col"] - 1, data["value"]
-        if symmetry == "symmetric":
-            # the stored entries in file order, then the mirrored off-diagonal ones
-            off = rows != cols
-            rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
-            vals = np.concatenate([vals, vals[off]])
-        return SparseMatrix.from_coo(nrows, ncols, rows, cols, vals)
-
-    # dense array format, column-major values
-    if symmetry == "general":
+    elif symmetry == "general":
         if len(data) != nrows * ncols:
             _mm_fail(len(lines), f"expected {nrows * ncols} values, found {len(data)}")
-        return SparseMatrix.from_dense(data.reshape((ncols, nrows)).T, keep_zeros=True)
-    if len(data) != nrows * (nrows + 1) // 2:
-        _mm_fail(len(lines), f"expected {nrows * (nrows + 1) // 2} lower-triangle values, "
-                             f"found {len(data)}")
-    cols, rows = np.triu_indices(nrows)  # column c of the lower triangle holds rows c..n-1
-    dense = np.zeros((nrows, ncols))
-    dense[rows, cols] = dense[cols, rows] = data
-    return SparseMatrix.from_dense(dense, keep_zeros=True)
+        cols, rows = np.divmod(np.arange(nrows * ncols), nrows)  # column-major values
+        vals = data
+    else:
+        if len(data) != nrows * (nrows + 1) // 2:
+            _mm_fail(len(lines), f"expected {nrows * (nrows + 1) // 2} lower-triangle values, "
+                                 f"found {len(data)}")
+        cols, rows = np.triu_indices(nrows)  # column c of the lower triangle holds rows c..n-1
+        vals = data
+    if symmetry == "symmetric":
+        # the stored entries in file order, then the mirrored off-diagonal ones
+        off = rows != cols
+        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+        vals = np.concatenate([vals, vals[off]])
+    return SparseMatrix.from_coo(nrows, ncols, rows, cols, vals)
 
 
 def write_matrix_market(matrix, path):

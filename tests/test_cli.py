@@ -11,7 +11,7 @@ import irjbd.cli
 import irjbd.stackedls
 from irjbd.cli import build_parser, main, run_cli
 from irjbd.driver import SolverConfig
-from irjbd.sparsemat import SparseMatrix, write_matrix_market
+from irjbd.sparsemat import SparseMatrix, second_order_L, write_matrix_market
 from irjbd.stackedls import StackedOperator
 
 
@@ -165,6 +165,31 @@ class TestRuns:
         assert len(built) == 1
         assert "\nlsqr_maxit 50\n" in capsys.readouterr().out
 
+    def test_factored_pair_at_common_scales(self, tmp_path):
+        # the 60 x 40 Gaussian A with second-order L, both written times 1,
+        # 2^-300 and 2^-600: the factored preconditioner reports its defect
+        # (about 4e-14 here), each residual block is measured against its
+        # own scale, so at 2^-300 the status and component lines equal those
+        # at unit scale, and at 2^-600, where the 1- and inf-norm products
+        # of the norm estimate underflow, the run still converges
+        Ad = np.random.default_rng(0).standard_normal((60, 40))
+        Ld = second_order_L(40).to_dense()
+        reports = {}
+        for k in (0, -300, -600):
+            a, l, out = (str(tmp_path / f"{name}{k}") for name in ("a.mtx", "l.mtx", "out.txt"))
+            write_matrix_market(SparseMatrix.from_dense(2.0**k * Ad), a)
+            write_matrix_market(SparseMatrix.from_dense(2.0**k * Ld), l)
+            assert run_cli(["--A", a, "--L", l, "--target", "3", "--kmax", "15",
+                            "--out", out]) == 0
+            reports[k] = Path(out).read_text().splitlines()
+        assert "status converged" in reports[0]
+        defect = [float(ln.split()[1]) for ln in reports[0] if ln.startswith("lsqr_defect ")]
+        assert len(defect) == 1 and defect[0] < 1e-12
+        labels = {k: [ln for ln in r if ln.startswith(("status ", "component "))]
+                  for k, r in reports.items()}
+        assert labels[-300] == labels[0]
+        assert "status converged" in reports[-600]
+
     def test_parser_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["--A", "a.mtx", "--L", "identity", "--kmax", "9"])
         for f in dataclasses.fields(SolverConfig):
@@ -317,6 +342,32 @@ class TestErrorPaths:
         assert captured.err == f"error: --out and --history name the same file: {path}\n"
         assert captured.out == ""
         assert path.read_text() == "an earlier report\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    @pytest.mark.parametrize("other, link", [("--A", False), ("--L", False), ("--A", True)])
+    def test_output_names_an_input(self, diag_matrix_file, tmp_path, monkeypatch, capsys,
+                                   flag, other, link):
+        # an output naming an input file, also through a hard link, would
+        # replace that file's matrix with the report: the run is refused
+        # before the solve and the input keeps its bytes
+        def no_solve(*args):
+            raise AssertionError("the solve ran with an output naming an input")
+
+        monkeypatch.setattr(irjbd.cli, "irjbd_solve", no_solve)
+        l_path = tmp_path / "l.mtx"
+        write_matrix_market(SparseMatrix.from_dense(np.eye(5)), str(l_path))
+        path = {"--A": diag_matrix_file, "--L": str(l_path)}[other]
+        if link:
+            os.link(path, tmp_path / "link.mtx")
+            path = str(tmp_path / "link.mtx")
+        before = {p: Path(p).read_bytes() for p in (diag_matrix_file, l_path)}
+        code = run_cli(["--A", diag_matrix_file, "--L", str(l_path), "--target", "1",
+                        "--kmax", "4", flag, path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {flag} and {other} name the same file: {path}\n"
+        assert captured.out == ""
+        assert {p: Path(p).read_bytes() for p in before} == before
 
     def test_lsqr_maxit_is_no_flag(self, diag_matrix_file, capsys):
         # the inner iteration cap is fixed at 10 n

@@ -307,7 +307,7 @@ def _triplets(draw, nrows, ncols):
 
 
 class TestMatrixMarketParity:
-    """Reading a written file gives bitwise the matrix ``from_coo``/``from_dense`` builds."""
+    """Reading a written file gives bitwise the matrix ``from_coo`` builds from its entries."""
 
     @staticmethod
     def _assert_bitwise(M, expected):
@@ -349,7 +349,8 @@ class TestMatrixMarketParity:
                 stored = list(dense.T.ravel())
             body = [f"{v:.17g}" for v in stored]
             size = f"{nrows} {ncols}"
-            expected = SparseMatrix.from_dense(dense, keep_zeros=True)
+            rows, cols = (ix.ravel() for ix in np.indices(dense.shape))
+            expected = SparseMatrix.from_coo(nrows, ncols, rows, cols, dense.ravel())
         fillers = data.draw(st.lists(st.sampled_from(["", "\n", "% note 1 2 3\n", " \t \n"]),
                                      min_size=len(body), max_size=len(body)))
         text = (f"%%MatrixMarket matrix {fmt} real {symmetry}\n% comment\n\n{size}\n"
