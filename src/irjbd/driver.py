@@ -28,7 +28,7 @@ import numpy as np
 
 from .bidiag import inverse_norm_estimates, small_gsvd
 from .jbd import BreakdownError, jbd_expand, jbd_init
-from .restart import CouplingDefectError, thick_restart
+from .restart import thick_restart
 from .shifts import ShiftSet, apply_adaptive_rule
 from .stackedls import StackedOperator
 # not called here; bench/test_bench.py::test_tracer_restores_every_binding reads this binding
@@ -97,20 +97,17 @@ class SolverConfig:
     def l(self):
         return abs(self.target)
 
-    def effective_adjust(self):
-        """adjust clamped so at least one shift remains available."""
-        return max(0, min(self.adjust, self.kmax - self.l - 1))
-
     def kept_columns(self, nconv):
         """Columns a restart keeps once ``nconv`` wanted values have converged.
 
-        l + adjust grows by min(nconv, nshifts // 2), nshifts = kmax - l -
-        adjust being the shift count at the base, so the slowest wanted value
+        The base l + adjust, with adjust clamped to kmax - l - 1 so that a
+        shift remains, grows by min(nconv, nshifts // 2), nshifts = kmax -
+        base being the shift count at the base, so the slowest wanted value
         keeps more of the subspace; at least ceil(nshifts / 2) >= 1 shifts
         remain.  ARPACK's dsaup2 grows its kept dimension by the same rule
         (Lehoucq, Sorensen & Yang, 1998).
         """
-        base = self.l + self.effective_adjust()
+        base = self.l + min(self.adjust, self.kmax - self.l - 1)
         return base + min(nconv, (self.kmax - base) // 2)
 
 
@@ -275,6 +272,12 @@ def irjbd_solve(A, L, cfg):
     (``converged``) when the bound is below tol, c * s >= 10 eps and the
     recovered relative residual is at most tol.
 
+    A run ends ``breakdown``, with the reason as its message, when the
+    process stops (``JbdState.stop``) before every targeted bound has
+    converged, or when a restart refuses with ``BreakdownError``; the last
+    extraction then stands.  A stop before the first column ends the run
+    with no extraction at all.
+
     Returns a SolveResult.
     """
     op = StackedOperator(A, L)
@@ -287,20 +290,15 @@ def irjbd_solve(A, L, cfg):
 
     history = []
     restarts = 0
-    broken = None
     last_shifts = ShiftSet(np.zeros(0))
     keep = 0
-    state = None
 
-    try:
-        state = jbd_init(op, u1, capacity=cfg.kmax)
-        jbd_expand(state, op, cfg.kmax)
-    except BreakdownError as exc:
-        if state is None or state.k == 0:
-            return SolveResult([], [], "breakdown", message=_note_failures(str(exc), op),
-                               seed=cfg.seed, lsqr_iterations=op.iterations,
-                               lsqr_failures=op.failures, lsqr_defect=op.defect)
-        broken = exc
+    state = jbd_init(op, u1, capacity=cfg.kmax)
+    jbd_expand(state, op, cfg.kmax)
+    if state.k == 0:  # stopped before its first column: nothing to extract
+        return SolveResult([], [], "breakdown", message=_note_failures(state.stop, op),
+                           seed=cfg.seed, lsqr_iterations=op.iterations,
+                           lsqr_failures=op.failures, lsqr_defect=op.defect)
 
     # one extraction per pass, and a restart counts once its state is
     # extracted; every exit but convergence and the budget is a breakdown
@@ -322,12 +320,8 @@ def irjbd_solve(A, L, cfg):
             else:
                 message = f"subspace exhausted at k={ritz.k} < {l} requested components"
             break
-        if broken is not None:
-            message = str(broken)
-            break
-        if state.exhausted:
-            message = ("invariant subspace found before all targeted components "
-                       "converged; remaining targets are unreachable from this start")
+        if state.stop is not None:
+            message = state.stop
             break
         if restarts >= cfg.maxit:
             status = "maxit_exhausted"
@@ -344,17 +338,13 @@ def irjbd_solve(A, L, cfg):
         # triplets, which purges the other, exact shifts, and sweeps only the
         # r replaced ones
         try:
-            restarted = thick_restart(state, ritz.small, keep,
-                                      last_shifts.lambdas[last_shifts.replaced_flags])
-        except (BreakdownError, CouplingDefectError) as exc:
+            state = thick_restart(state, ritz.small, keep,
+                                  last_shifts.lambdas[last_shifts.replaced_flags])
+        except BreakdownError as exc:
             # a refused restart: the last extraction stands
             message = str(exc)
             break
-        try:
-            jbd_expand(restarted, op, cfg.kmax)
-        except BreakdownError as exc:
-            broken = exc
-        state = restarted
+        jbd_expand(state, op, cfg.kmax)
         restarts += 1
 
     components = []

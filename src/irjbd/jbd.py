@@ -16,6 +16,11 @@ below its diagonal.  ``JbdState.set_pending``, the one maker of a pending
 vector (the first one included), orthogonalizes it against Vprime and sets
 both couplings.
 
+The process stops without raising: ``JbdState.stop`` is None while it can
+go on, and otherwise says why, a vanishing alpha_1 or alphahat (the coupled
+recurrence cannot pass it) or an invariant subspace on either side (zero
+couplings, exact Ritz data).  Only a restart raises, ``BreakdownError``.
+
 Every right vector is realized as [A; L] applied to an explicitly
 maintained preimage.  The literal three-term recurrence would divide
 accumulated out-of-range rounding noise by alpha at each step, which can
@@ -47,15 +52,12 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class BreakdownError(RuntimeError):
-    """A normalization coefficient fell below the breakdown threshold."""
+    """A restart cannot go on from the state it was given."""
 
-    def __init__(self, coefficient, index, value):
-        self.coefficient = coefficient
-        self.index = index
-        self.value = value
-        super().__init__(
-            f"joint bidiagonalization breakdown: {coefficient}_{index} = {value:.3e}"
-        )
+
+def _breakdown(coefficient, index, value):
+    """The one-line reason of a coefficient below the breakdown threshold."""
+    return f"joint bidiagonalization breakdown: {coefficient}_{index} = {value:.3e}"
 
 
 def _gram_schmidt(vec, basis, rows=None, seed=None):
@@ -103,6 +105,8 @@ class JbdState:
     Bases are preallocated to ``capacity`` columns and exposed as views.
     ``n_left`` equals k+1 except after a left-side lucky breakdown, where the
     run closes with a square projected factor and ``n_left == k``.
+    ``stop`` is None while the process can expand, and otherwise says why
+    it cannot.
 
     ``breakdown_tol`` = max(n, 32) eps carries no norm of {A, L}: alpha,
     beta and alphahat are coefficients of a process on orthonormal vectors,
@@ -129,7 +133,7 @@ class JbdState:
         self.pending = np.zeros(m + p + n)  # the pending right vector over its preimage
         self.alpha_next = 0.0  # coupling of the pending right vector into the last U column
         self.betabar = 0.0  # its signed coupling into the last Uhat column
-        self.exhausted = False
+        self.stop = None
 
     # -- views -------------------------------------------------------------
 
@@ -185,7 +189,7 @@ class JbdState:
         ``set_pending`` divides by, or the new alpha vanishes.
         """
         if abs(Bbar[l - 1, l - 1]) < self.breakdown_tol:
-            raise BreakdownError("alphahat", l, Bbar[l - 1, l - 1])
+            raise BreakdownError(_breakdown("alphahat", l, Bbar[l - 1, l - 1]))
         new = JbdState(self.m, self.p, self.n, self.capacity)
         new.k = l
         new.n_left = l + 1
@@ -196,7 +200,7 @@ class JbdState:
         new._Bbar[:l, :l] = Bbar
         alpha = new.set_pending(pending)
         if alpha < self.breakdown_tol:
-            raise BreakdownError("alpha", l + 1, alpha)
+            raise BreakdownError(_breakdown("alpha", l + 1, alpha))
         return new
 
     def set_pending(self, pending):
@@ -239,10 +243,10 @@ def jbd_init(op, u1, capacity):
     """Seed a joint bidiagonalization run from a unit starting vector.
 
     The first right vector is the projection of (u1; 0) onto range([A; L]),
-    made by the right half of an expansion step on the empty basis.
-    Breakdown is raised if it vanishes (the starting vector is orthogonal to
-    the range); a vanishing lower block is the first expansion step's
-    alphahat_1 breakdown.
+    made by the right half of an expansion step on the empty basis.  If it
+    vanishes (the starting vector is orthogonal to the range) the state is
+    returned with k = 0 and an alpha_1 ``stop``; a vanishing lower block is
+    the first expansion step's alphahat_1 stop.
     """
     u1 = np.asarray(u1, dtype=np.float64)
     if u1.shape != (op.m,):
@@ -255,17 +259,18 @@ def jbd_init(op, u1, capacity):
 
     alpha1 = _set_next_right(state, op, u1, 0.0)
     if alpha1 < state.breakdown_tol:
-        raise BreakdownError("alpha", 1, alpha1)
+        state.stop = _breakdown("alpha", 1, alpha1)
     return state
 
 
 def _expand_one(state, op):
     """One step: companion left vector, new left vector, new right vector.
 
-    When the new left candidate vanishes (a left-side lucky breakdown), the
-    pending right vector lies in span(U): it joins Vprime with no new
-    subdiagonal entry, the projected factor closes square and every Ritz
-    value it carries is exact.
+    A vanishing companion coefficient stops the process before the step
+    commits anything.  When the new left candidate vanishes (a left-side
+    lucky breakdown), the pending right vector lies in span(U): it joins
+    Vprime with no new subdiagonal entry, the projected factor closes
+    square and every Ritz value it carries is exact.
     """
     k = state.k
     m = state.m
@@ -277,7 +282,8 @@ def _expand_one(state, op):
                                                      seed=state.betabar)
     anorm = sqrt(square)
     if anorm < state.breakdown_tol:
-        raise BreakdownError("alphahat", k + 1, anorm)
+        state.stop = _breakdown("alphahat", k + 1, anorm)
+        return
     abar = anorm if k % 2 == 0 else -anorm
 
     # next left vector from the upper block of the pending right vector
@@ -309,20 +315,20 @@ def _exhaust(state):
     state.pending = np.zeros(state.m + state.p + state.n)
     state.alpha_next = 0.0
     state.betabar = 0.0
-    state.exhausted = True
+    state.stop = f"invariant subspace found at k={state.k}"
 
 
 def jbd_expand(state, op, to_k):
     """Grow the state to ``to_k`` columns (in place; also returned).
 
-    Stops early, with ``state.exhausted`` set, when either side finds an
-    invariant subspace: the corresponding Ritz data is then exact and the
-    pending couplings are zero.  A vanishing companion coefficient raises
-    ``BreakdownError`` because the coupled recurrence cannot continue
-    through it.
+    Stops early, with ``state.stop`` saying why, when either side finds an
+    invariant subspace (the Ritz data is then exact and the pending
+    couplings zero) or a companion coefficient vanishes (the coupled
+    recurrence cannot pass it; the state keeps its columns and couplings).
+    A stopped state is returned as it is.
     """
     if to_k > state.capacity:
         raise ValueError(f"to_k={to_k} exceeds state capacity {state.capacity}")
-    while state.k < to_k and not state.exhausted:
+    while state.k < to_k and state.stop is None:
         _expand_one(state, op)
     return state

@@ -10,7 +10,9 @@ factor by ``accumulate_sweeps``, one bulge-chasing sweep per shift, each
 rotation turning two columns of G or P as it is made.  One QR of Bbar P
 then restores the companion (one shift pair lambda^2 + mu^2 = 1 drives
 both factors), and one ``JbdState.restarted`` builds the result, so it
-expands through the ordinary process code.
+expands through the ordinary process code.  A restart refuses with one
+exception, ``BreakdownError``: on a factor pair too degraded to restart,
+or when the restarted state's trailing alphahat or new alpha vanishes.
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ from math import sqrt
 import numpy as np
 
 from .bidiag import givens
+from .jbd import BreakdownError
 
-__all__ = ["CouplingDefectError", "accumulate_sweeps", "thick_restart"]
-
-
-class CouplingDefectError(RuntimeError):
-    """The factor pair is too degraded to restart."""
+__all__ = ["accumulate_sweeps", "thick_restart"]
 
 
 def _rotate(M, j, c, s):
@@ -68,7 +67,7 @@ def _sweep(d, e, lam, G, P):
 
 
 def _refuse_degraded(B, Bbar):
-    """Raise CouplingDefectError if the pair {B, Bbar} is too degraded to restart.
+    """Raise BreakdownError if the pair {B, Bbar} is too degraded to restart.
 
     The pair is too degraded when 8x its identity defect or 4x its
     off-pattern noise exceeds 1e-6 * max(1, ||Bbar||_F).  The noise counted
@@ -94,7 +93,7 @@ def _refuse_degraded(B, Bbar):
     flat = Bbar.ravel(order="K")
     scale = max(1.0, sqrt(flat.dot(flat)))
     if max(8.0 * identity_defect, 4.0 * offpattern) > 1e-6 * scale:
-        raise CouplingDefectError(
+        raise BreakdownError(
             f"factor pair too degraded to restart: identity defect "
             f"{identity_defect:.3e}, off-pattern noise {offpattern:.3e}"
         )
@@ -206,16 +205,17 @@ def thick_restart(state, ritz, keep, shifts=()):
     Vprime = Uhat Bbar.  The pending right vector is the old one scaled by
     alpha and the coupling G[k, keep], plus, after sweeps, B'[keep, keep]
     times the first discarded rotated column.  Raises ValueError unless
-    1 <= keep < k and keep + r <= k on an open, unexhausted state with a
-    matching extraction, and CouplingDefectError on a degraded pair.
+    1 <= keep < k and keep + r <= k on a state that has not stopped, with a
+    matching extraction; raises BreakdownError on a degraded pair or when
+    the restarted state cannot be built.
     """
     k = state.k
     shifts = np.asarray(shifts, dtype=np.float64)
     if not 1 <= keep < k or keep + len(shifts) > k:
         raise ValueError(f"need 1 <= keep < k and keep + {len(shifts)} shifts <= k, "
                          f"got keep={keep}, k={k}")
-    if state.exhausted or state.n_left != k + 1:
-        raise ValueError("cannot restart an exhausted or closed state")
+    if state.stop is not None:
+        raise ValueError(f"cannot restart a stopped state: {state.stop}")
     if ritz.k != k:
         raise ValueError("extraction size does not match the state")
     Bbar = state.Bbardense

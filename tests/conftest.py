@@ -7,9 +7,8 @@ from hypothesis import settings
 
 import irjbd.driver
 from irjbd.bidiag import givens
-from irjbd.jbd import jbd_expand, jbd_init
-from irjbd.restart import (CouplingDefectError, _reduce, _refuse_degraded, _signed_qr,
-                           accumulate_sweeps)
+from irjbd.jbd import BreakdownError, jbd_expand, jbd_init
+from irjbd.restart import _reduce, _refuse_degraded, _signed_qr, accumulate_sweeps
 from irjbd.sparsemat import SparseMatrix
 from irjbd.stackedls import StackedOperator, lsqr_solve
 
@@ -463,7 +462,7 @@ def _reference_upper_sweep(Bbar, right_rotations, Gbacc, zero_tol):
         if j >= 1:
             residue = abs(Bbar[j - 1, j + 1])
             if residue > zero_tol:
-                raise CouplingDefectError(
+                raise BreakdownError(
                     f"entry ({j - 1}, {j + 1}) = {residue:.3e} exceeds the zeroing "
                     f"threshold {zero_tol:.3e}; lower/upper sweeps have decoupled"
                 )
@@ -504,7 +503,7 @@ def reference_sweeps(B, Bbar, shifts):
                      for M, mask in ((B, lower_mask), (Bbar, np.tri(k, k, -1, dtype=bool))))
     scale = max(1.0, float(np.linalg.norm(Bbar)))
     if max(8.0 * identity_defect, 4.0 * offpattern) > 1e-6 * scale:
-        raise CouplingDefectError(
+        raise BreakdownError(
             f"factor pair too degraded to restart: identity defect "
             f"{identity_defect:.3e}, off-pattern noise {offpattern:.3e}"
         )

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irjbd.bidiag import givens, inverse_norm_estimates, small_gsvd
+from irjbd.jbd import BreakdownError
 from irjbd.oracle import stack_qr
-from irjbd.restart import CouplingDefectError, thick_restart
+from irjbd.restart import thick_restart
 
 from conftest import dense_joint_lanczos, expanded_state
 
@@ -144,7 +145,7 @@ class TestSmallGsvd:
         state, _, _, _ = expanded_state(rng, 14, 12, 10, 6)
         ritz = small_gsvd(state.Bdense, state.Bbardense)
         state.Bbardense[...] *= 1.001
-        with pytest.raises(CouplingDefectError, match="too degraded"):
+        with pytest.raises(BreakdownError, match="too degraded"):
             thick_restart(state, ritz, 4, [0.5])
 
     @pytest.mark.parametrize("k", [1, 2, 5, 16, 39])

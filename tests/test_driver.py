@@ -378,6 +378,56 @@ class TestSolverLoop:
         assert res.components == [] and res.history == []
         assert res.lsqr_iterations == 1
 
+    @pytest.mark.parametrize("mode", ["implicit", "thick"])
+    @pytest.mark.parametrize("target", [1, -1])
+    def test_short_regularizer_stops_mid_expansion(self, mode, target):
+        # with L of 2 rows Uhat lives in R^2, so the third expansion step
+        # finds no companion vector: the process stops at k = 2 and the run
+        # ends on its one extraction
+        gen = np.random.default_rng(0)
+        A = SparseMatrix.from_dense(gen.standard_normal((40, 30)))
+        L = SparseMatrix.from_dense(gen.standard_normal((2, 30)))
+        res = irjbd_solve(A, L, SolverConfig(target=target, kmax=8, restart_mode=mode))
+        assert res.status == "breakdown"
+        assert res.message.startswith("joint bidiagonalization breakdown: alphahat_3 = ")
+        assert res.restarts == 0 and len(res.history) == 1
+
+    @pytest.mark.parametrize("mode", ["implicit", "thick"])
+    def test_invariant_subspace_below_the_target(self, mode):
+        # a one-column pair has a one-dimensional range: the process stops on
+        # an invariant subspace at k = 1, where the one bound is exactly 0,
+        # and a second component does not exist
+        res = irjbd_solve(SparseMatrix.from_dense([[2.0], [0.0]]),
+                          SparseMatrix.from_dense([[1.0]]),
+                          SolverConfig(target=2, kmax=3, restart_mode=mode))
+        assert res.status == "breakdown"
+        assert res.message == "subspace exhausted at k=1 < 2 requested components"
+        assert res.restarts == 0 and len(res.history) == 1
+        [comp] = res.components
+        assert comp.converged and comp.c == pytest.approx(2.0 / np.sqrt(5.0), abs=1e-14)
+
+    @pytest.mark.parametrize("mode", ["implicit", "thick"])
+    def test_stop_after_a_restart_ends_on_its_extraction(self, mode, monkeypatch):
+        # a threshold of 2 lies above every coefficient of the process, so the
+        # restarted state stops at its first expansion step, before it commits
+        # a column: the run extracts that state, counts the restart and ends
+        real_restarted = irjbd.jbd.JbdState.restarted
+
+        def restarted(self, *args):
+            new = real_restarted(self, *args)
+            new.breakdown_tol = 2.0
+            return new
+
+        monkeypatch.setattr(irjbd.jbd.JbdState, "restarted", restarted)
+        _, _, A, L = gaussian_pair(np.random.default_rng(1), 40, 36, 30)
+        res = irjbd_solve(A, L, SolverConfig(target=3, kmax=10, seed=1, restart_mode=mode))
+        keep = res.history[-1].kept
+        assert res.status == "breakdown"
+        assert res.message.startswith(
+            f"joint bidiagonalization breakdown: alphahat_{keep + 1} = ")
+        assert res.restarts == 1 and len(res.history) == 2
+        assert res.history[-1].lsqr_iters_total == res.lsqr_iterations
+
     def test_thick_restart_replaces_no_shift(self):
         # twenty values clustered within 4e-4 of 1 lie above 100 spread ones:
         # the adaptive rule fires here, but only the implicit sweep applies
@@ -395,8 +445,9 @@ class TestSolverLoop:
         assert any(rec.shifts_replaced > 0 for rec in res.history)
 
     def test_effective_adjust_clamps_for_short_kmax(self):
+        # adjust = 3 would leave no shift at kmax = 4: the restart keeps l
         cfg = SolverConfig(target=3, kmax=4, tol=1e-8)
-        assert cfg.effective_adjust() == 0
+        assert cfg.kept_columns(0) == 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -503,7 +554,7 @@ class TestAdaptiveKeep:
     def test_at_least_one_shift_always_remains(self, target, extra, adjust):
         l = abs(target)
         cfg = SolverConfig(target=target, kmax=l + 1 + extra, adjust=adjust)
-        base = l + cfg.effective_adjust()
+        base = l + min(adjust, cfg.kmax - l - 1)
         nshifts = cfg.kmax - base
         kept = [cfg.kept_columns(nconv) for nconv in range(l + 1)]
         assert kept[0] == base
@@ -553,7 +604,7 @@ class TestTrivialComponentHandling:
 
 
 _DEGENERATE_KINDS = ["A = 0", "L = 0", "empty", "shared-empty", "subnormal", "huge",
-                     "[I 0] over I"]
+                     "short L", "[I 0] over I"]
 
 
 def _degenerate_pair(kind, gen, n=30):
@@ -562,7 +613,7 @@ def _degenerate_pair(kind, gen, n=30):
     A is 40 x n and L n x n, both Gaussian, except: A = 0; L = 0; a few
     columns of A empty; a few columns empty in both blocks; a few columns
     scaled by 1e-310 into the subnormals in both; one column of A scaled
-    by 1e200; or A = [I_10 0] (10 x n) with L = I.
+    by 1e200; L keeps 2 of its rows; or A = [I_10 0] (10 x n) with L = I.
     """
     Ad, Ld = gen.standard_normal((40, n)), gen.standard_normal((n, n))
     cols = gen.choice(n, size=3, replace=False)
@@ -580,6 +631,8 @@ def _degenerate_pair(kind, gen, n=30):
         Ld[:, cols] *= 1e-310
     elif kind == "huge":
         Ad[:, cols[0]] *= 1e200
+    elif kind == "short L":
+        Ld = Ld[:2]
     else:
         Ad, Ld = np.eye(10, n), np.eye(n)
     return Ad, Ld

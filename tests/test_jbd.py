@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irjbd.jbd import BreakdownError, _gram_schmidt, jbd_expand, jbd_init
+from irjbd.jbd import _gram_schmidt, jbd_expand, jbd_init
 from irjbd.oracle import stack_qr
 from irjbd.sparsemat import SparseMatrix, identity
 from irjbd.stackedls import StackedOperator
@@ -25,8 +25,19 @@ class TestInit:
         # first expansion step finds before it commits a column
         op = StackedOperator(identity(2), _zero_matrix(2, 2))
         state = jbd_init(op, np.array([1.0, 0.0]), capacity=2)
-        with pytest.raises(BreakdownError, match="alphahat_1 = "):
-            jbd_expand(state, op, 1)
+        assert state.stop is None
+        assert jbd_expand(state, op, 1) is state
+        assert state.stop == "joint bidiagonalization breakdown: alphahat_1 = 0.000e+00"
+        assert state.k == 0
+
+    def test_start_orthogonal_to_the_range_stops(self):
+        # range([A; L]) is spanned by (1, 0, 1), so (e2; 0) projects to zero:
+        # the state stops at k = 0 and no expansion step runs
+        op = StackedOperator(SparseMatrix.from_dense([[1.0], [0.0]]),
+                             SparseMatrix.from_dense([[1.0]]))
+        state = jbd_init(op, np.array([0.0, 1.0]), capacity=2)
+        assert state.stop == "joint bidiagonalization breakdown: alpha_1 = 0.000e+00"
+        jbd_expand(state, op, 2)
         assert state.k == 0
 
     def test_diagonal_pair_seed(self):
@@ -65,7 +76,7 @@ class TestExpand:
                              SparseMatrix.from_dense(np.diag([1.0, 1.0])))
         state = jbd_init(op, np.array([1.0, 0.0]), capacity=2)
         jbd_expand(state, op, 2)
-        assert state.exhausted and state.n_left == state.k  # closed on the left
+        assert state.stop == "invariant subspace found at k=1"  # closed on the left
         assert state.k == 1 and state.n_left == 1
         np.testing.assert_allclose(state.Bdense, [[3.0 / np.sqrt(10.0)]], atol=1e-12)
         # a closed run has no pending right vector and no couplings
@@ -120,7 +131,8 @@ class TestExpand:
     def test_exhaustion_at_full_dimension(self, rng):
         # k cannot exceed n: the right space runs out and couplings become zero
         state, op, _, _ = expanded_state(rng, 12, 11, 6, 6)
-        assert state.exhausted and state.n_left == state.k + 1  # ran out on the right
+        assert state.stop == f"invariant subspace found at k={state.k}"
+        assert state.n_left == state.k + 1  # ran out on the right
         assert state.alpha_next == 0.0 and state.betabar == 0.0
 
     def test_set_pending_writes_the_canonical_couplings(self, rng):

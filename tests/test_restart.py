@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from irjbd.bidiag import small_gsvd
 from irjbd.driver import SolverConfig, extract_ritz
-from irjbd.jbd import jbd_expand, jbd_init
+from irjbd.jbd import BreakdownError, jbd_expand, jbd_init
 from irjbd.oracle import stack_qr
-from irjbd.restart import CouplingDefectError, accumulate_sweeps, thick_restart
+from irjbd.restart import accumulate_sweeps, thick_restart
 
 from conftest import (bidiagonal_parts, expanded_state, explicit_shifted_qr,
                       lower_bidiagonal_pair, reduced_pair, reference_sweeps, rotation_band_defect,
@@ -175,9 +175,9 @@ class TestScalarChase:
                                     max_size=k))
         try:
             ref_B, ref_Bbar, ref_G, ref_P, ref_Gbar = reference_sweeps(B, Bbar, shifts)
-        except CouplingDefectError as err:
+        except BreakdownError as err:
             if "decoupled" not in str(err):
-                with pytest.raises(CouplingDefectError) as raised:
+                with pytest.raises(BreakdownError) as raised:
                     swept_pair(B, Bbar, shifts)
                 assert str(raised.value) == str(err)
                 return
@@ -366,7 +366,7 @@ class TestMultiStepRestart:
 
     def test_refuses_what_cannot_restart(self, rng):
         # keep < 1, keep + r > k, keep = k without a shift (nothing to
-        # purge), an extraction of another size and an exhausted state
+        # purge), an extraction of another size and a stopped state
         state, _, _, _ = expanded_state(rng, 16, 14, 10, 6)
         ritz = small_gsvd(state.Bdense, state.Bbardense)
         for keep, shifts in ((0, [0.3]), (5, [0.3, 0.4]), (6, [])):
@@ -375,8 +375,8 @@ class TestMultiStepRestart:
         other = small_gsvd(state.Bdense[:6, :5], state.Bbardense[:5, :5])
         with pytest.raises(ValueError, match="extraction size"):
             thick_restart(state, other, 3)
-        state.exhausted = True
-        with pytest.raises(ValueError, match="exhausted"):
+        state.stop = "invariant subspace found at k=6"
+        with pytest.raises(ValueError, match="stopped state: invariant subspace"):
             thick_restart(state, ritz, 3, [0.3])
 
     def test_shift_count_validation(self, rng):

@@ -273,6 +273,26 @@ class TestMatrixMarketMalformed:
          "line 5: cannot parse value 'foo'"),
         ("%%MatrixMarket matrix array real general\n2 1\n1.0\n% c\ninf\n",
          "line 5: value must be finite"),
+        # the header, the size line and the array value count
+        ("", "line 1: empty file"),
+        ("%%MatrixMarket matrix coordinate real\n1 1 1\n1 1 1.0\n",
+         "line 1: expected '%%MatrixMarket object format field symmetry' header"),
+        ("%%MatrixMarket vector coordinate real general\n1 1 1\n1 1 1.0\n",
+         "line 1: unsupported object 'vector'"),
+        ("%%MatrixMarket matrix foo real general\n1 1 1\n1 1 1.0\n",
+         "line 1: unsupported format 'foo'"),
+        ("%%MatrixMarket matrix coordinate real general\n% only a comment\n\n",
+         "line 3: missing size line"),
+        ("%%MatrixMarket matrix coordinate real general\n% c\n3 3\n",
+         "line 3: coordinate size line must be 'nrows ncols nnz'"),
+        ("%%MatrixMarket matrix array real general\n3 3 9\n",
+         "line 2: array size line must be 'nrows ncols'"),
+        ("%%MatrixMarket matrix coordinate real general\n3 3.5 1\n1 1 1.0\n",
+         "line 2: size line entries must be integers"),
+        ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n",
+         "line 5: expected 4 values, found 3"),
+        ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n",
+         "line 4: expected 3 lower-triangle values, found 2"),
     ])
     def test_names_the_line(self, tmp_path, text, message):
         path = tmp_path / "bad.mtx"
