@@ -318,7 +318,9 @@ def irjbd_solve(A, L, cfg):
             if ritz.k >= l:
                 status = "converged"
             else:
-                message = f"subspace exhausted at k={ritz.k} < {l} requested components"
+                # only a stopped process holds fewer than kmax >= l columns
+                message = (f"subspace exhausted at k={ritz.k} < {l} requested components "
+                           f"({state.stop})")
             break
         if state.stop is not None:
             message = state.stop

@@ -19,7 +19,10 @@ both couplings.
 The process stops without raising: ``JbdState.stop`` is None while it can
 go on, and otherwise says why, a vanishing alpha_1 or alphahat (the coupled
 recurrence cannot pass it) or an invariant subspace on either side (zero
-couplings, exact Ritz data).  Only a restart raises, ``BreakdownError``.
+couplings, exact Ritz data).  Only a restart raises, ``BreakdownError``,
+and it raises before it writes: ``JbdState.restarted`` overwrites the
+state's own preallocated arrays only once nothing can refuse, so one run
+holds one state.
 
 Every right vector is realized as [A; L] applied to an explicitly
 maintained preimage.  The literal three-term recurrence would divide
@@ -49,6 +52,7 @@ from .stackedls import lsqr_solve
 __all__ = ["JbdState", "BreakdownError", "jbd_init", "jbd_expand"]
 
 _EPS = float(np.finfo(np.float64).eps)
+_ROW_BLOCK = 1024  # rows per block of ``_rows_product``
 
 
 class BreakdownError(RuntimeError):
@@ -178,30 +182,37 @@ class JbdState:
         """The signed projected factor against Uhat, shape (k, k)."""
         return self._Bbar[: self.k, : self.k]
 
-    def restarted(self, l, U, Uhat, right, B, Bbar, pending):
-        """A new l-column state of the same run, built from restarted blocks.
+    def restarted(self, l, G, Gbar, right, B, Bbar, pending):
+        """Restart this state in place at l columns; returns the same object.
 
-        ``U`` has l + 1 columns and ``B`` is (l+1) x l lower bidiagonal;
-        ``Uhat`` and ``right`` (Vprime over its preimages) have l columns
-        and ``Bbar`` is l x l upper triangular.  The pending right vector is
-        made from the stacked ``pending`` by ``set_pending``.  Raises
-        BreakdownError when the trailing companion diagonal, which
-        ``set_pending`` divides by, or the new alpha vanishes.
+        The new bases are U G ((l+1) columns) and Uhat Gbar (l columns), and
+        ``right`` is the new Vprime over its preimages; ``B`` is (l+1) x l
+        lower bidiagonal and ``Bbar`` l x l upper triangular.  The pending
+        right vector is made from the stacked ``pending`` as ``set_pending``
+        makes it, orthogonalized against ``right``.  Raises BreakdownError
+        when the trailing companion diagonal, which the coupling divides by,
+        or the new alpha vanishes; both are decided before anything is
+        written, so a refused restart leaves the state as it was.  Then U
+        and Uhat turn in place, one block of rows at a time
+        (``_rows_product``), and the rest overwrites the state's own arrays.
         """
         if abs(Bbar[l - 1, l - 1]) < self.breakdown_tol:
             raise BreakdownError(_breakdown("alphahat", l, Bbar[l - 1, l - 1]))
-        new = JbdState(self.m, self.p, self.n, self.capacity)
-        new.k = l
-        new.n_left = l + 1
-        new._U[:, : l + 1] = U
-        new._Uhat[:, :l] = Uhat
-        new._right[:, :l] = right
-        new._B[: l + 1, :l] = B
-        new._Bbar[:l, :l] = Bbar
-        alpha = new.set_pending(pending)
+        pending, _, square = _gram_schmidt(pending, right, self.m + self.p)
+        alpha = sqrt(square)
         if alpha < self.breakdown_tol:
             raise BreakdownError(_breakdown("alpha", l + 1, alpha))
-        return new
+        _rows_product(self.U, G, self._U[:, : l + 1])
+        _rows_product(self.Uhat, Gbar, self._Uhat[:, :l])
+        self._right[:, :l] = right
+        self._B.fill(0.0)
+        self._B[: l + 1, :l] = B
+        self._Bbar.fill(0.0)
+        self._Bbar[:l, :l] = Bbar
+        self.k = l
+        self.n_left = l + 1
+        self._take_pending(pending, alpha)
+        return self
 
     def set_pending(self, pending):
         """Make vp = [A; L] t, orthogonalized and normalized, the pending right vector.
@@ -209,21 +220,41 @@ class JbdState:
         ``pending`` is (vp; t), m+p+n entries.  ``_gram_schmidt`` on the
         leading m+p rows takes vp's projection onto Vprime out, subtracting
         the same combination of the preimages from t.  What remains is
-        divided by vp's norm alpha.  The couplings become alpha on the last
-        U column and the coupled-recurrence entry
-        -alpha B[k, k-1] / Bbar[k-1, k-1] on the last Uhat column (0 at
-        k = 0).  Returns alpha, and leaves the state untouched when alpha is
-        below ``breakdown_tol``.
+        divided by vp's norm alpha (``_take_pending``).  Returns alpha, and
+        leaves the state untouched when alpha is below ``breakdown_tol``.
         """
         pending, _, square = _gram_schmidt(pending, self.right, self.m + self.p)
         alpha = sqrt(square)
-        if alpha < self.breakdown_tol:
-            return alpha
+        if alpha >= self.breakdown_tol:
+            self._take_pending(pending, alpha)
+        return alpha
+
+    def _take_pending(self, pending, alpha):
+        """Store pending / alpha and its couplings.
+
+        The couplings are alpha on the last U column and the coupled-
+        recurrence entry -alpha B[k, k-1] / Bbar[k-1, k-1] on the last Uhat
+        column (0 at k = 0).
+        """
         k = self.k
         self.pending = pending / alpha
         self.alpha_next = alpha
         self.betabar = -alpha * self._B[k, k - 1] / self._Bbar[k - 1, k - 1] if k else 0.0
-        return alpha
+
+
+def _rows_product(basis, X, out):
+    """Write basis @ X into ``out`` one block of rows at a time.
+
+    Row i of the product reads only row i of ``basis``, so ``out`` may be
+    basis's own leading columns (a rotation in place), and the temporary is
+    one block, not a second basis.  With OpenBLAS 0.3.31 each block is
+    bitwise the matching rows of the whole product.  An F-ordered ``out``
+    gets the layout of the state's bases, which the Gram-Schmidt products
+    against it depend on in their last bits.
+    """
+    for start in range(0, basis.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        out[rows] = basis[rows] @ X
 
 
 def _set_next_right(state, op, u, beta):

@@ -9,10 +9,14 @@ are kept through the truncation and then swept out of the reduced lower
 factor by ``accumulate_sweeps``, one bulge-chasing sweep per shift, each
 rotation turning two columns of G or P as it is made.  One QR of Bbar P
 then restores the companion (one shift pair lambda^2 + mu^2 = 1 drives
-both factors), and one ``JbdState.restarted`` builds the result, so it
-expands through the ordinary process code.  A restart refuses with one
+both factors).  The restart works in place: it builds the new right block
+in a temporary of keep (+1) columns, then ``JbdState.restarted`` writes
+the result into the state's own arrays, so it expands through the ordinary
+process code and no second state is ever held.  A restart refuses with one
 exception, ``BreakdownError``: on a factor pair too degraded to restart,
 or when the restarted state's trailing alphahat or new alpha vanishes.
+Every refusal comes before the first write, so a refused restart leaves
+the state as it was.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from math import sqrt
 import numpy as np
 
 from .bidiag import givens
-from .jbd import BreakdownError
+from .jbd import BreakdownError, _rows_product
 
 __all__ = ["accumulate_sweeps", "thick_restart"]
 
@@ -207,7 +211,8 @@ def thick_restart(state, ritz, keep, shifts=()):
     times the first discarded rotated column.  Raises ValueError unless
     1 <= keep < k and keep + r <= k on a state that has not stopped, with a
     matching extraction; raises BreakdownError on a degraded pair or when
-    the restarted state cannot be built.
+    the restarted state cannot be built, in both cases before the state is
+    touched.  Otherwise the state is restarted in place and returned.
     """
     k = state.k
     shifts = np.asarray(shifts, dtype=np.float64)
@@ -224,10 +229,13 @@ def thick_restart(state, ritz, keep, shifts=()):
     if len(shifts):
         Bp, Gs, Ps = accumulate_sweeps(Bp, shifts)
         G, P = G @ Gs[:, : keep + 1], P @ Ps[:, : keep + 1]
-    right = state.right @ P
+    # the new right block in the F layout of the state's own, which the
+    # Gram-Schmidt of the new pending vector against it depends on in its last bits
+    right = np.empty((state.right.shape[0], P.shape[1]), order="F")
+    _rows_product(state.right, P, right)
     pending = state.alpha_next * G[k, keep] * state.pending
     if len(shifts):
         pending += Bp[keep, keep] * right[:, keep]
     Gbar, Bbarp = _signed_qr(Bbar @ P[:, :keep])
-    return state.restarted(keep, state.U @ G[:, : keep + 1], state.Uhat @ Gbar,
-                           right[:, :keep], Bp[: keep + 1, :keep], Bbarp, pending)
+    return state.restarted(keep, G[:, : keep + 1], Gbar, right[:, :keep],
+                           Bp[: keep + 1, :keep], Bbarp, pending)

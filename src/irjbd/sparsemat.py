@@ -27,6 +27,11 @@ class MatrixMarketError(ValueError):
     """Raised when a Matrix Market file cannot be parsed."""
 
 
+def _owned(arr, given):
+    """``arr``, copied unless ``np.asarray`` made it by converting ``given`` to another type."""
+    return arr.copy() if getattr(given, "dtype", None) == arr.dtype else arr
+
+
 def _csr_product(out_ids, in_ids, values, vec, size):
     """Return out with out[out_ids[k]] += values[k] * vec[in_ids[k]] over all k.
 
@@ -75,7 +80,7 @@ class SparseMatrix:
         row_ids = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(row_offsets))
         if len(col_indices) > 1:
             same_row = row_ids[1:] == row_ids[:-1]
-            if np.any(same_row & (np.diff(col_indices) <= 0)):
+            if np.any(same_row & (col_indices[1:] <= col_indices[:-1])):
                 raise ValueError("column indices must be strictly increasing within each row")
 
         self.nrows = nrows
@@ -93,8 +98,10 @@ class SparseMatrix:
     def from_coo(cls, nrows, ncols, rows, cols, values):
         """Build from coordinate triplets, summing duplicate coordinates.
 
-        Explicit zeros are retained.
+        Explicit zeros are retained.  The inputs are left writable and
+        unshared: the matrix keeps an input's conversion, or else a copy.
         """
+        given_cols, given_values = cols, values
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -105,10 +112,10 @@ class SparseMatrix:
         if len(cols) and (cols.min() < 0 or cols.max() >= ncols):
             raise ValueError("column index out of range")
 
-        drow = np.diff(rows)
-        if np.all((drow > 0) | ((drow == 0) & (np.diff(cols) > 0))):
-            # strictly row-major already: nothing to sort or sum (copies keep inputs writable)
-            cols, values = cols.copy(), values.copy()
+        # neighbour comparisons, not np.diff: booleans take an eighth of the memory
+        if np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
+            # strictly row-major already: nothing to sort or sum
+            cols, values = _owned(cols, given_cols), _owned(values, given_values)
         else:
             order = np.lexsort((cols, rows))
             rows, cols, values = rows[order], cols[order], values[order]
@@ -120,6 +127,7 @@ class SparseMatrix:
             rows = rows[starts]
             cols = cols[starts]
         counts = np.bincount(rows, minlength=nrows)
+        del rows  # the constructor rebuilds the row ids from the offsets
         offsets = np.zeros(nrows + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return cls(nrows, ncols, offsets, cols, values)
@@ -212,14 +220,18 @@ def _mm_fail(lineno, message):
     raise MatrixMarketError(f"line {lineno}: {message}")
 
 
-def _mm_parse(lines, coordinate, nrows, ncols):
+def _mm_parse(lines, coordinate, nrows, ncols, index=np.int64):
     """Parse and check data lines in one ``np.loadtxt`` call: (entries, None) or (None, why).
+
+    ``lines`` is any iterable of lines: the open file, positioned after the
+    size line, or a list of them when ``_mm_locate`` bisects.  ``index`` is
+    the integer type of the coordinates.
 
     ``why`` is None when a line does not parse.  numpy < 2 parses ``1.0``
     into an int with only a DeprecationWarning, raised here so that every
     supported numpy accepts the same files; an empty section's warning is muted.
     """
-    entry = [("row", np.int64), ("col", np.int64), ("value", np.float64)]
+    entry = [("row", index), ("col", index), ("value", np.float64)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         warnings.simplefilter("ignore", UserWarning)
@@ -264,67 +276,79 @@ def read_matrix_market(path):
 
     Accepts ``general`` and ``symmetric`` symmetry (symmetric storage is
     expanded to the full matrix) and ``real``/``integer`` fields.  Duplicate
-    coordinates are summed; explicit zeros are retained.  numpy's C parser
-    reads the data section in O(nnz).  Parse failures, indices out of range
-    and non-finite values report the offending line number.
+    coordinates are summed; explicit zeros are retained.  The header, the
+    comments and the size line are read line by line, and the open file then
+    goes to one ``np.loadtxt`` call, numpy's C parser, which streams the data
+    section in O(nnz) without holding its lines.  Parse failures, indices
+    out of range and non-finite values report the offending line number;
+    only such a failure, or a wrong entry count, reads the lines again to
+    name it.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.readlines()
-    if not lines:
-        _mm_fail(1, "empty file")
+        line = fh.readline()
+        if not line:
+            _mm_fail(1, "empty file")
+        header = line.split()
+        if len(header) != 5 or header[0] != "%%MatrixMarket":
+            _mm_fail(1, "expected '%%MatrixMarket object format field symmetry' header")
+        _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
+        if obj != "matrix":
+            _mm_fail(1, f"unsupported object {obj!r}")
+        if fmt not in ("coordinate", "array"):
+            _mm_fail(1, f"unsupported format {fmt!r}")
+        if field not in ("real", "integer"):
+            _mm_fail(1, f"unsupported field type {field!r} (real/integer only)")
+        if symmetry not in ("general", "symmetric"):
+            _mm_fail(1, f"unsupported symmetry {symmetry!r} (general/symmetric only)")
 
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "%%MatrixMarket":
-        _mm_fail(1, "expected '%%MatrixMarket object format field symmetry' header")
-    _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
-    if obj != "matrix":
-        _mm_fail(1, f"unsupported object {obj!r}")
-    if fmt not in ("coordinate", "array"):
-        _mm_fail(1, f"unsupported format {fmt!r}")
-    if field not in ("real", "integer"):
-        _mm_fail(1, f"unsupported field type {field!r} (real/integer only)")
-    if symmetry not in ("general", "symmetric"):
-        _mm_fail(1, f"unsupported symmetry {symmetry!r} (general/symmetric only)")
+        # skip comments and blank lines
+        sizeline = 2
+        line = fh.readline()
+        while line and (line.startswith("%") or not line.strip()):
+            sizeline += 1
+            line = fh.readline()
+        if not line:
+            _mm_fail(sizeline - 1, "missing size line")
 
-    # skip comments and blank lines
-    i = 1
-    while i < len(lines) and (lines[i].startswith("%") or not lines[i].strip()):
-        i += 1
-    if i == len(lines):
-        _mm_fail(len(lines), "missing size line")
-
-    size_tokens = lines[i].split()
-    sizeline = i + 1
-    coordinate = fmt == "coordinate"
-    if len(size_tokens) != (3 if coordinate else 2):
-        _mm_fail(sizeline, "coordinate size line must be 'nrows ncols nnz'" if coordinate
-                 else "array size line must be 'nrows ncols'")
-    try:
-        sizes = [int(t) for t in size_tokens]
-    except ValueError:
-        _mm_fail(sizeline, "size line entries must be integers")
-    if min(sizes) < 0:
-        _mm_fail(sizeline, "size line entries must be nonnegative")
-    nrows, ncols = sizes[:2]
-    if symmetry == "symmetric" and nrows != ncols:
-        _mm_fail(sizeline, "symmetric storage requires a square matrix")
-    data, _ = _mm_parse(lines[i + 1:], coordinate, nrows, ncols)
-    if data is None:
-        _mm_locate(lines, i + 1, coordinate, nrows, ncols)
+        size_tokens = line.split()
+        coordinate = fmt == "coordinate"
+        if len(size_tokens) != (3 if coordinate else 2):
+            _mm_fail(sizeline, "coordinate size line must be 'nrows ncols nnz'" if coordinate
+                     else "array size line must be 'nrows ncols'")
+        try:
+            sizes = [int(t) for t in size_tokens]
+        except ValueError:
+            _mm_fail(sizeline, "size line entries must be integers")
+        if min(sizes) < 0:
+            _mm_fail(sizeline, "size line entries must be nonnegative")
+        nrows, ncols = sizes[:2]
+        if symmetry == "symmetric" and nrows != ncols:
+            _mm_fail(sizeline, "symmetric storage requires a square matrix")
+        # int32 coordinates, when the sizes allow, keep an entry at 16 bytes;
+        # the locator parses int64, so a larger index still reads as outside
+        index = np.int32 if max(nrows, ncols) <= np.iinfo(np.int32).max else np.int64
+        data, _ = _mm_parse(fh, coordinate, nrows, ncols, index)
+        if data is None:
+            fh.seek(0)
+            _mm_locate(fh.readlines(), sizeline, coordinate, nrows, ncols)
+        if coordinate:
+            expected, what = sizes[2], "entries"
+        elif symmetry == "general":
+            expected, what = nrows * ncols, "values"
+        else:
+            expected, what = nrows * (nrows + 1) // 2, "lower-triangle values"
+        if len(data) != expected:
+            fh.seek(0)  # the message names the last line
+            _mm_fail(sum(1 for _ in fh), f"expected {expected} {what}, found {len(data)}")
 
     if coordinate:
-        if len(data) != sizes[2]:
-            _mm_fail(len(lines), f"expected {sizes[2]} entries, found {len(data)}")
-        rows, cols, vals = data["row"] - 1, data["col"] - 1, data["value"]
+        rows, cols, vals = data["row"], data["col"], data["value"]
+        rows -= 1
+        cols -= 1
     elif symmetry == "general":
-        if len(data) != nrows * ncols:
-            _mm_fail(len(lines), f"expected {nrows * ncols} values, found {len(data)}")
         cols, rows = np.divmod(np.arange(nrows * ncols), nrows)  # column-major values
         vals = data
     else:
-        if len(data) != nrows * (nrows + 1) // 2:
-            _mm_fail(len(lines), f"expected {nrows * (nrows + 1) // 2} lower-triangle values, "
-                                 f"found {len(data)}")
         cols, rows = np.triu_indices(nrows)  # column c of the lower triangle holds rows c..n-1
         vals = data
     if symmetry == "symmetric":

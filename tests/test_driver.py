@@ -401,7 +401,8 @@ class TestSolverLoop:
                           SparseMatrix.from_dense([[1.0]]),
                           SolverConfig(target=2, kmax=3, restart_mode=mode))
         assert res.status == "breakdown"
-        assert res.message == "subspace exhausted at k=1 < 2 requested components"
+        assert res.message == ("subspace exhausted at k=1 < 2 requested components "
+                               "(invariant subspace found at k=1)")
         assert res.restarts == 0 and len(res.history) == 1
         [comp] = res.components
         assert comp.converged and comp.c == pytest.approx(2.0 / np.sqrt(5.0), abs=1e-14)
@@ -484,11 +485,13 @@ class TestAdaptiveKeep:
                             counted("restarted", irjbd.jbd.JbdState.restarted))
 
         def spy_thick(state, ritz, keep, shifts=()):
+            # the restart overwrites the state: record its size before the call
+            k = state.k
             inner.clear()
             try:
                 return real_thick(state, ritz, keep, shifts)
             finally:
-                calls.append((state.k, keep, len(shifts), dict(inner)))
+                calls.append((k, keep, len(shifts), dict(inner)))
 
         monkeypatch.setattr(irjbd.driver, "thick_restart", spy_thick)
         return calls

@@ -1,3 +1,5 @@
+import copy
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irjbd.restart
 from irjbd.bidiag import small_gsvd
 from irjbd.driver import SolverConfig, extract_ritz
 from irjbd.jbd import BreakdownError, jbd_expand, jbd_init
@@ -394,7 +397,8 @@ class TestThickRestart:
         # values come back on re-extraction
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
         ritz = small_gsvd(state.Bdense, state.Bbardense)
-        new = thick_restart(state, ritz, 3)
+        # the restart overwrites its state: restart a copy, compare with the original
+        new = thick_restart(copy.deepcopy(state), ritz, 3)
         assert all(np.all(part >= 0.0) for part in bidiagonal_parts(new.Bdense, tol=0.0))
         assert_canonical_companion(new.Bbardense)
         again = small_gsvd(new.Bdense, new.Bbardense)
@@ -434,7 +438,7 @@ class TestThickRestart:
         # banded too, up to rounding (at most 6e-14 over 200 Gaussian pairs)
         state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
         ritz = small_gsvd(state.Bdense, state.Bbardense)
-        new = thick_restart(state, ritz, 4)
+        new = thick_restart(copy.deepcopy(state), ritz, 4)
         maps = (state.U.T @ new.U, state.Vprime.T @ new.Vprime, state.Uhat.T @ new.Uhat)
         assert [M.shape for M in maps] == [(8, 5), (7, 4), (7, 4)]
         for M in maps:
@@ -458,3 +462,70 @@ class TestThickRestart:
             thick_restart(state, ritz, 7)
         with pytest.raises(ValueError):
             thick_restart(state, ritz, 0)
+
+
+def _snapshot(state):
+    """Every attribute of the state, its arrays as bytes (garbage columns included)."""
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+            for name, value in vars(state).items()}
+
+
+def _refuse_as_degraded(B, Bbar):
+    raise BreakdownError("factor pair too degraded to restart: forced")
+
+
+class TestInPlace:
+    """A restart overwrites its state's own arrays, and only once nothing can refuse."""
+
+    @pytest.mark.parametrize("how, shifts", [
+        ("degraded pair", ()), ("degraded pair", (0.3,)), ("vanishing alpha", ()),
+        ("vanishing alphahat", ()), ("vanishing alphahat", (0.3,))])
+    def test_refused_restart_leaves_the_state_bitwise(self, rng, monkeypatch, how, shifts):
+        state, _, _, _ = expanded_state(rng, 16, 14, 10, 7)
+        ritz = small_gsvd(state.Bdense, state.Bbardense)
+        keep = 4
+        if how == "degraded pair":
+            monkeypatch.setattr(irjbd.restart, "_refuse_degraded", _refuse_as_degraded)
+            message = "too degraded to restart: forced"
+        elif how == "vanishing alpha":
+            # without a shift the new pending vector is the old one times
+            # alpha: zero, and so the new alpha, after the new block is made
+            state.alpha_next = 0.0
+            message = f"alpha_{keep + 1} = "
+        else:
+            # every alphahat is at most 1
+            state.breakdown_tol = 2.0
+            message = f"alphahat_{keep} = "
+        before = _snapshot(state)
+        with pytest.raises(BreakdownError, match=message):
+            thick_restart(state, ritz, keep, shifts)
+        after = _snapshot(state)
+        assert after.keys() == before.keys()
+        for name in before:
+            assert after[name] == before[name], name
+
+    @pytest.mark.parametrize("shifts", [(), (0.3,)])
+    def test_restart_returns_its_own_state(self, rng, shifts):
+        state, op, _, _ = expanded_state(rng, 16, 14, 10, 7)
+        ritz = small_gsvd(state.Bdense, state.Bbardense)
+        arrays = [state._U, state._Uhat, state._right, state._B, state._Bbar]
+        new = thick_restart(state, ritz, 4, shifts)
+        assert new is state and new.k == 4 and new.n_left == 5
+        assert all(a is b for a, b in zip(arrays, [new._U, new._Uhat, new._right, new._B,
+                                                   new._Bbar]))
+        assert verify_state(new, op).max_defect() < 1e-9
+
+    def test_restart_allocates_less_than_a_state(self, rng):
+        # the temporaries are the new right block (keep + 1 columns), one
+        # row block of each rotated left basis and a few vectors; a second
+        # state would be 12 columns of each basis
+        state, _, _, _ = expanded_state(rng, 240, 200, 160, 12)
+        ritz = small_gsvd(state.Bdense, state.Bbardense)
+        state_bytes = sum(a.nbytes for a in vars(state).values() if isinstance(a, np.ndarray))
+        tracemalloc.start()
+        try:
+            thick_restart(state, ritz, 4, (0.3,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state_bytes, (peak, state_bytes)

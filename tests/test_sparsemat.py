@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -253,6 +254,32 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError, match=r"line 4: cannot parse entry '1\.0 2 3\.0'"):
             read_matrix_market(path)
 
+    def test_streamed_read_holds_no_lines(self, tmp_path):
+        """The data section streams through the parser: no list of its lines is held.
+
+        200,000 entries of a 1000 x 1000 matrix with 200 per row, as
+        write_matrix_market writes them.  The read peaks below twice the
+        arrays of the matrix it returns; holding the lines as Python strings
+        would cost about 7x.
+        """
+        k = np.arange(200_000)
+        M = SparseMatrix.from_coo(1000, 1000, k // 200, (k % 200) * 5 + k // 200 % 5,
+                                  np.random.default_rng(0).standard_normal(len(k)))
+        path = tmp_path / "big.mtx"
+        write_matrix_market(M, path)
+        tracemalloc.start()
+        try:
+            back = read_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        final = sum(getattr(back, name).nbytes for name in SparseMatrix.__slots__
+                    if isinstance(getattr(back, name), np.ndarray))
+        assert peak < 2 * final, (peak, final)
+        assert np.array_equal(back.values, M.values)
+        assert np.array_equal(back.col_indices, M.col_indices)
+        assert np.array_equal(back.row_offsets, M.row_offsets)
+
 
 _COORD_HEAD = "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1.0\n% note\n\n"
 
@@ -311,8 +338,13 @@ class TestMatrixMarketMalformed:
         real_loadtxt = np.loadtxt
 
         def counting_loadtxt(lines, *args, **kwargs):
-            parsed.append(len(lines))
-            return real_loadtxt(lines, *args, **kwargs)
+            # the first parse streams the open file, the locator's take lists:
+            # count the lines each one hands to the parser
+            def counted():
+                for line in lines:
+                    parsed.append(1)
+                    yield line
+            return real_loadtxt(counted(), *args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
         with pytest.raises(MatrixMarketError, match=f"line {nnz + 2}: cannot parse entry"):
@@ -397,6 +429,22 @@ class TestFromCooEarlyOut:
         np.testing.assert_array_equal(M.col_indices, S.col_indices)
         np.testing.assert_array_equal(M.values.view(np.int64), S.values.view(np.int64))
         assert cols.flags.writeable and vals.flags.writeable
+
+    @pytest.mark.parametrize("index", [np.int64, np.int32])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_matrix_owns_its_arrays(self, rng, index, strided):
+        # a converted input is kept, any other copied: the inputs stay
+        # writable and share no memory with the matrix
+        rows, cols, vals = self._canonical(rng)
+        triplets = np.empty(len(rows), dtype=[("col", index), ("value", np.float64)])
+        triplets["col"], triplets["value"] = cols, vals
+        cols, vals = ((triplets["col"], triplets["value"]) if strided
+                      else (triplets["col"].copy(), triplets["value"].copy()))
+        M = SparseMatrix.from_coo(7, 6, rows, cols, vals)
+        assert not np.shares_memory(M.col_indices, cols)
+        assert not np.shares_memory(M.values, vals)
+        assert cols.flags.writeable and vals.flags.writeable
+        np.testing.assert_array_equal(M.to_dense()[rows, cols], vals)
 
     def test_one_duplicate_is_summed(self, rng):
         rows, cols, vals = self._canonical(rng)
